@@ -37,6 +37,8 @@ pub struct Certifier {
     log: Vec<WriteSet>,
     /// Number of log entries removed by [`Certifier::truncate_applied`].
     truncated: u64,
+    /// High-water mark of `log.len()` — the boundedness witness.
+    peak: usize,
     /// Newest certified global version per row, one vector per
     /// [`replipred_sidb::TableId`] — certification is O(1) per writeset
     /// item (an array load for dense keys, one integer hash for sparse
@@ -79,6 +81,16 @@ impl Certifier {
         self.truncated
     }
 
+    /// Writesets currently retained in the log.
+    pub fn log_len(&self) -> usize {
+        self.log.len()
+    }
+
+    /// High-water mark of the retained writeset count.
+    pub fn peak_len(&self) -> usize {
+        self.peak
+    }
+
     /// Certifies a writeset against the global log. On success the
     /// writeset is appended and assigned the next global version.
     ///
@@ -110,6 +122,7 @@ impl Certifier {
             self.newest[table.index()].insert(row.raw(), version);
         }
         self.log.push(ws.clone());
+        self.peak = self.peak.max(self.log.len());
         Certification::Commit(version)
     }
 
@@ -241,6 +254,7 @@ mod tests {
         let dropped = c.truncate_applied(5);
         assert_eq!(dropped, 5);
         assert_eq!(c.version(), 10);
+        assert_eq!((c.log_len(), c.peak_len()), (5, 10));
         assert!(c.writeset_at(5).is_none());
         assert_eq!(c.writeset_at(6).unwrap().items[0].row, RowId(5));
         // Conflict detection still works across the truncation horizon.

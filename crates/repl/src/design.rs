@@ -43,46 +43,30 @@ pub trait Simulator {
     fn run(self: Box<Self>) -> RunReport;
 }
 
-impl Simulator for StandaloneSim {
-    fn design(&self) -> Design {
-        Design::Standalone
-    }
+/// The three concrete simulators expose the same inherent surface; one
+/// definition lifts it into the trait.
+macro_rules! impl_simulator {
+    ($($sim:ty => $design:expr),* $(,)?) => {$(
+        impl Simulator for $sim {
+            fn design(&self) -> Design {
+                $design
+            }
 
-    fn workload(&self) -> &str {
-        self.spec_name()
-    }
+            fn workload(&self) -> &str {
+                self.spec_name()
+            }
 
-    fn run(self: Box<Self>) -> RunReport {
-        (*self).run()
-    }
+            fn run(self: Box<Self>) -> RunReport {
+                (*self).run()
+            }
+        }
+    )*};
 }
 
-impl Simulator for MultiMasterSim {
-    fn design(&self) -> Design {
-        Design::MultiMaster
-    }
-
-    fn workload(&self) -> &str {
-        self.spec_name()
-    }
-
-    fn run(self: Box<Self>) -> RunReport {
-        (*self).run()
-    }
-}
-
-impl Simulator for SingleMasterSim {
-    fn design(&self) -> Design {
-        Design::SingleMaster
-    }
-
-    fn workload(&self) -> &str {
-        self.spec_name()
-    }
-
-    fn run(self: Box<Self>) -> RunReport {
-        (*self).run()
-    }
+impl_simulator! {
+    StandaloneSim => Design::Standalone,
+    MultiMasterSim => Design::MultiMaster,
+    SingleMasterSim => Design::SingleMaster,
 }
 
 /// A fully-specified simulated deployment: which design runs which
@@ -190,7 +174,84 @@ impl SimulatorRegistry for Design {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use replipred_core::Schedule;
     use replipred_workload::tpcw;
+
+    /// A short run per design: n = 2 for the clusters (the standalone
+    /// scale point then offers 2·C clients to its one machine).
+    fn quick(seed: u64) -> SimConfig {
+        SimConfig {
+            warmup: 10.0,
+            duration: 40.0,
+            ..SimConfig::quick(2, seed)
+        }
+    }
+
+    fn simulate(design: Design, cfg: SimConfig) -> RunReport {
+        design.simulator(tpcw::mix(tpcw::Mix::Shopping), cfg).run()
+    }
+
+    #[test]
+    fn equal_seeds_give_identical_runs_in_every_design() {
+        for design in Design::ALL {
+            let (a, b) = (simulate(design, quick(11)), simulate(design, quick(11)));
+            assert_eq!(a, b, "{design}");
+            assert!(a.update_commits > 0, "{design}");
+        }
+    }
+
+    #[test]
+    fn eventless_schedule_only_adds_transient_windows() {
+        // Turning on windowed collection without any events must not
+        // perturb the run: the steady-state numbers stay bit-identical.
+        for design in Design::ALL {
+            let plain = simulate(design, quick(30));
+            let cfg = SimConfig {
+                schedule: Schedule::new().window(5.0),
+                ..quick(30)
+            };
+            let mut windowed = simulate(design, cfg);
+            let transient = windowed
+                .transient
+                .take()
+                .expect("windowing enables transient");
+            assert_eq!(plain, windowed, "{design}");
+            assert!(!transient.windows.is_empty(), "{design}");
+            assert!(transient.events.is_empty(), "{design}");
+            assert!(
+                transient.recovery_time.is_none(),
+                "{design}: no fault, no recovery"
+            );
+            let window_commits: u64 = transient.windows.iter().map(|w| w.commits).sum();
+            assert_eq!(
+                window_commits,
+                plain.read_commits + plain.update_commits,
+                "{design}"
+            );
+        }
+    }
+
+    #[test]
+    fn flash_crowd_raises_load_then_subsides() {
+        for design in Design::ALL {
+            let base = simulate(design, quick(33));
+            let cfg = SimConfig {
+                schedule: Schedule::new().flash_crowd(15.0, 2.0, 20.0).window(5.0),
+                ..quick(33)
+            };
+            let surged = simulate(design, cfg);
+            let t = surged.transient.as_ref().expect("transient present");
+            let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
+            assert_eq!(echoed, ["clients x2", "clients x1"], "{design}");
+            assert!(
+                surged.throughput_tps > base.throughput_tps,
+                "{design}: doubling clients for half the window should lift \
+                 throughput: base={} surged={}",
+                base.throughput_tps,
+                surged.throughput_tps
+            );
+        }
+    }
 
     #[test]
     fn registry_covers_every_design() {

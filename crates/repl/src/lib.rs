@@ -26,20 +26,30 @@
 //!   (`design.simulator(spec, sim_config)`).
 //! - [`certifier`] — the multi-master certification service: version-based
 //!   write-write conflict detection over the global writeset log.
-//! - [`standalone`] — a one-node simulation (the profiling target and the
-//!   `N = 1` anchor of every measured curve).
-//! - [`mm`] — the multi-master cluster simulation.
-//! - [`sm`] — the single-master cluster simulation.
+//! - `kernel` (private) — the replica kernel: the node (database, CPU,
+//!   disk, admission queue, in-order apply queue, durable state), the
+//!   typed event enum and every lifecycle step — dispatch, admission,
+//!   the CPU→disk attempt pipeline with its epoch-stamped abandon,
+//!   retry, writeset propagation, crash/rejoin/catch-up, vacuum-cadence
+//!   log truncation, population ramps — written once, generic over a
+//!   narrow design `Policy` resolved at compile time. Its module docs
+//!   are the guide to adding a design.
+//! - [`standalone`], [`mm`], [`sm`] — the three policies and their public
+//!   simulators: one node committing locally (the profiling target and
+//!   the `N = 1` anchor of every measured curve); any-replica routing
+//!   with a certifier round trip; master-for-updates routing with a
+//!   relay log, election and promotion.
 //! - [`durable`] — per-replica durability (checkpoint + redo log +
 //!   recovery) and [`wslog`] — the bounded, truncatable relay log; both
 //!   back the crash/rejoin paths when
 //!   [`config::DurabilityConfig`] is enabled.
 //! - [`transient`] — windowed time-series collection and the
 //!   [`transient::TransientReport`] produced by time-phased runs (see
-//!   [`replipred_core::Schedule`]): all three simulators apply replica
-//!   crashes/rejoins, certifier outages, and client-population ramps
-//!   mid-run and report recovery time, SLO-violation windows, and peak
-//!   abort rate next to the steady-state numbers.
+//!   [`replipred_core::Schedule`]): the kernel applies replica
+//!   crashes/rejoins and client-population ramps mid-run for every
+//!   design (certifier outages are multi-master policy) and reports
+//!   recovery time, SLO-violation windows, and peak abort rate next to
+//!   the steady-state numbers.
 //!
 //! # Examples
 //!
@@ -57,6 +67,7 @@ pub mod certifier;
 pub mod config;
 pub mod design;
 pub mod durable;
+mod kernel;
 pub mod metrics;
 pub mod mm;
 pub mod replicated_certifier;

@@ -13,280 +13,176 @@
 //!   commit order at the sampled `ws` CPU/disk cost.
 //! - Slaves never abort: they apply only committed writesets and serve
 //!   read-only transactions from (possibly slightly stale) snapshots.
+//!
+//! The node lifecycle is the replica kernel's; this module is the
+//! single-master *policy*: master-for-updates routing, master-local
+//! commit plus relay-log append, the relay log (with its retention cap)
+//! as the catch-up source, and what a crash or rejoin means for
+//! mastership — election of the most caught-up live node and its
+//! promotion once it has applied the whole log.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::convert::Infallible;
 
-use replipred_core::ScheduleEvent;
-use replipred_sidb::{Database, TxnId, WriteSet};
-use replipred_sim::engine::{Engine, Event};
-use replipred_sim::resource::{Fcfs, Ps, ServiceToken};
-use replipred_sim::{Rng, SimTime};
-use replipred_workload::client::{ClientId, ClientPool};
+use replipred_sidb::WriteSet;
 use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 
 use crate::config::SimConfig;
-use crate::durable::NodeDurability;
-use crate::metrics::{Metrics, RunReport};
-use crate::transient::TransientCollector;
+use crate::kernel::{self, Attempt, NodeState, Policy, Sim, Waiter, World};
+use crate::metrics::RunReport;
 use crate::wslog::WsLog;
 
-/// Retry backstop.
-const MAX_RETRIES: u32 = 1000;
-
-/// Per-row cost of a checkpoint state transfer, as a fraction of one
-/// writeset's mean CPU+disk demand. Shipping and installing a checkpoint
-/// row is cheaper than replaying a full writeset (no certification, no
-/// per-commit framing), but scales with the database size instead of the
-/// missed-commit count.
-const STATE_TRANSFER_ROW_COST: f64 = 0.25;
-
-/// Node liveness for fault injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeState {
-    /// Serving transactions and applying relayed writesets.
-    Up,
-    /// Crashed: serves nothing, receives nothing.
-    Down,
-    /// Rejoined and replaying missed writesets; takes no load yet.
-    CatchingUp,
-}
-
-/// One node (master or slave) with its hardware.
-struct Node {
-    db: Database,
-    cpu: Ps<World, Ev>,
-    disk: Fcfs<World, Ev>,
-    state: NodeState,
-    /// Incremented at every crash. In-flight work stamped with an older
-    /// epoch is stale — it must not complete even if the node has
-    /// already rejoined by the time its event fires.
-    epoch: u64,
-    inflight: usize,
-    /// Next writeset sequence number to retire into the local database.
-    /// Maintained for slaves; fixed up from `ws_seq` when a master
-    /// crashes (its database holds everything it committed).
-    apply_next: u64,
-    /// Writesets whose resource phase finished, awaiting in-order retire.
-    apply_ready: BTreeMap<u64, WriteSet>,
-    /// Transactions currently executing (holding an admission slot).
-    executing: usize,
-    /// Arrivals waiting for an admission slot (connection pool).
-    admission: VecDeque<(ClientId, TxnTemplate, f64)>,
-    /// Checkpoint + redo log when durability is enabled. A crash freezes
-    /// it; rejoin rebuilds `db` from it instead of trusting memory.
-    durable: Option<NodeDurability>,
-}
-
-struct World {
-    /// `nodes[master]` executes updates; the rest are slaves.
-    nodes: Vec<Node>,
+/// The master/slaves design's state.
+struct Sm {
     /// Index of the current master (0 until a failover promotes a slave).
     master: usize,
     /// Slave under promotion: updates queue until it has applied the
     /// full writeset log, then it becomes the master.
     promoting: Option<usize>,
-    /// Clients and their compiled statement plan (`pool.plan()`).
-    pool: ClientPool,
-    metrics: Metrics,
-    measuring: bool,
-    rng: Rng,
-    retries_exhausted: u64,
-    lb_delay: f64,
-    /// Master commit counter used to sequence slave-side application.
-    ws_seq: u64,
-    /// Committed writesets awaiting replay by lagging replicas. Vacuum
-    /// truncates entries below the minimum index any replica (Up or
-    /// Down) can still need, so the log stays bounded under steady load.
+    /// Committed writesets awaiting replay by lagging replicas, sequenced
+    /// by master commit order.
     ws_log: WsLog,
-    /// Amortized group-commit disk surcharge per logged commit
-    /// (`DurabilityConfig::log_disk_demand`; 0 when durability is off).
-    log_disk: f64,
     /// Hard relay-log retention cap (0 = unbounded); rejoiners that fall
     /// behind it take a checkpoint state transfer.
     log_retention: u64,
-    /// Checkpoint state transfers performed (fallback rejoin path).
-    state_transfers: u64,
-    mpl: usize,
-    /// Vacuum interval, seconds (0 disables).
-    vacuum_interval: f64,
-    /// End of the simulated horizon (no vacuums past it).
-    end_time: f64,
     /// Updates waiting for a live master (crash or promotion in
     /// progress), drained in FIFO order once one exists.
-    pending_updates: VecDeque<(ClientId, TxnTemplate, f64)>,
-    /// Read-only transactions with no live node to run on.
-    stranded: VecDeque<(ClientId, TxnTemplate, f64)>,
-    /// The configured base client population (ramp factors are relative
-    /// to this).
-    base_clients: usize,
-    /// Windowed transient metrics; `None` unless a schedule is active.
-    transient: Option<TransientCollector>,
+    pending_updates: VecDeque<Waiter>,
 }
 
-/// One in-flight transaction attempt moving through the CPU→disk phases
-/// of its node.
-struct Attempt {
-    client: ClientId,
-    node: usize,
-    txn: TxnId,
-    template: TxnTemplate,
-    started: f64,
-    attempt: u32,
-    /// The node crash epoch the attempt started under.
-    epoch: u64,
+impl Sm {
+    /// Whether updates can run right now.
+    fn has_master(w: &World<Self>) -> bool {
+        w.policy.promoting.is_none() && w.nodes[w.policy.master].state == NodeState::Up
+    }
 }
 
-/// A committed writeset consuming its `ws` demands on a slave.
-struct WsApply {
-    node: usize,
-    seq: u64,
-    writeset: WriteSet,
-    /// Disk demand, sampled together with the CPU demand at propagation
-    /// time (keeps the RNG draw order independent of resource contention).
-    ws_disk: f64,
-}
+impl Policy for Sm {
+    type Ev = Infallible;
+    const LB_HOP: bool = true;
+    const WS_SALT: u64 = 0x5A5A_1234;
+    const DURABLE_REJOIN: bool = true;
 
-/// The typed event vocabulary of the single-master simulation.
-enum Ev {
-    /// A client finished thinking; the load balancer takes over.
-    Think(ClientId),
-    /// The LAN delay elapsed: route to master (updates) or least-loaded
-    /// node (reads) and admit.
-    Dispatch(ClientId),
-    /// An attempt finished its CPU phase; the disk phase follows.
-    CpuDone(Attempt),
-    /// An attempt finished its disk phase; commit or retry.
-    DiskDone(Attempt),
-    /// A relayed writeset finished its CPU phase on a slave.
-    WsCpuDone(WsApply),
-    /// A relayed writeset finished its disk phase; retire in order.
-    WsDiskDone(WsApply),
-    /// End of warm-up: discard all measurements.
-    Warmup,
-    /// Periodic version GC on every node.
-    Vacuum,
-    /// An injected schedule event (crash, rejoin, ramp).
-    Inject(ScheduleEvent),
-    /// A rejoining node finished one round of writeset replay.
-    CatchupDone(usize),
-    /// Internal PS completion for `nodes[i].cpu`.
-    CpuFired(usize),
-    /// Internal FCFS completion for `nodes[i].disk`.
-    DiskFired(usize, ServiceToken),
-}
-
-impl Event<World> for Ev {
-    fn fire(self, engine: &mut Engine<World, Ev>) {
-        match self {
-            Ev::Think(client) => {
-                let delay = engine.world().lb_delay;
-                engine.schedule_event_in(delay, Ev::Dispatch(client));
-            }
-            Ev::Dispatch(client) => dispatch(engine, client),
-            Ev::CpuDone(attempt) => {
-                let node = attempt.node;
-                {
-                    let s = &engine.world().nodes[node];
-                    if s.state != NodeState::Up || s.epoch != attempt.epoch {
-                        abandon_attempt(engine, attempt);
-                        return;
-                    }
-                }
-                // Update attempts carry the amortized group-commit fsync
-                // on top of their own disk demand (0 when durability is
-                // off; reads never pay it).
-                let log_disk = if attempt.template.is_update {
-                    engine.world().log_disk
-                } else {
-                    0.0
-                };
-                let disk_demand = attempt.template.disk_demand + log_disk;
-                Fcfs::submit_event(
-                    engine,
-                    move |w: &mut World| &mut w.nodes[node].disk,
-                    disk_demand,
-                    Ev::DiskDone(attempt),
-                    move |t| Ev::DiskFired(node, t),
-                );
-            }
-            Ev::DiskDone(a) => {
-                let s = &engine.world().nodes[a.node];
-                if s.state != NodeState::Up || s.epoch != a.epoch {
-                    abandon_attempt(engine, a);
-                    return;
-                }
-                complete_attempt(engine, a);
-            }
-            Ev::WsCpuDone(ws) => {
-                let node = ws.node;
-                if engine.world().nodes[node].state != NodeState::Up {
-                    // The crashed/rejoining slave recovers this writeset
-                    // from the durable log instead.
-                    return;
-                }
-                let ws_disk = ws.ws_disk;
-                Fcfs::submit_event(
-                    engine,
-                    move |w: &mut World| &mut w.nodes[node].disk,
-                    ws_disk,
-                    Ev::WsDiskDone(ws),
-                    move |t| Ev::DiskFired(node, t),
-                );
-            }
-            Ev::WsDiskDone(ws) => {
-                if engine.world().nodes[ws.node].state != NodeState::Up {
-                    return;
-                }
-                {
-                    let bytes = ws.writeset.wire_size() as u64;
-                    let w = engine.world_mut();
-                    if w.measuring {
-                        w.metrics.writesets_applied += 1;
-                        w.metrics.writeset_bytes += bytes;
-                    }
-                }
-                mark_ready(engine, ws.node, ws.seq, ws.writeset);
-            }
-            Ev::Warmup => {
-                let now = engine.now().as_secs();
-                let w = engine.world_mut();
-                w.metrics.reset();
-                for node in &mut w.nodes {
-                    node.db.reset_stats();
-                    node.cpu.stats.reset(now);
-                    node.disk.stats.reset(now);
-                }
-                w.measuring = true;
-            }
-            Ev::Vacuum => {
-                let w = engine.world_mut();
-                for node in &mut w.nodes {
-                    if node.state == NodeState::Down {
-                        continue; // a dead node's state is frozen as-is
-                    }
-                    node.db.vacuum();
-                }
-                checkpoint_and_truncate(w);
-                let interval = w.vacuum_interval;
-                let next = engine.now().as_secs() + interval;
-                if next < engine.world().end_time {
-                    engine.schedule_event_in(interval, Ev::Vacuum);
-                }
-            }
-            Ev::Inject(ev) => inject(engine, ev),
-            Ev::CatchupDone(node) => catchup_step(engine, node),
-            Ev::CpuFired(node) => Ps::on_fired(
-                engine,
-                move |w: &mut World| &mut w.nodes[node].cpu,
-                move || Ev::CpuFired(node),
-            ),
-            Ev::DiskFired(node, token) => Fcfs::on_fired(
-                engine,
-                move |w: &mut World| &mut w.nodes[node].disk,
-                token,
-                move |t| Ev::DiskFired(node, t),
-            ),
+    fn label(w: &World<Self>, node: usize) -> String {
+        if node == w.policy.master {
+            "master".to_string()
+        } else {
+            format!("slave{node}")
         }
+    }
+
+    /// Updates to the master; reads to the least loaded live node.
+    fn route(w: &World<Self>, template: &TxnTemplate) -> Option<usize> {
+        if template.is_update {
+            Sm::has_master(w).then_some(w.policy.master)
+        } else {
+            kernel::least_loaded(w)
+        }
+    }
+
+    /// Updates wait for a master; reads strand until a node rejoins.
+    fn park(w: &mut World<Self>, waiter: Waiter) {
+        if waiter.1.is_update {
+            w.policy.pending_updates.push_back(waiter);
+        } else {
+            w.stranded.push_back(waiter);
+        }
+    }
+
+    /// Master-local SI certification, then relay: the writeset is logged
+    /// and sent to every live slave, which retire strictly in master
+    /// commit order. The master's own `apply_next` tracks the log head —
+    /// its database holds everything it committed.
+    fn commit_update(engine: &mut Sim<Self>, a: Attempt) {
+        debug_assert_eq!(a.node, engine.world().policy.master);
+        let Some((a, info)) = kernel::commit_local(engine, a) else {
+            return;
+        };
+        let w = engine.world_mut();
+        let seq = w.policy.ws_log.next_seq();
+        let master = &mut w.nodes[a.node];
+        master.apply_next = seq + 1;
+        if let Some(d) = master.durable.as_mut() {
+            d.log(seq, info.commit_seq, &info.writeset);
+        }
+        kernel::fan_out(engine, a.node, seq, &info.writeset);
+        engine.world_mut().policy.ws_log.push(info.writeset);
+        kernel::respond(engine, &a);
+    }
+
+    fn fire(_: &mut Sim<Self>, ev: Infallible) {
+        match ev {}
+    }
+
+    fn retired(engine: &mut Sim<Self>, _: usize) {
+        try_complete_promotion(engine);
+    }
+
+    /// Losing the master — or the slave being promoted — calls an
+    /// election.
+    fn crashed(engine: &mut Sim<Self>, node: usize) {
+        let w = engine.world();
+        if w.nodes[w.policy.master].state != NodeState::Up || w.policy.promoting == Some(node) {
+            elect(engine);
+        }
+    }
+
+    /// A rejoined node stands for election if the cluster is masterless.
+    fn caught_up(engine: &mut Sim<Self>, _: usize) {
+        let w = engine.world();
+        if w.policy.promoting.is_none() && w.nodes[w.policy.master].state != NodeState::Up {
+            elect(engine);
+        }
+        try_complete_promotion(engine);
+    }
+
+    fn log_seq(&self) -> u64 {
+        self.ws_log.next_seq() - 1
+    }
+
+    fn log_range(&self, from: u64, to: u64) -> Option<Vec<WriteSet>> {
+        self.ws_log.range_from(from, to)
+    }
+
+    fn truncate_log(&mut self, floor: u64) {
+        self.ws_log.truncate_below(floor);
+        self.ws_log.cap(self.log_retention);
+    }
+}
+
+/// Picks the most caught-up live node as the promotion candidate (ties
+/// break toward the lowest index). With no live node the cluster waits:
+/// updates queue until a rejoin completes and triggers a new election.
+fn elect(engine: &mut Sim<Sm>) {
+    let w = engine.world_mut();
+    let mut best: Option<(usize, u64)> = None;
+    for (i, node) in w.nodes.iter().enumerate() {
+        if node.state == NodeState::Up && best.map_or(true, |(_, apply)| node.apply_next > apply) {
+            best = Some((i, node.apply_next));
+        }
+    }
+    w.policy.promoting = best.map(|(i, _)| i);
+    if best.is_some() {
+        try_complete_promotion(engine);
+    }
+}
+
+/// Completes a pending promotion once the candidate has applied the full
+/// writeset log, then releases the queued updates to the new master.
+fn try_complete_promotion(engine: &mut Sim<Sm>) {
+    let w = engine.world_mut();
+    match w.policy.promoting {
+        Some(c) if w.nodes[c].apply_next == w.policy.ws_log.next_seq() => {
+            w.policy.master = c;
+            w.policy.promoting = None;
+        }
+        _ => return,
+    }
+    while Sm::has_master(engine.world()) {
+        let Some(waiter) = engine.world_mut().policy.pending_updates.pop_front() else {
+            return;
+        };
+        kernel::place(engine, waiter);
     }
 }
 
@@ -313,827 +209,17 @@ impl SingleMasterSim {
     ///
     /// Panics if `cfg.replicas` is zero.
     pub fn run(self) -> RunReport {
-        self.run_probed().0
+        self.run_world().0
     }
 
-    /// [`SingleMasterSim::run`] plus internal state probes the
-    /// boundedness and recovery tests assert on (not part of the report,
-    /// so steady-state goldens stay byte-identical).
-    fn run_probed(self) -> (RunReport, SmProbe) {
-        assert!(self.cfg.replicas > 0, "need at least the master");
-        let n = self.cfg.replicas;
-        let clients = n * self.spec.clients_per_replica;
-        let mut nodes = Vec::with_capacity(n);
-        let mut plan = None;
-        for _ in 0..n {
-            let mut db = Database::new();
-            let p = self
-                .spec
-                .install(&mut db, self.cfg.seed_scale)
-                .expect("workload installs on a fresh database");
-            // Identical schema creation order means identical plans; the
-            // relayed writesets rely on shared table ids.
-            if let Some(prev) = &plan {
-                debug_assert!(*prev == p, "node plans diverged");
-            }
-            plan = Some(p);
-            // The initial checkpoint images the freshly seeded database
-            // (relay sequence 0): a node crashing before the first vacuum
-            // recovers from it plus its redo log.
-            let durable = self
-                .cfg
-                .durability
-                .enabled
-                .then(|| NodeDurability::new(&db, 0, self.cfg.durability.group_commit.max(1)));
-            nodes.push(Node {
-                db,
-                cpu: Ps::new(1.0),
-                disk: Fcfs::new(1),
-                state: NodeState::Up,
-                epoch: 0,
-                inflight: 0,
-                apply_next: 1,
-                apply_ready: BTreeMap::new(),
-                executing: 0,
-                admission: VecDeque::new(),
-                durable,
-            });
-        }
-        let plan = plan.expect("at least the master");
-        let schedule = self.cfg.schedule.clone();
-        // Ramps never invent clients mid-run: the pool is sized for the
-        // largest requested population up front, extra streams parked.
-        let capacity = (schedule.max_clients_factor() * clients as f64).ceil() as usize;
-        let transient = schedule
-            .enabled()
-            .then(|| TransientCollector::new(&schedule, self.cfg.warmup, self.cfg.end_time()));
-        let world = World {
-            nodes,
+    fn run_world(self) -> (RunReport, World<Sm>) {
+        kernel::run(&self.spec, &self.cfg, self.cfg.replicas, |_| Sm {
             master: 0,
             promoting: None,
-            pool: ClientPool::with_capacity(plan, clients, capacity, self.cfg.seed),
-            metrics: Metrics::default(),
-            measuring: false,
-            rng: Rng::seed_from_u64(self.cfg.seed ^ 0x5A5A_1234),
-            retries_exhausted: 0,
-            lb_delay: self.cfg.lb_delay,
-            ws_seq: 0,
             ws_log: WsLog::new(),
-            log_disk: self.cfg.durability.log_disk_demand(),
             log_retention: self.cfg.durability.log_retention,
-            state_transfers: 0,
-            mpl: self.cfg.mpl.max(1),
-            vacuum_interval: self.cfg.vacuum_interval,
-            end_time: self.cfg.end_time(),
             pending_updates: VecDeque::new(),
-            stranded: VecDeque::new(),
-            base_clients: clients,
-            transient,
-        };
-        let mut engine: Engine<World, Ev> = Engine::new(world);
-        for i in 0..clients {
-            client_cycle(&mut engine, ClientId(i));
-        }
-        engine.schedule_event_at(SimTime::from_secs(self.cfg.warmup), Ev::Warmup);
-        if self.cfg.vacuum_interval > 0.0 {
-            engine.schedule_event_in(self.cfg.vacuum_interval, Ev::Vacuum);
-        }
-        for te in schedule.sorted_events() {
-            engine.schedule_event_at(SimTime::from_secs(te.at), Ev::Inject(te.event));
-        }
-        let end = SimTime::from_secs(self.cfg.end_time());
-        engine.run_until(end);
-        let end_s = end.as_secs();
-        let w = engine.into_world();
-        let utils: Vec<(String, f64, f64)> = w
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                let name = if i == w.master {
-                    "master".to_string()
-                } else {
-                    format!("slave{i}")
-                };
-                (
-                    name,
-                    node.cpu.stats.busy.mean_at(end_s),
-                    node.disk.stats.busy.mean_at(end_s),
-                )
-            })
-            .collect();
-        let mut report = RunReport::from_metrics(
-            &self.spec.name,
-            n,
-            clients,
-            self.cfg.duration,
-            &w.metrics,
-            &utils,
-        );
-        report.transient = w.transient.map(TransientCollector::finalize);
-        let probe = SmProbe {
-            ws_log_len: w.ws_log.len(),
-            ws_log_peak: w.ws_log.peak_len(),
-            ws_seq: w.ws_seq,
-            state_transfers: w.state_transfers,
-        };
-        (report, probe)
-    }
-}
-
-/// Internal counters exposed by [`SingleMasterSim::run_probed`] for the
-/// log-boundedness and recovery tests.
-#[allow(dead_code)] // read by tests; the public entry point drops it
-struct SmProbe {
-    /// Relay-log entries retained at the end of the run.
-    ws_log_len: usize,
-    /// High-water mark of retained relay-log entries.
-    ws_log_peak: usize,
-    /// Total writesets ever committed.
-    ws_seq: u64,
-    /// Checkpoint state transfers taken by rejoiners that outran the
-    /// relay log.
-    state_transfers: u64,
-}
-
-fn client_cycle(engine: &mut Engine<World, Ev>, client: ClientId) {
-    let think = engine.world_mut().pool.next_think(client);
-    engine.schedule_event_in(think, Ev::Think(client));
-}
-
-/// Least-loaded live node, if any.
-fn pick_up_node(w: &World) -> Option<usize> {
-    w.nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.state == NodeState::Up)
-        .min_by_key(|(_, n)| n.inflight)
-        .map(|(i, _)| i)
-}
-
-/// Load balancer (after the LAN delay): updates to the master; reads to
-/// the least loaded node.
-fn dispatch(engine: &mut Engine<World, Ev>, client: ClientId) {
-    // Population ramps: surplus clients go dormant between transactions.
-    if engine.world_mut().pool.park_if_surplus(client) {
-        return;
-    }
-    let template = engine.world_mut().pool.next_transaction(client);
-    let started = engine.now().as_secs();
-    if template.is_update {
-        route_update(engine, client, template, started);
-    } else {
-        route_read(engine, client, template, started);
-    }
-}
-
-/// Routes an update to the master, or queues it while the master is dead
-/// or a slave promotion is still replaying the log.
-fn route_update(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    template: TxnTemplate,
-    started: f64,
-) {
-    let master = {
-        let w = engine.world_mut();
-        if w.promoting.is_some() || w.nodes[w.master].state != NodeState::Up {
-            w.pending_updates.push_back((client, template, started));
-            return;
-        }
-        w.nodes[w.master].inflight += 1;
-        w.master
-    };
-    admit(engine, client, master, template, started);
-}
-
-/// Routes a read-only transaction to the least loaded live node, or
-/// strands it until one rejoins.
-fn route_read(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    template: TxnTemplate,
-    started: f64,
-) {
-    match pick_up_node(engine.world()) {
-        Some(node) => {
-            engine.world_mut().nodes[node].inflight += 1;
-            admit(engine, client, node, template, started);
-        }
-        None => engine
-            .world_mut()
-            .stranded
-            .push_back((client, template, started)),
-    }
-}
-
-/// Drops an in-flight attempt whose node died mid-execution and re-routes
-/// its client (updates wait for a master, reads fail over). The dead
-/// node's open snapshot is aborted so a later rejoin does not pin old
-/// versions.
-fn abandon_attempt(engine: &mut Engine<World, Ev>, a: Attempt) {
-    let _ = engine.world_mut().nodes[a.node].db.abort(a.txn);
-    if a.template.is_update {
-        route_update(engine, a.client, a.template, a.started);
-    } else {
-        route_read(engine, a.client, a.template, a.started);
-    }
-}
-
-/// Admission control (connection pool): at most `mpl` transactions execute
-/// concurrently per node; excess arrivals wait without an open snapshot.
-fn admit(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    node: usize,
-    template: TxnTemplate,
-    started: f64,
-) {
-    let admitted = {
-        let w = engine.world_mut();
-        let mpl = w.mpl;
-        let s = &mut w.nodes[node];
-        if s.executing < mpl {
-            s.executing += 1;
-            true
-        } else {
-            s.admission.push_back((client, template.clone(), started));
-            false
-        }
-    };
-    if admitted {
-        start_attempt(engine, client, node, template, started, 0);
-    }
-}
-
-/// Releases an admission slot, immediately admitting the next waiter.
-fn release(engine: &mut Engine<World, Ev>, node: usize) {
-    let next = {
-        let w = engine.world_mut();
-        let s = &mut w.nodes[node];
-        match s.admission.pop_front() {
-            Some(next) => Some(next),
-            None => {
-                s.executing -= 1;
-                None
-            }
-        }
-    };
-    if let Some((client, template, started)) = next {
-        start_attempt(engine, client, node, template, started, 0);
-    }
-}
-
-fn start_attempt(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    node: usize,
-    template: TxnTemplate,
-    started: f64,
-    attempt: u32,
-) {
-    // The snapshot is taken at execution start; on the master the
-    // conflict window therefore spans the update's whole execution.
-    let (txn, epoch) = {
-        let now = engine.now().as_secs();
-        let w = engine.world_mut();
-        w.nodes[node].db.set_time(now);
-        (w.nodes[node].db.begin(), w.nodes[node].epoch)
-    };
-    let cpu_demand = template.cpu_demand;
-    let attempt = Attempt {
-        client,
-        node,
-        txn,
-        template,
-        started,
-        attempt,
-        epoch,
-    };
-    Ps::submit_event(
-        engine,
-        move |w: &mut World| &mut w.nodes[node].cpu,
-        cpu_demand,
-        Ev::CpuDone(attempt),
-        move || Ev::CpuFired(node),
-    );
-}
-
-fn complete_attempt(engine: &mut Engine<World, Ev>, a: Attempt) {
-    let now = engine.now().as_secs();
-    let Attempt {
-        client,
-        node,
-        txn,
-        template,
-        started,
-        attempt,
-        epoch: _,
-    } = a;
-    if !template.is_update {
-        let w = engine.world_mut();
-        w.nodes[node].db.set_time(now);
-        w.pool
-            .plan()
-            .execute(&mut w.nodes[node].db, txn, &template)
-            .expect("workload references seeded tables");
-        w.nodes[node]
-            .db
-            .commit(txn)
-            .expect("read-only transactions always commit");
-        respond(engine, client, node, started, false);
-        return;
-    }
-    // Update at the master: local SI certification, then propagation.
-    debug_assert_eq!(
-        node,
-        engine.world().master,
-        "updates only execute on the master"
-    );
-    let outcome = {
-        let w = engine.world_mut();
-        let db = &mut w.nodes[node].db;
-        db.set_time(now);
-        w.pool
-            .plan()
-            .execute(db, txn, &template)
-            .expect("workload references seeded tables");
-        db.commit(txn).map(|info| (info.commit_seq, info.writeset))
-    };
-    match outcome {
-        Ok((local_version, writeset)) => {
-            // Relay the writeset to every live slave; slaves consume
-            // resources concurrently but retire strictly in master commit
-            // order. Crashed or catching-up slaves recover it from the
-            // durable log on rejoin.
-            let seq = {
-                let w = engine.world_mut();
-                w.ws_seq += 1;
-                let pushed = w.ws_log.push(writeset.clone());
-                debug_assert_eq!(pushed, w.ws_seq, "relay log out of step");
-                if let Some(d) = w.nodes[node].durable.as_mut() {
-                    d.log(w.ws_seq, local_version, &writeset);
-                }
-                w.ws_seq
-            };
-            let n = engine.world().nodes.len();
-            for s in 0..n {
-                if s != node && engine.world().nodes[s].state == NodeState::Up {
-                    propagate(engine, s, seq, writeset.clone());
-                }
-            }
-            respond(engine, client, node, started, true);
-        }
-        Err(e) if e.is_conflict() => {
-            {
-                let w = engine.world_mut();
-                if w.measuring {
-                    w.metrics.conflict_aborts += 1;
-                    if let Some(tc) = &mut w.transient {
-                        tc.abort(now);
-                    }
-                }
-            }
-            if attempt < MAX_RETRIES {
-                let retry = engine.world_mut().pool.resample_demands(client, &template);
-                start_attempt(engine, client, node, retry, started, attempt + 1);
-            } else {
-                engine.world_mut().retries_exhausted += 1;
-                respond(engine, client, node, started, true);
-            }
-        }
-        Err(e) => panic!("unexpected engine error: {e}"),
-    }
-}
-
-fn respond(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    node: usize,
-    started: f64,
-    update: bool,
-) {
-    let now = engine.now().as_secs();
-    release(engine, node);
-    {
-        let w = engine.world_mut();
-        w.nodes[node].inflight -= 1;
-        if w.measuring {
-            if update {
-                w.metrics.update_commits += 1;
-                w.metrics.update_response.record(now - started);
-            } else {
-                w.metrics.read_commits += 1;
-                w.metrics.read_response.record(now - started);
-            }
-            w.metrics.response.record(now - started);
-            if let Some(tc) = &mut w.transient {
-                tc.commit(now, now - started, update);
-            }
-        }
-    }
-    client_cycle(engine, client);
-}
-
-/// Consumes the ws resource demands on a slave, then queues the writeset
-/// for in-order retirement.
-fn propagate(engine: &mut Engine<World, Ev>, node: usize, seq: u64, writeset: WriteSet) {
-    let (ws_cpu, ws_disk) = {
-        let w = engine.world_mut();
-        let (mean_cpu, mean_disk) = {
-            let spec = w.pool.spec();
-            (spec.ws_cpu, spec.ws_disk)
-        };
-        // The log surcharge rides on top of the sampled demand, after
-        // both draws, so enabling durability never shifts the RNG stream.
-        let drawn = (w.rng.exp(mean_cpu), w.rng.exp(mean_disk));
-        (drawn.0, drawn.1 + w.log_disk)
-    };
-    Ps::submit_event(
-        engine,
-        move |w: &mut World| &mut w.nodes[node].cpu,
-        ws_cpu,
-        Ev::WsCpuDone(WsApply {
-            node,
-            seq,
-            writeset,
-            ws_disk,
-        }),
-        move || Ev::CpuFired(node),
-    );
-}
-
-/// Retires ready writesets into the slave database in master commit order.
-///
-/// Sequences below `apply_next` are stale duplicates (a rejoined slave
-/// already replayed them from the log) and are discarded. When the slave
-/// is a pending promotion candidate and has caught up with the full log,
-/// the promotion completes here.
-fn mark_ready(engine: &mut Engine<World, Ev>, node: usize, seq: u64, writeset: WriteSet) {
-    {
-        let w = engine.world_mut();
-        let s = &mut w.nodes[node];
-        if seq < s.apply_next {
-            return;
-        }
-        s.apply_ready.insert(seq, writeset);
-        while let Some(entry) = s.apply_ready.first_entry() {
-            if *entry.key() < s.apply_next {
-                entry.remove();
-                continue;
-            }
-            if *entry.key() != s.apply_next {
-                break;
-            }
-            let ws = entry.remove();
-            let version =
-                s.db.apply_writeset(&ws)
-                    .expect("writeset references seeded tables");
-            if let Some(d) = s.durable.as_mut() {
-                d.log(s.apply_next, version, &ws);
-            }
-            s.apply_next += 1;
-        }
-    }
-    try_complete_promotion(engine);
-}
-
-/// Vacuum-cadence durability work: re-checkpoint every live node (its
-/// redo log restarts from the fresh image) and truncate the relay log
-/// below the minimum sequence any replica can still need. With
-/// durability on that floor is each node's durable horizon; without it,
-/// a node's next unapplied sequence. Either way the log stays bounded
-/// under steady load while never dropping an entry a rejoiner (even a
-/// currently-Down one) could ask for.
-fn checkpoint_and_truncate(w: &mut World) {
-    let ws_seq = w.ws_seq;
-    for (i, node) in w.nodes.iter_mut().enumerate() {
-        if node.state != NodeState::Up {
-            continue; // frozen (Down) or mid-replay (CatchingUp)
-        }
-        if let Some(d) = node.durable.as_mut() {
-            let applied = if i == w.master {
-                ws_seq
-            } else {
-                node.apply_next - 1
-            };
-            d.checkpoint(&node.db, applied);
-        }
-    }
-    let min_needed = w
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| match &node.durable {
-            Some(d) => d.durable_seq() + 1,
-            None if node.state == NodeState::Up && i == w.master => ws_seq + 1,
-            None => node.apply_next,
         })
-        .min()
-        .unwrap_or(ws_seq + 1);
-    w.ws_log.truncate_below(min_needed);
-    if w.log_retention > 0 {
-        w.ws_log.cap(w.log_retention);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Schedule injection: crash / failover / rejoin / ramps.
-// ---------------------------------------------------------------------
-
-/// Applies one injected schedule event and echoes it into the transient
-/// report. Events that cannot apply (unknown node index — legal when one
-/// schedule drives a sweep over several cluster sizes — a state they
-/// would not change, or certifier events, which have no meaning in the
-/// single-master design) are acknowledged as ignored.
-fn inject(engine: &mut Engine<World, Ev>, ev: ScheduleEvent) {
-    let now = engine.now().as_secs();
-    let n = engine.world().nodes.len();
-    let applied = match ev {
-        ScheduleEvent::ReplicaCrash(i) => {
-            if i < n && engine.world().nodes[i].state == NodeState::Up {
-                crash_node(engine, i);
-                true
-            } else {
-                false
-            }
-        }
-        ScheduleEvent::ReplicaJoin(i) => {
-            if i < n && engine.world().nodes[i].state == NodeState::Down {
-                engine.world_mut().nodes[i].state = NodeState::CatchingUp;
-                rejoin(engine, i);
-                true
-            } else {
-                false
-            }
-        }
-        // No certifier in the single-master design.
-        ScheduleEvent::CertifierDown | ScheduleEvent::CertifierUp => false,
-        ScheduleEvent::Clients(factor) => {
-            set_population(engine, factor);
-            true
-        }
-    };
-    if let Some(tc) = &mut engine.world_mut().transient {
-        let description = if applied {
-            ev.to_string()
-        } else {
-            format!("{ev} (ignored)")
-        };
-        tc.event(now, description);
-    }
-}
-
-/// Kills a node: waiting arrivals re-route, its apply queue is dropped
-/// (recovered from the durable log on rejoin), and — when it was the
-/// master or the pending promotion candidate — a new master is elected.
-/// In-flight attempts are intercepted as their events fire.
-fn crash_node(engine: &mut Engine<World, Ev>, i: usize) {
-    let waiting = {
-        let w = engine.world_mut();
-        let was_master = w.master == i;
-        let s = &mut w.nodes[i];
-        s.state = NodeState::Down;
-        s.epoch += 1;
-        s.executing = 0;
-        s.inflight = 0;
-        s.apply_ready.clear();
-        if was_master {
-            // The master's database holds everything it committed; record
-            // its log position so a later rejoin replays only what it
-            // missed.
-            s.apply_next = w.ws_seq + 1;
-        }
-        std::mem::take(&mut s.admission)
-    };
-    for (client, template, started) in waiting {
-        if template.is_update {
-            route_update(engine, client, template, started);
-        } else {
-            route_read(engine, client, template, started);
-        }
-    }
-    let needs_election = {
-        let w = engine.world();
-        w.nodes[w.master].state != NodeState::Up || w.promoting == Some(i)
-    };
-    if needs_election {
-        elect(engine);
-    }
-}
-
-/// Picks the most caught-up live node as the promotion candidate (ties
-/// break toward the lowest index). With no live node the cluster waits:
-/// updates queue until a rejoin completes and triggers a new election.
-fn elect(engine: &mut Engine<World, Ev>) {
-    let candidate = {
-        let w = engine.world_mut();
-        let mut best: Option<(usize, u64)> = None;
-        for (i, s) in w.nodes.iter().enumerate() {
-            if s.state != NodeState::Up {
-                continue;
-            }
-            if best.map_or(true, |(_, apply)| s.apply_next > apply) {
-                best = Some((i, s.apply_next));
-            }
-        }
-        w.promoting = best.map(|(i, _)| i);
-        best.map(|(i, _)| i)
-    };
-    if candidate.is_some() {
-        try_complete_promotion(engine);
-    }
-}
-
-/// Completes a pending promotion once the candidate has applied the full
-/// writeset log, then releases the queued updates to the new master.
-fn try_complete_promotion(engine: &mut Engine<World, Ev>) {
-    let promoted = {
-        let w = engine.world_mut();
-        match w.promoting {
-            Some(c) if w.nodes[c].apply_next == w.ws_seq + 1 => {
-                w.master = c;
-                w.promoting = None;
-                true
-            }
-            _ => false,
-        }
-    };
-    if promoted {
-        drain_pending_updates(engine);
-    }
-}
-
-/// Re-routes the updates that queued while no master was available.
-fn drain_pending_updates(engine: &mut Engine<World, Ev>) {
-    while let Some((client, template, started)) = {
-        let w = engine.world_mut();
-        if w.promoting.is_none() && w.nodes[w.master].state == NodeState::Up {
-            w.pending_updates.pop_front()
-        } else {
-            None
-        }
-    } {
-        route_update(engine, client, template, started);
-    }
-}
-
-/// First step of a rejoin. With durability enabled the node *rebuilds*
-/// its database from its frozen checkpoint + redo log — the in-memory
-/// image is gone with the crash — paying the WAL replay as lag before
-/// relay-log catch-up starts. Without durability the in-memory image is
-/// assumed to have survived (the pre-durability model) and catch-up
-/// starts immediately.
-fn rejoin(engine: &mut Engine<World, Ev>, i: usize) {
-    let recovery_lag = {
-        let w = engine.world_mut();
-        match w.nodes[i].durable.as_ref().map(NodeDurability::recover) {
-            Some((db, relay_seq, replayed)) => {
-                let (ws_cpu, ws_disk) = {
-                    let spec = w.pool.spec();
-                    (spec.ws_cpu, spec.ws_disk)
-                };
-                let s = &mut w.nodes[i];
-                s.db = db;
-                s.apply_next = relay_seq + 1;
-                s.apply_ready.clear();
-                Some(replayed as f64 * (ws_cpu + ws_disk))
-            }
-            None => None,
-        }
-    };
-    match recovery_lag {
-        Some(lag) => {
-            engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
-        }
-        None => catchup_step(engine, i),
-    }
-}
-
-/// One round of rejoin catch-up: replay every writeset the node missed
-/// from the relay log, pay the replay lag (missed count × mean ws
-/// demands — deterministic, no RNG draws), then re-check. When the relay
-/// log has been truncated past the node's position, fall back to a
-/// checkpoint state transfer from the most caught-up live node. When no
-/// new writesets accumulated during the lag the node is caught up and
-/// takes load; if the cluster is masterless it stands for election.
-fn catchup_step(engine: &mut Engine<World, Ev>, i: usize) {
-    let lag = {
-        let w = engine.world_mut();
-        if w.nodes[i].state != NodeState::CatchingUp {
-            return;
-        }
-        let applied = w.nodes[i].apply_next - 1;
-        let target = w.ws_seq;
-        if applied >= target {
-            w.nodes[i].state = NodeState::Up;
-            None
-        } else {
-            let (ws_cpu, ws_disk) = {
-                let spec = w.pool.spec();
-                (spec.ws_cpu, spec.ws_disk)
-            };
-            match w.ws_log.range_from(applied + 1, target) {
-                Some(missed) => {
-                    let s = &mut w.nodes[i];
-                    for ws in &missed {
-                        let version =
-                            s.db.apply_writeset(ws)
-                                .expect("writeset references seeded tables");
-                        if let Some(d) = s.durable.as_mut() {
-                            d.log(s.apply_next, version, ws);
-                        }
-                        s.apply_next += 1;
-                    }
-                    debug_assert_eq!(w.nodes[i].apply_next, target + 1);
-                    Some(missed.len() as f64 * (ws_cpu + ws_disk))
-                }
-                None => Some(state_transfer(w, i, ws_cpu + ws_disk)),
-            }
-        }
-    };
-    match lag {
-        Some(lag) => {
-            engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
-        }
-        None => {
-            let masterless = {
-                let w = engine.world();
-                w.promoting.is_none() && w.nodes[w.master].state != NodeState::Up
-            };
-            if masterless {
-                elect(engine);
-            }
-            try_complete_promotion(engine);
-            drain_stranded(engine);
-        }
-    }
-}
-
-/// Checkpoint-based state transfer: the relay log no longer holds the
-/// sequences node `i` needs, so clone the most caught-up live node's
-/// state wholesale. Returns the transfer lag (per-row install cost ×
-/// rows). With no live source the rejoiner waits one mean ws demand and
-/// retries.
-fn state_transfer(w: &mut World, i: usize, ws_demand: f64) -> f64 {
-    let source = w
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(j, s)| *j != i && s.state == NodeState::Up)
-        .map(|(j, s)| {
-            let covered = if j == w.master {
-                w.ws_seq
-            } else {
-                s.apply_next - 1
-            };
-            (covered, j)
-        })
-        .max();
-    let Some((covered, j)) = source else {
-        // No live node to copy from: stay CatchingUp and retry after one
-        // mean ws demand.
-        return ws_demand;
-    };
-    let cp = w.nodes[j].db.checkpoint();
-    let rows = cp.row_count() as f64;
-    let s = &mut w.nodes[i];
-    s.db = Database::restore(&cp);
-    s.apply_next = covered + 1;
-    s.apply_ready.clear();
-    if let Some(d) = s.durable.as_mut() {
-        // The transferred image is the node's new durable baseline.
-        d.checkpoint(&s.db, covered);
-    }
-    w.state_transfers += 1;
-    rows * ws_demand * STATE_TRANSFER_ROW_COST
-}
-
-/// Restarts read-only transactions that stranded while no node was live.
-fn drain_stranded(engine: &mut Engine<World, Ev>) {
-    while let Some((client, template, started)) = {
-        let w = engine.world_mut();
-        if pick_up_node(w).is_some() {
-            w.stranded.pop_front()
-        } else {
-            None
-        }
-    } {
-        route_read(engine, client, template, started);
-    }
-}
-
-/// Applies a client-population ramp: the target moves to
-/// `factor × base`, parked clients below it restart their closed loop,
-/// surplus clients park at their next dispatch.
-fn set_population(engine: &mut Engine<World, Ev>, factor: f64) {
-    let woken = {
-        let w = engine.world_mut();
-        let target = (factor * w.base_clients as f64).round() as usize;
-        w.pool.set_active_target(target)
-    };
-    for client in woken {
-        client_cycle(engine, client);
     }
 }
 
@@ -1141,8 +227,15 @@ fn set_population(engine: &mut Engine<World, Ev>, factor: f64) {
 mod tests {
     use super::*;
     use crate::config::DurabilityConfig;
+    use crate::kernel::LogProbe;
     use replipred_core::Schedule;
     use replipred_workload::{rubis, tpcw};
+
+    impl LogProbe for Sm {
+        fn log_extent(&self) -> (usize, usize) {
+            (self.ws_log.len(), self.ws_log.peak_len())
+        }
+    }
 
     fn quick(n: usize, seed: u64) -> SimConfig {
         SimConfig {
@@ -1207,13 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_runs() {
-        let a = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(2, 6)).run();
-        let b = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(2, 6)).run();
-        assert_eq!(a.throughput_tps, b.throughput_tps);
-    }
-
-    #[test]
     fn admission_control_bounds_concurrency_without_capping_throughput() {
         // A generous MPL (32, default) and a tight-but-sufficient MPL (8)
         // must deliver similar throughput: the pool only limits *open
@@ -1252,23 +338,6 @@ mod tests {
             serial.throughput_tps,
             wide.throughput_tps
         );
-    }
-
-    #[test]
-    fn eventless_schedule_only_adds_transient_windows() {
-        // Windowed collection without events must not perturb the run.
-        let plain = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(2, 40)).run();
-        let cfg = SimConfig {
-            schedule: Schedule::new().window(5.0),
-            ..quick(2, 40)
-        };
-        let mut windowed = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
-        let transient = windowed
-            .transient
-            .take()
-            .expect("windowing enables transient");
-        assert_eq!(plain, windowed);
-        assert!(!transient.windows.is_empty());
     }
 
     #[test]
@@ -1343,21 +412,22 @@ mod tests {
         // Pre-WsLog the relay log grew linearly with committed writesets;
         // vacuum-cadence truncation must keep the high-water mark well
         // below the total.
-        let (report, probe) =
-            SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(3, 50)).run_probed();
+        let (report, world) =
+            SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(3, 50)).run_world();
+        let probe = world.probe();
         assert!(report.update_commits > 0);
         assert!(
-            probe.ws_seq > 200,
+            probe.log_seq > 200,
             "need steady update load: {}",
-            probe.ws_seq
+            probe.log_seq
         );
         assert!(
-            (probe.ws_log_peak as u64) < probe.ws_seq / 2,
+            (probe.log_peak as u64) < probe.log_seq / 2,
             "peak {} must stay bounded vs {} total",
-            probe.ws_log_peak,
-            probe.ws_seq
+            probe.log_peak,
+            probe.log_seq
         );
-        assert!((probe.ws_log_len as u64) <= probe.ws_log_peak as u64);
+        assert!(probe.log_len <= probe.log_peak);
     }
 
     #[test]
@@ -1369,17 +439,17 @@ mod tests {
             schedule: Schedule::new().crash(18.0, 0).join(28.0, 0).window(2.0),
             ..durable(quick(2, 42))
         };
-        let (a, pa) =
-            SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg.clone()).run_probed();
+        let (a, wa) = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg.clone()).run_world();
         assert_eq!(
-            pa.state_transfers, 0,
+            wa.probe().state_transfers,
+            0,
             "unbounded log: rejoin must replay, not transfer"
         );
         let t = a.transient.as_ref().expect("transient present");
         let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
         assert_eq!(echoed, ["crash replica 0", "rejoin replica 0"]);
         assert!(a.update_commits > 0);
-        let (b, _) = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run_probed();
+        let b = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
         assert_eq!(a, b, "durable recovery must stay deterministic");
     }
 
@@ -1396,10 +466,9 @@ mod tests {
             },
             ..quick(3, 51)
         };
-        let (report, probe) =
-            SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run_probed();
+        let (report, world) = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run_world();
         assert!(
-            probe.state_transfers >= 1,
+            world.probe().state_transfers >= 1,
             "capped log must force a state transfer"
         );
         assert!(report.update_commits > 0);

@@ -5,27 +5,23 @@
 //! scalability curve. One database engine, one CPU (processor sharing),
 //! one disk (FCFS), `C` closed-loop clients.
 //!
-//! The simulation runs on the engine's *typed event* path: every event is
-//! a variant of the private `Ev` enum stored inline in the engine's slab,
-//! so the steady-state loop performs no per-event allocation.
+//! It is the replica kernel's one-node policy: no load-balancer hop, no
+//! propagation, updates commit under the node's own snapshot isolation,
+//! and cluster events in a shared schedule are acknowledged as ignored.
+//! On top of that it carries what the profiler needs — a transaction
+//! filter for the replay segments, the statement log, and the final
+//! database handed back with the report.
 
-use std::collections::VecDeque;
+use std::convert::Infallible;
 
 use replipred_core::ScheduleEvent;
-use replipred_sidb::{Database, TxnId};
-use replipred_sim::engine::{Engine, Event};
-use replipred_sim::resource::{Fcfs, Ps, ServiceToken};
-use replipred_sim::SimTime;
-use replipred_workload::client::{ClientId, ClientPool};
+use replipred_sidb::Database;
+use replipred_workload::client::ClientId;
 use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 
 use crate::config::SimConfig;
-use crate::metrics::{Metrics, RunReport};
-use crate::transient::TransientCollector;
-
-/// Abandon a transaction after this many certification-failure retries
-/// (a liveness backstop; the paper's RTEs retry indefinitely).
-const MAX_RETRIES: u32 = 1000;
+use crate::kernel::{self, Attempt, Policy, Sim, World};
+use crate::metrics::RunReport;
 
 /// One-node closed-loop simulation.
 pub struct StandaloneSim {
@@ -57,124 +53,61 @@ pub struct StandaloneOutcome {
     pub db: Database,
 }
 
-struct World {
-    db: Database,
-    cpu: Ps<World, Ev>,
-    disk: Fcfs<World, Ev>,
-    /// Clients and their compiled statement plan (`pool.plan()`).
-    pool: ClientPool,
-    metrics: Metrics,
-    measuring: bool,
+/// The one-node design: everything runs on node 0 and commits locally.
+struct Solo {
     filter: TxnFilter,
-    retries_exhausted: u64,
-    mpl: usize,
-    /// Transactions currently executing (holding an admission slot).
-    executing: usize,
-    /// Arrivals waiting for an admission slot (connection pool).
-    admission: VecDeque<(ClientId, TxnTemplate, f64)>,
-    /// Vacuum interval, seconds (0 disables).
-    vacuum_interval: f64,
-    /// End of the simulated horizon (no vacuums past it).
-    end_time: f64,
-    /// The configured base client population (ramp factors are relative
-    /// to this).
-    base_clients: usize,
-    /// Windowed transient metrics; `None` unless a schedule is active.
-    transient: Option<TransientCollector>,
-    /// Amortized group-commit disk surcharge per logged commit
-    /// (`DurabilityConfig::log_disk_demand`; 0 with durability off).
-    log_disk: f64,
 }
 
-/// One in-flight transaction attempt moving through the CPU→disk phases.
-struct Attempt {
-    client: ClientId,
-    txn: TxnId,
-    template: TxnTemplate,
-    started: f64,
-    attempt: u32,
-}
+impl Policy for Solo {
+    type Ev = Infallible;
+    const LB_HOP: bool = false;
+    /// Never drawn from: a single node propagates nothing.
+    const WS_SALT: u64 = 0;
+    /// Nothing to rejoin; durability is the fsync surcharge only.
+    const DURABLE_REJOIN: bool = false;
 
-/// The typed event vocabulary of the standalone simulation.
-enum Ev {
-    /// A client finished thinking and submits its next transaction.
-    Think(ClientId),
-    /// An attempt finished its CPU phase; the disk phase follows.
-    CpuDone(Attempt),
-    /// An attempt finished its disk phase; commit or retry.
-    DiskDone(Attempt),
-    /// End of warm-up: discard all measurements.
-    Warmup,
-    /// Periodic version GC.
-    Vacuum,
-    /// An injected schedule event (only population ramps apply to a
-    /// single node; cluster events are acknowledged as ignored).
-    Inject(ScheduleEvent),
-    /// Internal PS completion (see [`Ps::on_fired`]).
-    CpuFired,
-    /// Internal FCFS completion (see [`Fcfs::on_fired`]).
-    DiskFired(ServiceToken),
-}
+    fn label(_: &World<Self>, _: usize) -> String {
+        "db".to_string()
+    }
 
-impl Event<World> for Ev {
-    fn fire(self, engine: &mut Engine<World, Ev>) {
-        match self {
-            Ev::Think(client) => dispatch(engine, client),
-            Ev::CpuDone(attempt) => {
-                // Update attempts pay the redo-log group-commit share on
-                // top of their sampled disk demand (zero with durability
-                // off — the surcharge never touches the RNG stream).
-                let log_disk = if attempt.template.is_update {
-                    engine.world().log_disk
-                } else {
-                    0.0
-                };
-                let disk_demand = attempt.template.disk_demand + log_disk;
-                Fcfs::submit_event(
-                    engine,
-                    disk_lens,
-                    disk_demand,
-                    Ev::DiskDone(attempt),
-                    Ev::DiskFired,
-                );
+    /// Rejection-samples the mix to honor the profiler's replay filter.
+    fn sample(w: &mut World<Self>, client: ClientId) -> TxnTemplate {
+        let mut t = w.pool.next_transaction(client);
+        let mut guard = 0;
+        loop {
+            let ok = match w.policy.filter {
+                TxnFilter::All => true,
+                TxnFilter::ReadsOnly => !t.is_update,
+                TxnFilter::UpdatesOnly => t.is_update,
+            };
+            if ok || guard > 10_000 {
+                return t;
             }
-            Ev::DiskDone(a) => {
-                complete_attempt(engine, a.client, a.txn, a.template, a.started, a.attempt)
-            }
-            Ev::Warmup => {
-                let now = engine.now().as_secs();
-                let w = engine.world_mut();
-                w.metrics.reset();
-                w.db.reset_stats();
-                // Discard warm-up log totals so the capture covers
-                // exactly the measurement window (the paper's 15-minute
-                // capture).
-                w.db.reset_log();
-                w.cpu.stats.reset(now);
-                w.disk.stats.reset(now);
-                w.measuring = true;
-            }
-            Ev::Vacuum => {
-                let w = engine.world_mut();
-                w.db.vacuum();
-                let interval = w.vacuum_interval;
-                let next = engine.now().as_secs() + interval;
-                if next < engine.world().end_time {
-                    engine.schedule_event_in(interval, Ev::Vacuum);
-                }
-            }
-            Ev::Inject(ev) => inject(engine, ev),
-            Ev::CpuFired => Ps::on_fired(engine, cpu_lens, || Ev::CpuFired),
-            Ev::DiskFired(token) => Fcfs::on_fired(engine, disk_lens, token, Ev::DiskFired),
+            t = w.pool.next_transaction(client);
+            guard += 1;
         }
     }
-}
 
-fn cpu_lens(w: &mut World) -> &mut Ps<World, Ev> {
-    &mut w.cpu
-}
-fn disk_lens(w: &mut World) -> &mut Fcfs<World, Ev> {
-    &mut w.disk
+    fn route(_: &World<Self>, _: &TxnTemplate) -> Option<usize> {
+        Some(0)
+    }
+
+    fn commit_update(engine: &mut Sim<Self>, a: Attempt) {
+        if let Some((a, _)) = kernel::commit_local(engine, a) {
+            kernel::respond(engine, &a);
+        }
+    }
+
+    fn fire(_: &mut Sim<Self>, ev: Infallible) {
+        match ev {}
+    }
+
+    /// Crash, rejoin and certifier events have no meaning on one node —
+    /// a shared schedule can drive a standalone baseline next to the
+    /// cluster designs.
+    fn cluster_event(_: &mut Sim<Self>, _: &ScheduleEvent) -> bool {
+        false
+    }
 }
 
 impl StandaloneSim {
@@ -214,280 +147,19 @@ impl StandaloneSim {
     /// Panics if the workload references tables it did not declare
     /// (a workload-spec bug, not a data error).
     pub fn run_with_db(self) -> StandaloneOutcome {
-        let clients = self.spec.clients_per_replica;
-        let mut db = Database::new();
-        let plan = self
-            .spec
-            .install(&mut db, self.cfg.seed_scale)
-            .expect("workload installs on a fresh database");
-        if self.log_statements {
-            db.set_statement_logging(true);
-        }
-        let schedule = self.cfg.schedule.clone();
-        // Ramps never invent clients mid-run: the pool is sized for the
-        // largest requested population up front, extra streams parked.
-        let capacity = (schedule.max_clients_factor() * clients as f64).ceil() as usize;
-        let transient = schedule
-            .enabled()
-            .then(|| TransientCollector::new(&schedule, self.cfg.warmup, self.cfg.end_time()));
-        let pool = ClientPool::with_capacity(plan, clients, capacity, self.cfg.seed);
-        let world = World {
-            db,
-            cpu: Ps::new(1.0),
-            disk: Fcfs::new(1),
-            pool,
-            metrics: Metrics::default(),
-            measuring: false,
-            filter: self.filter,
-            retries_exhausted: 0,
-            mpl: self.cfg.mpl.max(1),
-            executing: 0,
-            admission: VecDeque::new(),
-            vacuum_interval: self.cfg.vacuum_interval,
-            end_time: self.cfg.end_time(),
-            base_clients: clients,
-            transient,
-            log_disk: self.cfg.durability.log_disk_demand(),
-        };
-        let mut engine: Engine<World, Ev> = Engine::new(world);
-        for i in 0..clients {
-            client_cycle(&mut engine, ClientId(i));
-        }
-        // End of warm-up: discard all measurements.
-        engine.schedule_event_at(SimTime::from_secs(self.cfg.warmup), Ev::Warmup);
-        if self.cfg.vacuum_interval > 0.0 {
-            engine.schedule_event_in(self.cfg.vacuum_interval, Ev::Vacuum);
-        }
-        for te in schedule.sorted_events() {
-            engine.schedule_event_at(SimTime::from_secs(te.at), Ev::Inject(te.event));
-        }
-        let end = SimTime::from_secs(self.cfg.end_time());
-        engine.run_until(end);
-        let end_s = end.as_secs();
-        let w = engine.into_world();
-        let utils = vec![(
-            "db".to_string(),
-            w.cpu.stats.busy.mean_at(end_s),
-            w.disk.stats.busy.mean_at(end_s),
-        )];
-        let mut report = RunReport::from_metrics(
-            &self.spec.name,
-            1,
-            clients,
-            self.cfg.duration,
-            &w.metrics,
-            &utils,
-        );
-        report.transient = w.transient.map(TransientCollector::finalize);
-        StandaloneOutcome { report, db: w.db }
+        let (report, mut world) = kernel::run(&self.spec, &self.cfg, 1, |dbs| {
+            dbs[0].set_statement_logging(self.log_statements);
+            Solo {
+                filter: self.filter,
+            }
+        });
+        let db = world.nodes.remove(0).db;
+        StandaloneOutcome { report, db }
     }
 
     /// Runs the simulation, returning only the report.
     pub fn run(self) -> RunReport {
         self.run_with_db().report
-    }
-}
-
-fn client_cycle(engine: &mut Engine<World, Ev>, client: ClientId) {
-    let think = engine.world_mut().pool.next_think(client);
-    engine.schedule_event_in(think, Ev::Think(client));
-}
-
-fn dispatch(engine: &mut Engine<World, Ev>, client: ClientId) {
-    // Population ramps: surplus clients go dormant between transactions.
-    if engine.world_mut().pool.park_if_surplus(client) {
-        return;
-    }
-    let template = {
-        let w = engine.world_mut();
-        let mut t = w.pool.next_transaction(client);
-        // Rejection-sample to honor the profiler's replay filter.
-        let mut guard = 0;
-        loop {
-            let ok = match w.filter {
-                TxnFilter::All => true,
-                TxnFilter::ReadsOnly => !t.is_update,
-                TxnFilter::UpdatesOnly => t.is_update,
-            };
-            if ok || guard > 10_000 {
-                break;
-            }
-            t = w.pool.next_transaction(client);
-            guard += 1;
-        }
-        t
-    };
-    let started = engine.now().as_secs();
-    admit(engine, client, template, started);
-}
-
-/// Admission control (connection pool): at most `mpl` transactions execute
-/// concurrently; excess arrivals wait without an open snapshot.
-fn admit(engine: &mut Engine<World, Ev>, client: ClientId, template: TxnTemplate, started: f64) {
-    let admitted = {
-        let w = engine.world_mut();
-        if w.executing < w.mpl {
-            w.executing += 1;
-            true
-        } else {
-            w.admission.push_back((client, template.clone(), started));
-            false
-        }
-    };
-    if admitted {
-        start_attempt(engine, client, template, started, 0);
-    }
-}
-
-/// Releases an admission slot, immediately admitting the next waiter.
-fn release(engine: &mut Engine<World, Ev>) {
-    let next = {
-        let w = engine.world_mut();
-        match w.admission.pop_front() {
-            Some(next) => Some(next),
-            None => {
-                w.executing -= 1;
-                None
-            }
-        }
-    };
-    if let Some((client, template, started)) = next {
-        start_attempt(engine, client, template, started, 0);
-    }
-}
-
-fn start_attempt(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    template: TxnTemplate,
-    started: f64,
-    attempt: u32,
-) {
-    // The snapshot is taken when execution starts: the transaction's
-    // conflict window spans its whole (simulated) execution, as in the
-    // paper's standalone definition.
-    let txn = {
-        let now = engine.now().as_secs();
-        let w = engine.world_mut();
-        w.db.set_time(now);
-        w.db.begin()
-    };
-    let cpu_demand = template.cpu_demand;
-    let attempt = Attempt {
-        client,
-        txn,
-        template,
-        started,
-        attempt,
-    };
-    Ps::submit_event(engine, cpu_lens, cpu_demand, Ev::CpuDone(attempt), || {
-        Ev::CpuFired
-    });
-}
-
-fn complete_attempt(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    txn: replipred_sidb::TxnId,
-    template: TxnTemplate,
-    started: f64,
-    attempt: u32,
-) {
-    let now = engine.now().as_secs();
-    let committed = {
-        let w = engine.world_mut();
-        w.db.set_time(now);
-        // The snapshot was taken at start_attempt; executing the logical
-        // operations now and committing gives the transaction a conflict
-        // window equal to its whole execution time.
-        w.pool
-            .plan()
-            .execute(&mut w.db, txn, &template)
-            .expect("workload references seeded tables");
-        match w.db.commit(txn) {
-            Ok(_) => {
-                if w.measuring {
-                    if template.is_update {
-                        w.metrics.update_commits += 1;
-                        w.metrics.update_response.record(now - started);
-                    } else {
-                        w.metrics.read_commits += 1;
-                        w.metrics.read_response.record(now - started);
-                    }
-                    w.metrics.response.record(now - started);
-                    if let Some(tc) = &mut w.transient {
-                        tc.commit(now, now - started, template.is_update);
-                    }
-                }
-                true
-            }
-            Err(e) if e.is_conflict() => {
-                if w.measuring {
-                    w.metrics.conflict_aborts += 1;
-                    if let Some(tc) = &mut w.transient {
-                        tc.abort(now);
-                    }
-                }
-                false
-            }
-            Err(e) => panic!("unexpected engine error: {e}"),
-        }
-    };
-    if committed {
-        release(engine);
-        client_cycle(engine, client);
-    } else if attempt < MAX_RETRIES {
-        // Immediate retry with fresh demand samples (paper Section 6.1).
-        let retry = engine.world_mut().pool.resample_demands(client, &template);
-        start_attempt(engine, client, retry, started, attempt + 1);
-    } else {
-        engine.world_mut().retries_exhausted += 1;
-        release(engine);
-        client_cycle(engine, client);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Schedule injection: a single node only honors population ramps.
-// ---------------------------------------------------------------------
-
-/// Applies one injected schedule event and echoes it into the transient
-/// report. Cluster events (crash/rejoin/certifier) have no meaning on
-/// one node and are acknowledged as ignored — a shared schedule can
-/// drive a standalone baseline next to the cluster designs.
-fn inject(engine: &mut Engine<World, Ev>, ev: ScheduleEvent) {
-    let now = engine.now().as_secs();
-    let applied = match ev {
-        ScheduleEvent::Clients(factor) => {
-            set_population(engine, factor);
-            true
-        }
-        ScheduleEvent::ReplicaCrash(_)
-        | ScheduleEvent::ReplicaJoin(_)
-        | ScheduleEvent::CertifierDown
-        | ScheduleEvent::CertifierUp => false,
-    };
-    if let Some(tc) = &mut engine.world_mut().transient {
-        let description = if applied {
-            ev.to_string()
-        } else {
-            format!("{ev} (ignored)")
-        };
-        tc.event(now, description);
-    }
-}
-
-/// Applies a client-population ramp: the target moves to
-/// `factor × base`, parked clients below it restart their closed loop,
-/// surplus clients park at their next dispatch.
-fn set_population(engine: &mut Engine<World, Ev>, factor: f64) {
-    let woken = {
-        let w = engine.world_mut();
-        let target = (factor * w.base_clients as f64).round() as usize;
-        w.pool.set_active_target(target)
-    };
-    for client in woken {
-        client_cycle(engine, client);
     }
 }
 
@@ -555,14 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_deterministic() {
-        let a = StandaloneSim::new(tpcw::mix(tpcw::Mix::Ordering), quick_cfg(7)).run();
-        let b = StandaloneSim::new(tpcw::mix(tpcw::Mix::Ordering), quick_cfg(7)).run();
-        assert_eq!(a.throughput_tps, b.throughput_tps);
-        assert_eq!(a.conflict_aborts, b.conflict_aborts);
-    }
-
-    #[test]
     fn different_seeds_differ() {
         let a = StandaloneSim::new(tpcw::mix(tpcw::Mix::Shopping), quick_cfg(11)).run();
         let b = StandaloneSim::new(tpcw::mix(tpcw::Mix::Shopping), quick_cfg(12)).run();
@@ -589,23 +253,6 @@ mod tests {
         // also be tiny (same DbUpdateSize, similar rates).
         let report = StandaloneSim::new(tpcw::mix(tpcw::Mix::Ordering), quick_cfg(13)).run();
         assert!(report.abort_rate < 0.01, "A1 = {}", report.abort_rate);
-    }
-
-    #[test]
-    fn eventless_schedule_only_adds_transient_windows() {
-        // Windowed collection without events must not perturb the run.
-        let plain = StandaloneSim::new(tpcw::mix(tpcw::Mix::Shopping), quick_cfg(30)).run();
-        let cfg = SimConfig {
-            schedule: replipred_core::Schedule::new().window(5.0),
-            ..quick_cfg(30)
-        };
-        let mut windowed = StandaloneSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
-        let transient = windowed
-            .transient
-            .take()
-            .expect("windowing enables transient");
-        assert_eq!(plain, windowed);
-        assert!(!transient.windows.is_empty());
     }
 
     #[test]
