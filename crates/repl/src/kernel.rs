@@ -45,6 +45,15 @@
 //!
 //! What the kernel guarantees every policy:
 //!
+//! - **Set-up is paid once per cell.** [`build`] installs the workload
+//!   into one database and clones it for the other `n − 1` nodes, so
+//!   every replica starts as the same image (rows, counters, next
+//!   transaction id) at the cost of one install plus `n − 1` copies.
+//! - **A crash loses what was not fsynced.** Besides stopping the node,
+//!   `crash` drops a durable node's unsealed redo-log group
+//!   ([`NodeDurability::crash`]): the rejoin recovers to the last sealed
+//!   frame and re-logs from there, so the log's sequences never run
+//!   backwards however often a node crashes between two checkpoints.
 //! - **Epoch check before every completion.** An attempt is stamped with
 //!   its node's crash epoch; `CpuDone` and `DiskDone` re-check liveness
 //!   and epoch and hand a stale attempt back to [`place`] with its
@@ -412,6 +421,10 @@ fn submit_disk<P: Policy>(engine: &mut Sim<P>, node: usize, service: f64, done: 
 
 /// Builds the engine for `n` freshly installed nodes serving
 /// `n × clients_per_replica` clients, with every initial event scheduled.
+/// The workload is installed once and the seeded database cloned for the
+/// other `n − 1` nodes: replicas start as identical copies (same rows,
+/// counters and next transaction id as `n` separate installs would
+/// give), so set-up is paid once per cell, not once per replica.
 /// `policy` sees the seeded databases once, before the nodes wrap them.
 ///
 /// # Panics
@@ -425,22 +438,11 @@ pub(crate) fn build<P: Policy>(
 ) -> Sim<P> {
     assert!(n > 0, "need at least one node");
     let clients = n * spec.clients_per_replica;
-    let mut dbs = Vec::with_capacity(n);
-    let mut plan = None;
-    for _ in 0..n {
-        let mut db = Database::new();
-        let p = spec
-            .install(&mut db, cfg.seed_scale)
-            .expect("workload installs on a fresh database");
-        // Identical schema creation order means identical plans; logged
-        // writesets rely on shared table ids.
-        if let Some(prev) = &plan {
-            debug_assert!(*prev == p, "node plans diverged");
-        }
-        plan = Some(p);
-        dbs.push(db);
-    }
-    let plan = plan.expect("at least one node");
+    let mut seeded = Database::new();
+    let plan = spec
+        .install(&mut seeded, cfg.seed_scale)
+        .expect("workload installs on a fresh database");
+    let mut dbs = vec![seeded; n];
     let policy = policy(&mut dbs);
     let log_seq = policy.log_seq();
     let durable = P::DURABLE_REJOIN && cfg.durability.enabled;
@@ -817,8 +819,10 @@ impl<P: Policy> Node<P> {
 }
 
 /// Vacuum-cadence work: version GC on every node that is not Down (a
-/// dead node's state is frozen as-is), a fresh checkpoint of every live
-/// durable node (its redo log restarts from the new image), and log
+/// dead node's state is frozen as-is), a checkpoint of every live
+/// durable node (its redo log is folded into the previous image and
+/// restarts from the new one — cost ∝ the commits since the last tick,
+/// not the database), and log
 /// truncation below the minimum sequence any node can still need — a
 /// durable node's recovery horizon, otherwise its next unapplied
 /// sequence. The log stays bounded under steady load while never
@@ -886,8 +890,10 @@ pub(crate) fn node_event<P: Policy>(engine: &mut Sim<P>, ev: &ScheduleEvent) -> 
 }
 
 /// Kills a live node: it stops serving, queued arrivals are re-placed,
-/// and pending writeset applications are dropped (recovered from the log
-/// on rejoin). In-flight attempts are intercepted as their events fire.
+/// pending writeset applications are dropped (recovered from the log on
+/// rejoin) and a durable node loses its unsealed redo-log group — only
+/// fsynced frames survive. In-flight attempts are intercepted as their
+/// events fire.
 fn crash<P: Policy>(engine: &mut Sim<P>, i: usize) -> bool {
     let Some(node) = engine.world_mut().nodes.get_mut(i) else {
         return false;
@@ -900,6 +906,9 @@ fn crash<P: Policy>(engine: &mut Sim<P>, i: usize) -> bool {
     node.executing = 0;
     node.inflight = 0;
     node.apply_ready.clear();
+    if let Some(d) = node.durable.as_mut() {
+        d.crash();
+    }
     for waiter in std::mem::take(&mut node.admission) {
         place(engine, waiter);
     }
@@ -991,16 +1000,17 @@ fn state_transfer<P: Policy>(w: &mut World<P>, i: usize) -> f64 {
         return per_ws;
     };
     let cp = w.nodes[j].db.checkpoint();
+    let rows = cp.row_count();
     let node = &mut w.nodes[i];
     node.db = Database::restore(&cp);
     node.apply_next = apply_next;
     node.apply_ready.clear();
     if let Some(d) = node.durable.as_mut() {
         // The transferred image is the node's new durable baseline.
-        d.checkpoint(&node.db, apply_next - 1);
+        d.rebase(cp, apply_next - 1);
     }
     w.state_transfers += 1;
-    cp.row_count() as f64 * per_ws * STATE_TRANSFER_ROW_COST
+    rows as f64 * per_ws * STATE_TRANSFER_ROW_COST
 }
 
 /// Restarts transactions that stranded while no node was live. Pops only
@@ -1166,6 +1176,30 @@ mod tests {
     fn quiesce(engine: &mut Sim<Stub>) {
         while engine.world().nodes[0].inflight > 0 {
             assert!(engine.step(), "events ran dry with work in flight");
+        }
+    }
+
+    #[test]
+    fn build_clones_one_install_into_identical_replicas() {
+        let spec = spec(2, 0.05, 0.3, 0.02);
+        let cfg = cfg(3, Schedule::default());
+        let mut installed = Database::new();
+        spec.install(&mut installed, cfg.seed_scale).unwrap();
+        let mut engine = build(&spec, &cfg, 4, |_| Stub {
+            always_conflict: false,
+        });
+        let next_txn = installed.begin();
+        installed.abort(next_txn).unwrap();
+        assert_eq!(engine.world().nodes.len(), 4);
+        for node in &mut engine.world_mut().nodes {
+            assert_eq!(node.db.durable_state(), installed.durable_state());
+            assert_eq!(node.db.version(), installed.version());
+            // Same counters and the same next transaction id as a
+            // replica that ran the install itself.
+            let txn = node.db.begin();
+            assert_eq!(txn, next_txn);
+            node.db.abort(txn).unwrap();
+            assert_eq!(node.db.stats(), installed.stats());
         }
     }
 

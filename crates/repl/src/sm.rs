@@ -454,6 +454,55 @@ mod tests {
     }
 
     #[test]
+    fn two_crashes_in_one_vacuum_interval_lose_no_writeset() {
+        // Vacuum (and with it the checkpoint) ticks every 10 s, so both
+        // crashes of slave 1 fall between the ticks at 30 and 40: the
+        // second recovery replays what the first rejoin re-logged. A
+        // stale unsealed group left in the log by the first crash made
+        // that replay stop short and the node skip writesets for good.
+        let cfg = SimConfig {
+            warmup: 20.0,
+            duration: 25.0,
+            schedule: Schedule::new()
+                .crash(31.0, 1)
+                .join(33.0, 1)
+                .crash(36.0, 1)
+                .join(38.0, 1)
+                .window(5.0),
+            durability: DurabilityConfig {
+                enabled: true,
+                group_commit: 8,
+                ..DurabilityConfig::default()
+            },
+            ..SimConfig::quick(3, 2009)
+        };
+        let (_, world) = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run_world();
+        assert_eq!(world.probe().state_transfers, 0);
+        // Quiescence: drain what each replica has not retired yet from
+        // the relay log, then every live replica must hold the master's
+        // exact state.
+        let head = world.policy.log_seq();
+        let master = &world.nodes[world.policy.master];
+        assert_eq!(master.apply_next, head + 1);
+        for (i, node) in world.nodes.iter().enumerate() {
+            assert_eq!(node.state, NodeState::Up, "replica {i} rejoined");
+            let mut db = node.db.clone();
+            let missed = world
+                .policy
+                .log_range(node.apply_next, head)
+                .expect("the log keeps what a live replica still needs");
+            for ws in &missed {
+                db.apply_writeset(ws).unwrap();
+            }
+            assert_eq!(
+                db.durable_state(),
+                master.db.durable_state(),
+                "replica {i} diverged from the master"
+            );
+        }
+    }
+
+    #[test]
     fn tiny_retention_forces_a_checkpoint_state_transfer() {
         // A 4-entry retention cap guarantees the relay log outruns a
         // 20-second-down slave, exercising the fallback path.

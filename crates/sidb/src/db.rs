@@ -76,7 +76,7 @@ pub struct CommitInfo {
 /// expressed by interleaving operations of *logically* concurrent
 /// transactions, which is exactly what SI's snapshot semantics make
 /// well-defined.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: Vec<Table>,
     /// Name → id resolution happens once per schema/plan, so ordered
@@ -319,7 +319,7 @@ impl Database {
             }
         }
         // Own inserts of rows that never existed.
-        for w in &state.writes {
+        for w in state.writes() {
             if w.table == table && t.slot_of(w.row.0).is_none() {
                 if let Some(data) = &w.data {
                     rows.push((w.row, data.clone()));
@@ -354,15 +354,13 @@ impl Database {
     ) -> Result<(), DbError> {
         self.check_arity(table, &data)?;
         let state = self.state(txn)?;
-        let buffered = state
-            .pending(table, row)
-            .map(|p| p.is_some())
-            .unwrap_or(false);
+        let found = state.find_write(table, row);
+        let buffered = found.is_some_and(|i| state.writes()[i].data.is_some());
         let visible = self.snapshot_visible(state.snapshot, table, row);
         if buffered || visible {
             return Err(DbError::DuplicateRow { table, row });
         }
-        self.buffer_write(txn, table, row, Some(data), visible);
+        self.buffer_write(txn, found, table, row, Some(data), visible);
         self.log
             .statement(self.clock, txn, StatementKind::Insert, Some(table));
         Ok(())
@@ -382,8 +380,8 @@ impl Database {
         data: Row,
     ) -> Result<(), DbError> {
         self.check_arity(table, &data)?;
-        let snap_visible = self.require_visible(txn, table, row)?;
-        self.buffer_write(txn, table, row, Some(data), snap_visible);
+        let (found, snap_visible) = self.require_visible(txn, table, row)?;
+        self.buffer_write(txn, found, table, row, Some(data), snap_visible);
         self.log
             .statement(self.clock, txn, StatementKind::Update, Some(table));
         Ok(())
@@ -397,8 +395,8 @@ impl Database {
     /// snapshot, plus table/txn errors.
     pub fn delete(&mut self, txn: TxnId, table: TableId, row: RowId) -> Result<(), DbError> {
         self.check_table(table)?;
-        let snap_visible = self.require_visible(txn, table, row)?;
-        self.buffer_write(txn, table, row, None, snap_visible);
+        let (found, snap_visible) = self.require_visible(txn, table, row)?;
+        self.buffer_write(txn, found, table, row, None, snap_visible);
         self.log
             .statement(self.clock, txn, StatementKind::Delete, Some(table));
         Ok(())
@@ -433,7 +431,7 @@ impl Database {
         }
         // Certification: one O(1) check per written row against the
         // table's last-committed version vector.
-        for w in &state.writes {
+        for w in state.writes() {
             let t = &self.tables[w.table.index()];
             if let Some(slot) = t.slot_of(w.row.0) {
                 if t.latest_seq(slot) > state.snapshot {
@@ -451,8 +449,10 @@ impl Database {
         self.commit_seq += 1;
         let seq = self.commit_seq;
         let write_stmts = state.write_stmts;
-        let mut items = Vec::with_capacity(state.writes.len());
-        for w in state.writes {
+        let base_version = state.snapshot;
+        let writes = state.into_writes();
+        let mut items = Vec::with_capacity(writes.len());
+        for w in writes {
             let op = Self::op_of(&w);
             let t = &mut self.tables[w.table.index()];
             let slot = t.slot_or_intern(w.row.0);
@@ -464,7 +464,6 @@ impl Database {
                 data: w.data,
             });
         }
-        let base_version = state.snapshot;
         self.stats.update_commits += 1;
         self.log.commit(self.clock, txn, write_stmts);
         Ok(CommitInfo {
@@ -489,7 +488,7 @@ impl Database {
     pub fn writeset_of(&self, txn: TxnId) -> Result<WriteSet, DbError> {
         let state = self.state(txn)?;
         let items = state
-            .writes
+            .writes()
             .iter()
             .map(|w| WriteItem {
                 table: w.table,
@@ -805,24 +804,34 @@ impl Database {
     }
 
     /// Ensures `row` is visible to `txn` (snapshot or own write); returns
-    /// the snapshot visibility (for the buffered write's op derivation).
-    fn require_visible(&self, txn: TxnId, table: TableId, row: RowId) -> Result<bool, DbError> {
+    /// the row's buffered-write position, if any, and its snapshot
+    /// visibility (for the buffered write's op derivation).
+    fn require_visible(
+        &self,
+        txn: TxnId,
+        table: TableId,
+        row: RowId,
+    ) -> Result<(Option<usize>, bool), DbError> {
         let state = self.state(txn)?;
         let snap_visible = self.snapshot_visible(state.snapshot, table, row);
-        let visible = match state.pending(table, row) {
-            Some(pending) => pending.is_some(),
+        let found = state.find_write(table, row);
+        let visible = match found {
+            Some(i) => state.writes()[i].data.is_some(),
             None => snap_visible,
         };
         if visible {
-            Ok(snap_visible)
+            Ok((found, snap_visible))
         } else {
             Err(DbError::NoSuchRow { table, row })
         }
     }
 
+    /// Buffers a validated write; `found` is the position the caller's
+    /// validation found the row at (one lookup per statement).
     fn buffer_write(
         &mut self,
         txn: TxnId,
+        found: Option<usize>,
         table: TableId,
         row: RowId,
         data: Option<Row>,
@@ -832,15 +841,7 @@ impl Database {
             .active
             .get_mut(&txn)
             .expect("caller validated txn is active");
-        match state.find_write(table, row) {
-            Some(i) => state.writes[i].data = data,
-            None => state.writes.push(PendingWrite {
-                table,
-                row,
-                data,
-                visible_before: snap_visible,
-            }),
-        }
+        state.buffer(found, table, row, data, snap_visible);
         state.write_stmts += 1;
         self.stats.rows_written += 1;
     }

@@ -259,9 +259,9 @@ impl WorkloadSpec {
 /// A [`WorkloadSpec`] with every table reference resolved to a dense
 /// [`TableId`] — the form the simulators and client pools run.
 ///
-/// Compilation happens once per run; replicas built from the same spec in
-/// the same schema order share identical plans, which is asserted where
-/// replica sets are constructed.
+/// Compilation happens once per run: a replica set installs the spec
+/// into one database and clones it, so every replica runs the same plan
+/// against the same table ids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledWorkload {
     spec: WorkloadSpec,
