@@ -29,6 +29,9 @@
 //!   five published mixes and the synthetic family
 //!   (`synth:<preset>` / `synth:k=v,...`, see
 //!   [`workload::synth`]).
+//! - [`figures`] — the paper's evaluation as one table: Figures 6–14,
+//!   Tables 2–5, four ablations, two sensitivity sweeps and the capacity
+//!   planner, rendered to text by `replipred figures`.
 //! - [`validate`] — the prediction-vs-simulation error grid behind
 //!   `replipred validate`: sweep workloads × designs × replica points and
 //!   fold the relative errors into per-design mean/max summaries.
@@ -66,6 +69,7 @@
 //! // Three designs, eight predicted points each, ready to serialize.
 //! assert_eq!(report.designs.len(), 3);
 //! ```
+pub mod figures;
 pub mod scenario;
 pub mod validate;
 

@@ -8,159 +8,318 @@
 //! replipred validate --workload all --replicas 4 --jobs 8
 //! replipred plan     --workload tpcw-ordering --tps 250 --max-response-ms 400
 //! replipred profile  --workload rubis-bidding --seed 7
+//! replipred figures  fig6 fig7 --jobs 8
 //! ```
 //!
-//! Every experiment subcommand is a thin front end over
-//! [`replipred::scenario::Scenario`]: designs are addressed through the
-//! registry (`--design standalone|mm|sm|all`), and `--json` emits the
-//! scenario's serialized report. The flags shared by every subcommand
-//! (`--replicas`, `--clients`, `--seed`, `--seeds`, `--jobs`, `--json`,
-//! `--design`, `--schedule`, `--phase-window`) are parsed once into
-//! [`RunOpts`] and applied uniformly. `validate` drives the
-//! [`replipred::validate::ValidationGrid`] — the prediction-vs-simulation
-//! error grid over workloads × designs × replica points.
-//!
-//! `--workload` accepts the five published profiles
-//! (`tpcw-{browsing,shopping,ordering}`, `rubis-{browsing,bidding}`), a
-//! synthetic-family description (`synth:<preset>` or `synth:k=v,...`, see
-//! [`replipred::workload::synth`]) or `@path/to/profile.json` (a
-//! serialized `WorkloadProfile`, as produced by `profile --json`;
-//! prediction only).
-//!
-//! `--schedule` attaches a time-phased [`Schedule`] to simulated runs —
-//! replica crashes and rejoins, certifier outages, client-population
-//! ramps — and the resulting reports carry a windowed
-//! [`TransientReport`]; `phases` is the dedicated front end for such
-//! runs.
+//! One binary, one flag table: [`FLAGS`] says which subcommands accept
+//! each flag, one pass over argv checks the command line against it
+//! ([`Args::parse`]), and the usage text is generated from it —
+//! `replipred help` is the reference for flags, workload names and the
+//! `--schedule` grammar. Every experiment subcommand is then a thin front
+//! end over [`replipred::scenario::Scenario`] (`validate` over
+//! [`replipred::validate::ValidationGrid`], `figures` over
+//! [`replipred::figures`]), with the flags they share typed once into
+//! [`RunOpts`].
 
 use std::process::ExitCode;
 
+use replipred::figures::{self, ARTIFACTS};
 use replipred::model::planner::{plan_designs, Plan, Slo};
 use replipred::model::{Design, SystemConfig, WorkloadProfile};
 use replipred::profiler::Profiler;
 use replipred::repl::{DurabilityConfig, Schedule, TransientReport};
-use replipred::scenario::{parse_workload, ReplicationSummary, Scenario, ScenarioReport};
+use replipred::scenario::{
+    parse_workload, ReplicationSummary, Scenario, ScenarioReport, DEFAULT_CLIENTS, DEFAULT_SEED,
+    PAPER_CLUSTER,
+};
 use replipred::validate::{doubling_points, split_workloads, ValidationGrid, ValidationReport};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            // Only the failing subcommand's synopsis; `help` has the rest.
+            let shown = match argv.first().and_then(|c| command(c)) {
+                Some(cmd) => synopsis(cmd),
+                None => synopses(),
+            };
+            eprintln!("error: {msg}\n\nusage:\n{shown}\n(`replipred help` prints every flag)");
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "usage:
-  replipred predict  --workload <w> [--design <d>] [--replicas N] [--clients C] [--json]
-  replipred sweep    --workload <w> [--design <d>] [--replicas N] [--clients C] [--simulate]
-                     [--profile-live] [--seed S] [--seeds K] [--jobs J] [--schedule <s>] [--json]
-  replipred simulate --workload <w> [--design <d>] [--replicas N] [--seed S] [--seeds K]
-                     [--jobs J] [--schedule <s>] [--json]
-  replipred phases   [--workload <w>] [--design <d>] [--replicas N] [--schedule <s>]
-                     [--recovery] [--phase-window W] [--seed S] [--seeds K] [--jobs J] [--json]
-  replipred validate [--workload <w,...>|all] [--design <d>] [--replicas N] [--seed S]
-                     [--seeds K] [--jobs J] [--json]
-  replipred plan     --workload <w> --tps X [--max-response-ms R] [--max-abort-pct A]
-                     [--design <d>] [--clients C] [--seed S] [--json]
-  replipred profile  --workload <w> [--seed S] [--json]
-  replipred recover  [--commits N] [--group-commit G] [--truncate-at BYTES]
-                     [--dir PATH] [--seed S] [--json]
+type Run = fn(&Args, &RunOpts) -> Result<(), String>;
 
-designs:   standalone mm sm, a comma list of those, or all
+/// One subcommand: its name, what it takes positionally, the flags it
+/// cannot run without (every other flag the table grants it is optional),
+/// and its body.
+struct Command {
+    name: &'static str,
+    positional: &'static str,
+    required: &'static [&'static str],
+    run: Run,
+}
+
+#[rustfmt::skip]
+static COMMANDS: [Command; 9] = [
+    Command { name: "predict", positional: "", required: &["--workload"], run: |a, o| sweep(PAPER_CLUSTER, &[Design::MultiMaster], a, o) },
+    Command { name: "sweep", positional: "", required: &["--workload"], run: |a, o| sweep(8, &Design::ALL, a, o) },
+    Command { name: "simulate", positional: "", required: &["--workload"], run: |a, o| simulate(false, a, o) },
+    Command { name: "phases", positional: "", required: &[], run: |a, o| simulate(true, a, o) },
+    Command { name: "validate", positional: "", required: &[], run: validate_cmd },
+    Command { name: "plan", positional: "", required: &["--workload", "--tps"], run: plan_cmd },
+    Command { name: "profile", positional: "", required: &["--workload"], run: profile_cmd },
+    Command { name: "recover", positional: "", required: &[], run: recover_cmd },
+    Command { name: "figures", positional: "[<key>...]", required: &[], run: figures_cmd },
+];
+
+fn command(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+/// One row of the flag table: everything the parser and the usage text
+/// know about a flag.
+struct Flag {
+    name: &'static str,
+    /// Placeholder of the value it takes; `None` for a boolean.
+    value: Option<&'static str>,
+    /// The subcommands that accept it.
+    cmds: &'static [&'static str],
+    help: &'static str,
+}
+
+/// Subcommands that can run the cluster simulation.
+const SIMULATING: &[&str] = &["sweep", "simulate", "phases"];
+
+/// The flag table, in synopsis order. The parser accepts exactly these
+/// (each only under its `cmds`), and the usage text is generated from it.
+#[rustfmt::skip]
+static FLAGS: [Flag; 26] = [
+    Flag { name: "--workload", value: Some("<w>"), cmds: &["predict", "sweep", "simulate", "phases", "validate", "plan", "profile"],
+        help: "published name, synth: description or @profile.json (validate: a comma list or `all`)" },
+    Flag { name: "--design", value: Some("<d>"), cmds: &["predict", "sweep", "simulate", "phases", "validate", "plan"],
+        help: "standalone, mm, sm, a comma list of those, or all" },
+    Flag { name: "--replicas", value: Some("N"), cmds: &["predict", "sweep", "simulate", "phases", "validate"],
+        help: "curve 1..=N (simulate/phases: the single point N; validate: doubling points 1,2,4,..,N)" },
+    Flag { name: "--clients", value: Some("C"), cmds: &["predict", "sweep", "simulate", "phases", "plan"],
+        help: "clients per replica (default: the workload's own C)" },
+    Flag { name: "--tps", value: Some("X"), cmds: &["plan"], help: "throughput the deployment must sustain" },
+    Flag { name: "--max-response-ms", value: Some("R"), cmds: &["plan"], help: "response-time ceiling of the SLO" },
+    Flag { name: "--max-abort-pct", value: Some("A"), cmds: &["plan"], help: "abort-rate ceiling of the SLO" },
+    Flag { name: "--simulate", value: None, cmds: &["sweep"], help: "run the cluster simulation next to the model" },
+    Flag { name: "--profile-live", value: None, cmds: &["sweep"],
+        help: "measure the profile via the Section-4 standalone pipeline instead of the published tables" },
+    Flag { name: "--schedule", value: Some("<s>"), cmds: SIMULATING,
+        help: "time-phased events applied to simulated runs (grammar below)" },
+    Flag { name: "--phase-window", value: Some("W"), cmds: SIMULATING,
+        help: "transient window width in seconds (enables transient reporting even without events)" },
+    Flag { name: "--recovery", value: None, cmds: &["phases"],
+        help: "the durable preset: tpcw-shopping x sm, crash @30 + rejoin @60 with --durable on" },
+    Flag { name: "--durable", value: None, cmds: SIMULATING,
+        help: "redo-log durability: commits pay fsync / group-commit, crashed replicas recover checkpoint + WAL" },
+    Flag { name: "--group-commit", value: Some("G"), cmds: &["sweep", "simulate", "phases", "recover"],
+        help: "commits per WAL frame (default 8; outside recover it needs --durable)" },
+    Flag { name: "--fsync-ms", value: Some("F"), cmds: SIMULATING, help: "fsync cost in ms (default 2; needs --durable)" },
+    Flag { name: "--log-retention", value: Some("R"), cmds: SIMULATING,
+        help: "writesets kept past the slowest replica (0 = unbounded; small values force state transfers; needs --durable)" },
+    Flag { name: "--commits", value: Some("N"), cmds: &["recover"],
+        help: "update commits the scripted workload runs (default 64)" },
+    Flag { name: "--truncate-at", value: Some("BYTES"), cmds: &["recover"],
+        help: "cut the WAL mid-frame to exercise torn-tail truncation" },
+    Flag { name: "--dir", value: Some("PATH"), cmds: &["recover"],
+        help: "where checkpoint + WAL are written (default: a temp dir)" },
+    Flag { name: "--all", value: None, cmds: &["figures"], help: "every artifact, in `--list` order" },
+    Flag { name: "--list", value: None, cmds: &["figures"], help: "print the artifact keys and titles" },
+    Flag { name: "--full", value: None, cmds: &["figures"],
+        help: "paper-length windows (10 + 15 min) and N = 1..=16 instead of 20 + 60 s at N in {1,2,4,8,12,16}" },
+    Flag { name: "--seed", value: Some("S"), cmds: &["predict", "sweep", "simulate", "phases", "validate", "plan", "profile", "recover", "figures"],
+        help: "seed for profiling and simulation (default 2009, the paper's year)" },
+    Flag { name: "--seeds", value: Some("K"), cmds: &["sweep", "simulate", "phases", "validate", "figures"],
+        help: "seed replications per simulated point, aggregated to mean +- CI" },
+    Flag { name: "--jobs", value: Some("J"), cmds: &["sweep", "simulate", "phases", "validate", "figures"],
+        help: "worker threads for simulation cells (default: all cores; output is identical for every J)" },
+    Flag { name: "--json", value: None, cmds: &["predict", "sweep", "simulate", "phases", "validate", "plan", "profile", "recover"],
+        help: "emit the serialized report" },
+];
+
+/// `--flag <V>`, as the usage text spells it.
+fn spelled(f: &Flag) -> String {
+    match f.value {
+        Some(v) => format!("{} {v}", f.name),
+        None => f.name.to_string(),
+    }
+}
+
+/// One subcommand's synopsis, generated from the tables: positionals,
+/// required flags, then every other flag granted to it in brackets.
+fn synopsis(cmd: &Command) -> String {
+    const WIDTH: usize = 88;
+    let mut line = format!("  replipred {:<8}", cmd.name);
+    let indent = line.len() + 1;
+    let granted = FLAGS.iter().filter(|f| f.cmds.contains(&cmd.name));
+    let (required, optional): (Vec<_>, Vec<_>) =
+        granted.partition(|f| cmd.required.contains(&f.name));
+    let tokens = (!cmd.positional.is_empty())
+        .then(|| cmd.positional.to_string())
+        .into_iter()
+        .chain(required.into_iter().map(spelled))
+        .chain(optional.into_iter().map(|f| format!("[{}]", spelled(f))));
+    let mut out = String::new();
+    for token in tokens {
+        if line.len() + 1 + token.len() > WIDTH {
+            out.push_str(&line);
+            out.push('\n');
+            line = " ".repeat(indent - 1);
+        }
+        line.push(' ');
+        line.push_str(&token);
+    }
+    out + &line
+}
+
+fn synopses() -> String {
+    let lines: Vec<String> = COMMANDS.iter().map(synopsis).collect();
+    lines.join("\n")
+}
+
+/// The full `help` text: generated synopses and flag lines, then the
+/// grammars no one-liner holds.
+fn usage() -> String {
+    let mut out = format!("usage:\n{}\n\nflags:\n", synopses());
+    for f in &FLAGS {
+        out.push_str(&format!("  {:<22} {}\n", spelled(f), f.help));
+    }
+    out + NOTES
+}
+
+const NOTES: &str = "
 workloads: tpcw-browsing tpcw-shopping tpcw-ordering rubis-browsing rubis-bidding,
            a synthetic description synth:<preset> or synth:k=v,... (presets:
            read-only write-heavy long-txn hot-spot ycsb-a ycsb-b; knobs e.g.
            synth:pw=0.4,reads=8,hot=0.5,hot-rows=256),
            or @profile.json (predict/sweep/plan only)
---jobs J:  worker threads for simulation cells (default: all cores; the
-           report is identical for every J)
---seeds K: seed replications per simulated point, aggregated to mean +- CI
---schedule s: comma list of time-phased events `name@time[=arg]` applied to
-           simulated runs: crash@T=i join@T=i cert-down@T cert-up@T
-           clients@T=factor flash-crowd@T=FACTORxDURATION phase@T=name, plus
-           window=W slo=SECONDS recovery=FRACTION settings, e.g.
+--schedule s: comma list of time-phased events `name@time[=arg]`:
+           crash@T=i join@T=i cert-down@T cert-up@T clients@T=factor
+           flash-crowd@T=FACTORxDURATION phase@T=name, plus window=W
+           slo=SECONDS recovery=FRACTION settings, e.g.
            \"crash@30=1,flash-crowd@45=2x15,join@60=1,window=5\"
---phase-window W: transient window width in seconds (enables transient
-           reporting even with an event-free schedule)
---durable: enable redo-log durability on simulated runs — commits pay the
-           amortized group-commit disk term `fsync / group-commit`, crashed
-           replicas rejoin by recovering checkpoint + WAL; tune with
-           --group-commit G (default 8), --fsync-ms F (default 2),
-           --log-retention R (writesets kept past the slowest replica;
-           0 = unbounded, small values force checkpoint state transfers)
---profile-live (sweep): measure the profile via the Section-4 standalone
-           profiling pipeline instead of the published tables
 phases:    simulate one time-phased scenario and print its windowed
            transient report; defaults to rubis-bidding x mm x 4 replicas
-           under a crash + flash-crowd + rejoin demo schedule; --recovery
-           switches to the durable recovery preset (tpcw-shopping x sm,
-           crash @30 + rejoin @60 with --durable on): the rejoin window
-           shows catch-up lag as WAL replay cost
+           under a crash + flash-crowd + rejoin demo schedule; with
+           --recovery the rejoin window shows catch-up lag as WAL replay cost
 recover:   scripted durability round trip on one sidb engine: run a
            deterministic update workload, persist checkpoint + crc-framed
-           WAL to --dir (default: a temp dir), cold-start recover from the
-           files alone, and verify the rebuilt database byte-for-byte;
-           --truncate-at cuts the WAL mid-frame to exercise torn-tail
-           truncation
-validate:  run the prediction-vs-simulation error grid; --workload takes a
-           comma list or `all` (5 published mixes + 4 synth presets),
-           --replicas N sweeps the doubling points 1,2,4,..,N";
+           WAL, cold-start recover from the files alone, and verify the
+           rebuilt database byte-for-byte
+validate:  the prediction-vs-simulation error grid; `all` is the 5
+           published mixes + 4 synth presets
+figures:   regenerate the paper's Figures 6-14 and Tables 2-5, four
+           ablations, two sensitivity sweeps and the capacity planner:
+           model prediction next to simulated measurement";
 
-/// Parses `--flag value` pairs after the subcommand, rejecting repeated
-/// flags and flag names standing in for values (`--replicas --seed`).
-fn flag(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let mut positions = args.iter().enumerate().filter(|(_, a)| *a == name);
-    let first = positions.next();
-    if positions.next().is_some() {
-        return Err(format!("flag {name} given more than once"));
-    }
-    let Some((i, _)) = first else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(v) if v.starts_with("--") => Err(format!(
-            "missing value for {name} (found flag `{v}` instead)"
-        )),
-        Some(v) => Ok(Some(v.clone())),
-        None => Err(format!("missing value for {name}")),
-    }
+/// The flags given on one command line, validated against [`FLAGS`] in a
+/// single pass over argv.
+struct Args<'a> {
+    given: Vec<(&'static str, &'a str)>,
+    positional: Vec<&'a str>,
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    match flag(args, name)? {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("invalid value for {name}: {v}")),
+impl<'a> Args<'a> {
+    /// Rejects flags the table does not know or does not grant to `cmd`,
+    /// repeats, missing values, flag names standing in for values
+    /// (`--replicas --seed`), stray positionals and absent required flags.
+    fn parse(cmd: &Command, argv: &'a [String]) -> Result<Self, String> {
+        let mut args = Args {
+            given: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            if !arg.starts_with("--") {
+                if cmd.positional.is_empty() {
+                    return Err(format!("unexpected argument `{arg}`"));
+                }
+                args.positional.push(arg);
+                continue;
+            }
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.name == arg)
+                .ok_or_else(|| format!("unknown flag {arg}"))?;
+            let name = flag.name;
+            if !flag.cmds.contains(&cmd.name) {
+                return Err(format!(
+                    "flag {name} does not apply to `{}` (it belongs to: {})",
+                    cmd.name,
+                    flag.cmds.join(", ")
+                ));
+            }
+            if args.has(name) {
+                return Err(format!("flag {name} given more than once"));
+            }
+            let value = if flag.value.is_none() {
+                ""
+            } else {
+                match argv.next() {
+                    Some(v) if v.starts_with("--") => {
+                        return Err(format!(
+                            "missing value for {name} (found flag `{v}` instead)"
+                        ))
+                    }
+                    Some(v) => v,
+                    None => return Err(format!("missing value for {name}")),
+                }
+            };
+            args.given.push((name, value));
+        }
+        for name in cmd.required {
+            args.req(name)?;
+        }
+        Ok(args)
     }
-}
 
-/// Parses a count flag that must be a positive integer (`--jobs`,
-/// `--seeds`, `--replicas`): rejects non-numeric values and zero.
-fn parse_count(args: &[String], name: &str) -> Result<Option<usize>, String> {
-    match parse_flag::<usize>(args, name)? {
-        Some(0) => Err(format!("{name} must be at least 1")),
-        other => Ok(other),
+    /// The value of `name` (empty for a boolean), if it was given.
+    fn get(&self, name: &str) -> Option<&'a str> {
+        debug_assert!(FLAGS.iter().any(|f| f.name == name), "{name} not in FLAGS");
+        self.given.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
     }
-}
 
-/// True when the boolean flag is present (it takes no value).
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+    fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    fn req(&self, name: &str) -> Result<&'a str, String> {
+        self.get(name).ok_or_else(|| format!("missing {name}"))
+    }
+
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        match self.get(name) {
+            None => Ok(None),
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("invalid value for {name}: {v}")),
+        }
+    }
+
+    /// A count flag that must be a positive integer (`--jobs`, `--seeds`,
+    /// `--replicas`): rejects non-numeric values and zero.
+    fn count(&self, name: &str) -> Result<Option<usize>, String> {
+        match self.parsed::<usize>(name)? {
+            Some(0) => Err(format!("{name} must be at least 1")),
+            other => Ok(other),
+        }
+    }
 }
 
 /// `--design`: one key, a comma list, or `all`; `None` when absent (each
 /// subcommand supplies its own default set).
-fn parse_designs(args: &[String]) -> Result<Option<Vec<Design>>, String> {
-    match flag(args, "--design")? {
+fn parse_designs(args: &Args) -> Result<Option<Vec<Design>>, String> {
+    match args.get("--design") {
         None => Ok(None),
-        Some(v) if v == "all" => Ok(Some(Design::ALL.to_vec())),
+        Some("all") => Ok(Some(Design::ALL.to_vec())),
         Some(v) => {
             let mut designs = Vec::new();
             for k in v.split(',') {
@@ -177,15 +336,15 @@ fn parse_designs(args: &[String]) -> Result<Option<Vec<Design>>, String> {
     }
 }
 
-/// The flags every experiment subcommand shares, parsed once per
-/// invocation and applied uniformly: the design set, replica point(s),
-/// client population, seeding, parallelism, output format, and the
-/// optional time-phased [`Schedule`].
+/// The flags the experiment subcommands share, typed once per invocation
+/// and applied uniformly: the design set, replica point(s), client
+/// population, seeding, parallelism, output format, and the optional
+/// time-phased [`Schedule`].
 struct RunOpts {
     designs: Option<Vec<Design>>,
     replicas: Option<usize>,
     clients: Option<usize>,
-    seed: Option<u64>,
+    seed: u64,
     seeds: Option<usize>,
     jobs: usize,
     json: bool,
@@ -196,12 +355,11 @@ struct RunOpts {
 /// `--durable` plus its tuning flags (`--group-commit`, `--fsync-ms`,
 /// `--log-retention`). The tuning flags require `--durable`; without it
 /// the simulators run exactly as pre-durability builds.
-fn parse_durability(args: &[String]) -> Result<Option<DurabilityConfig>, String> {
-    let durable = has_flag(args, "--durable");
-    let group = parse_count(args, "--group-commit")?;
-    let fsync_ms: Option<f64> = parse_flag(args, "--fsync-ms")?;
-    let retention: Option<u64> = parse_flag(args, "--log-retention")?;
-    if !durable {
+fn parse_durability(args: &Args) -> Result<Option<DurabilityConfig>, String> {
+    let group = args.count("--group-commit")?;
+    let fsync_ms: Option<f64> = args.parsed("--fsync-ms")?;
+    let retention: Option<u64> = args.parsed("--log-retention")?;
+    if !args.has("--durable") {
         if group.is_some() || fsync_ms.is_some() || retention.is_some() {
             return Err("--group-commit/--fsync-ms/--log-retention require --durable".to_string());
         }
@@ -227,20 +385,15 @@ fn parse_durability(args: &[String]) -> Result<Option<DurabilityConfig>, String>
 }
 
 impl RunOpts {
-    #[cfg(test)]
-    fn parse(args: &[String]) -> Result<Self, String> {
-        Self::parse_for("", args)
-    }
-
-    /// `parse` with the subcommand name: `recover` owns `--group-commit`
-    /// outright (its WAL is the experiment, not a simulator knob), every
-    /// other subcommand requires `--durable` alongside the tuning flags.
-    fn parse_for(cmd: &str, args: &[String]) -> Result<Self, String> {
-        let mut schedule = match flag(args, "--schedule")? {
+    /// Types the shared flags. `recover` owns `--group-commit` outright
+    /// (its WAL is the experiment, not a simulator knob); every other
+    /// subcommand requires `--durable` alongside the tuning flags.
+    fn new(cmd: &Command, args: &Args) -> Result<Self, String> {
+        let mut schedule = match args.get("--schedule") {
             None => None,
-            Some(v) => Some(Schedule::parse(&v).map_err(|e| e.to_string())?),
+            Some(v) => Some(Schedule::parse(v).map_err(|e| e.to_string())?),
         };
-        if let Some(w) = parse_flag::<f64>(args, "--phase-window")? {
+        if let Some(w) = args.parsed::<f64>("--phase-window")? {
             if !w.is_finite() || w <= 0.0 {
                 return Err(format!("--phase-window must be positive (got {w})"));
             }
@@ -248,14 +401,16 @@ impl RunOpts {
         }
         Ok(RunOpts {
             designs: parse_designs(args)?,
-            replicas: parse_count(args, "--replicas")?,
-            clients: parse_flag(args, "--clients")?,
-            seed: parse_flag(args, "--seed")?,
-            seeds: parse_count(args, "--seeds")?,
-            jobs: parse_count(args, "--jobs")?.unwrap_or_else(replipred_sim::pool::default_jobs),
-            json: has_flag(args, "--json"),
+            replicas: args.count("--replicas")?,
+            clients: args.parsed("--clients")?,
+            seed: args.parsed("--seed")?.unwrap_or(DEFAULT_SEED),
+            seeds: args.count("--seeds")?,
+            jobs: args
+                .count("--jobs")?
+                .unwrap_or_else(replipred_sim::pool::default_jobs),
+            json: args.has("--json"),
             schedule,
-            durability: if cmd == "recover" {
+            durability: if cmd.name == "recover" {
                 None
             } else {
                 parse_durability(args)?
@@ -284,9 +439,7 @@ impl RunOpts {
         if let Some(clients) = self.clients {
             scenario = scenario.clients(clients);
         }
-        if let Some(seed) = self.seed {
-            scenario = scenario.seed(seed);
-        }
+        scenario = scenario.seed(self.seed);
         if let Some(seeds) = self.seeds {
             scenario = scenario.seeds(seeds);
         }
@@ -310,61 +463,41 @@ fn read_profile_file(path: &str) -> Result<WorkloadProfile, String> {
     Ok(profile)
 }
 
-/// Builds the scenario for `--workload`: a registered name (published or
-/// `synth:`) or `@file`.
-fn workload_scenario(args: &[String]) -> Result<Scenario, String> {
-    let w = flag(args, "--workload")?.ok_or("missing --workload")?;
+/// Builds the scenario for a `--workload` value: a registered name
+/// (published or `synth:`) or `@file`.
+fn workload_scenario(w: &str) -> Result<Scenario, String> {
     match w.strip_prefix('@') {
         Some(path) => Ok(Scenario::from_profile(read_profile_file(path)?)),
-        None => Scenario::workload(&w).map_err(|e| e.to_string()),
+        None => Scenario::workload(w).map_err(|e| e.to_string()),
     }
 }
 
 /// The profile alone (for `plan`, which drives the planner directly):
 /// `@file`, a published profile, or a `synth:` description measured live
-/// through the Section-4 pipeline (seeded by `--seed`, default 2009).
-fn load_profile(args: &[String], opts: &RunOpts) -> Result<WorkloadProfile, String> {
-    let w = flag(args, "--workload")?.ok_or("missing --workload")?;
+/// through the Section-4 pipeline.
+fn load_profile(w: &str, seed: u64) -> Result<WorkloadProfile, String> {
     match w.strip_prefix('@') {
         Some(path) => read_profile_file(path),
         None => {
-            if let Some(profile) = replipred::scenario::published_profile(&w) {
+            if let Some(profile) = replipred::scenario::published_profile(w) {
                 return Ok(profile);
             }
-            let spec = parse_workload(&w).map_err(|e| e.to_string())?;
-            Ok(Profiler::new(spec)
-                .seed(opts.seed.unwrap_or(2009))
-                .profile()
-                .profile)
+            let spec = parse_workload(w).map_err(|e| e.to_string())?;
+            Ok(Profiler::new(spec).seed(seed).profile().profile)
         }
     }
 }
 
-fn default_clients(profile: &WorkloadProfile) -> usize {
-    parse_workload(&profile.name)
-        .map(|s| s.clients_per_replica)
-        .unwrap_or(50)
-}
-
-fn run(args: &[String]) -> Result<(), String> {
-    let cmd = args.first().ok_or("missing subcommand")?.as_str();
-    let rest = &args[1..];
-    if matches!(cmd, "--help" | "-h" | "help") {
-        println!("{USAGE}");
+fn run(argv: &[String]) -> Result<(), String> {
+    let name = argv.first().ok_or("missing subcommand")?.as_str();
+    if matches!(name, "--help" | "-h" | "help") {
+        println!("{}", usage());
         return Ok(());
     }
-    let opts = RunOpts::parse_for(cmd, rest)?;
-    match cmd {
-        "predict" => predict(rest, &opts),
-        "sweep" => sweep(rest, &opts),
-        "simulate" => simulate(rest, &opts),
-        "phases" => phases(rest, &opts),
-        "validate" => validate_cmd(rest, &opts),
-        "plan" => plan_cmd(rest, &opts),
-        "profile" => profile_cmd(rest, &opts),
-        "recover" => recover_cmd(rest, &opts),
-        other => Err(format!("unknown subcommand `{other}`")),
-    }
+    let cmd = command(name).ok_or_else(|| format!("unknown subcommand `{name}`"))?;
+    let args = Args::parse(cmd, &argv[1..])?;
+    let opts = RunOpts::new(cmd, &args)?;
+    (cmd.run)(&args, &opts)
 }
 
 fn print_json<T: serde::Serialize>(value: &T) {
@@ -519,134 +652,82 @@ fn print_transient(title: String, t: &TransientReport) {
     println!("peak abort      {:.3}%", t.peak_abort_rate * 1e2);
 }
 
-fn predict(args: &[String], opts: &RunOpts) -> Result<(), String> {
-    let scenario = opts
-        .curve(workload_scenario(args)?, 16)
-        .designs(opts.designs(&[Design::MultiMaster]));
-    let report = scenario.run().map_err(|e| e.to_string())?;
-    emit(&report, opts.json);
-    Ok(())
-}
-
-fn sweep(args: &[String], opts: &RunOpts) -> Result<(), String> {
-    let base = if has_flag(args, "--profile-live") {
+/// `sweep`, and `predict` — the same curve with a longer default range,
+/// one default design, and neither `--simulate` nor `--profile-live`.
+fn sweep(replicas: usize, designs: &[Design], args: &Args, opts: &RunOpts) -> Result<(), String> {
+    let w = args.req("--workload")?;
+    let base = if args.has("--profile-live") {
         // Measure the profile on the standalone simulation (the paper's
         // Section-4 pipeline) instead of using the published tables —
         // exercises workload → sidb → profiler end to end.
-        let w = flag(args, "--workload")?.ok_or("missing --workload")?;
-        let spec = parse_workload(&w).map_err(|e| {
+        let spec = parse_workload(w).map_err(|e| {
             format!("--profile-live needs a published or synth: workload name: {e}")
         })?;
         Scenario::from_spec(spec)
     } else {
-        workload_scenario(args)?
+        workload_scenario(w)?
     };
-    if opts.seeds.is_some() && !has_flag(args, "--simulate") {
+    let simulate = args.has("--simulate");
+    if opts.seeds.is_some() && !simulate {
         return Err(
             "--seeds requires --simulate (prediction is deterministic, so seed \
              replication only applies to simulated runs)"
                 .into(),
         );
     }
-    let mut scenario = opts.curve(base, 8).designs(opts.designs(&Design::ALL));
-    if has_flag(args, "--simulate") {
-        scenario = scenario.simulate(true);
-    }
+    let scenario = opts
+        .curve(base, replicas)
+        .designs(opts.designs(designs))
+        .simulate(simulate);
     let report = scenario.run().map_err(|e| e.to_string())?;
     emit(&report, opts.json);
     Ok(())
 }
 
-fn simulate(args: &[String], opts: &RunOpts) -> Result<(), String> {
-    let scenario = opts
-        .point(workload_scenario(args)?, 4)
-        .designs(opts.designs(&[Design::MultiMaster]))
-        .predict(false)
-        .simulate(true);
-    let report = scenario.run().map_err(|e| e.to_string())?;
-    if opts.json {
-        print_json(&report);
-        return Ok(());
-    }
-    for d in &report.designs {
-        for r in &d.measured {
-            println!("design          {}", d.design);
-            println!("workload        {}", r.workload);
-            println!("replicas        {} ({} clients)", r.replicas, r.clients);
-            println!("throughput      {:.1} tps", r.throughput_tps);
-            println!("response        {:.1} ms", r.response_time * 1e3);
-            println!("abort rate      {:.3}%", r.abort_rate * 1e2);
-            println!(
-                "bottleneck      {} ({:.0}%)",
-                r.bottleneck,
-                r.max_utilization * 1e2
-            );
-            println!(
-                "writesets       {} applied, {:.0} B mean",
-                r.writesets_applied, r.mean_writeset_bytes
-            );
-            if let Some(t) = &r.transient {
-                print_transient("transient".to_string(), t);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The demo schedule `phases` runs when `--schedule` is absent: crash a
-/// replica mid-run, pile on a flash crowd while degraded, rejoin the
-/// replica, and report 5-second windows.
-fn default_phases_schedule() -> Schedule {
-    Schedule::new()
+/// `simulate`, and `phases` — the same single-point simulation whose
+/// workload, design, schedule and (under `--recovery`) durability have
+/// defaults, and whose printed form is the transient report.
+fn simulate(phased: bool, args: &Args, opts: &RunOpts) -> Result<(), String> {
+    let mut design = Design::MultiMaster;
+    let mut workload = "rubis-bidding";
+    // The demo schedule: crash a replica mid-run, pile on a flash crowd
+    // while degraded, rejoin the replica, and report 5-second windows.
+    let mut schedule = Schedule::new()
         .crash(30.0, 1)
         .flash_crowd(45.0, 2.0, 15.0)
         .join(60.0, 1)
-        .window(5.0)
-}
-
-/// The `phases --recovery` preset: crash a replica, let it sit out half a
-/// minute of commits, rejoin it — with durability on, so the rejoin
-/// window measures checkpoint-load + WAL-replay catch-up instead of a
-/// free in-memory resume.
-fn recovery_phases_schedule() -> Schedule {
-    Schedule::new().crash(30.0, 1).join(60.0, 1).window(5.0)
-}
-
-fn phases(args: &[String], opts: &RunOpts) -> Result<(), String> {
-    let recovery = has_flag(args, "--recovery");
-    let default_workload = if recovery {
-        "tpcw-shopping"
-    } else {
-        "rubis-bidding"
-    };
-    let base = match flag(args, "--workload")? {
-        Some(_) => workload_scenario(args)?,
-        None => Scenario::workload(default_workload).map_err(|e| e.to_string())?,
-    };
-    let default_design = if recovery {
-        // Durable rejoin-by-recovery lives in the single-master design.
-        Design::SingleMaster
-    } else {
-        Design::MultiMaster
-    };
-    let mut scenario = opts
-        .point(base, 4)
-        .designs(opts.designs(&[default_design]))
-        .predict(false)
-        .simulate(true);
-    if opts.schedule.is_none() {
-        scenario = scenario.schedule(if recovery {
-            recovery_phases_schedule()
-        } else {
-            default_phases_schedule()
-        });
-    }
-    if recovery && opts.durability.is_none() {
-        scenario = scenario.durability(DurabilityConfig {
+        .window(5.0);
+    let mut durability = None;
+    if args.has("--recovery") {
+        // Crash a replica, let it sit out half a minute of commits, rejoin
+        // it — with durability on, so the rejoin window measures
+        // checkpoint-load + WAL-replay catch-up instead of a free
+        // in-memory resume. Durable rejoin-by-recovery lives in the
+        // single-master design.
+        design = Design::SingleMaster;
+        workload = "tpcw-shopping";
+        schedule = Schedule::new().crash(30.0, 1).join(60.0, 1).window(5.0);
+        durability = Some(DurabilityConfig {
             enabled: true,
             ..DurabilityConfig::default()
         });
     }
+    let base = workload_scenario(if phased {
+        args.get("--workload").unwrap_or(workload)
+    } else {
+        args.req("--workload")?
+    })?;
+    let mut scenario = opts
+        .point(base, 4)
+        .designs(opts.designs(&[design]))
+        .predict(false)
+        .simulate(true);
+    if phased && opts.schedule.is_none() {
+        scenario = scenario.schedule(schedule);
+    }
+    if let (Some(durability), None) = (durability, &opts.durability) {
+        scenario = scenario.durability(durability);
+    }
     let report = scenario.run().map_err(|e| e.to_string())?;
     if opts.json {
         print_json(&report);
@@ -657,26 +738,41 @@ fn phases(args: &[String], opts: &RunOpts) -> Result<(), String> {
             println!("design          {}", d.design);
             println!("workload        {}", r.workload);
             println!("replicas        {} ({} clients)", r.replicas, r.clients);
-            println!(
-                "throughput      {:.1} tps (whole-run mean)",
-                r.throughput_tps
-            );
+            if phased {
+                println!(
+                    "throughput      {:.1} tps (whole-run mean)",
+                    r.throughput_tps
+                );
+            } else {
+                println!("throughput      {:.1} tps", r.throughput_tps);
+                println!("response        {:.1} ms", r.response_time * 1e3);
+                println!("abort rate      {:.3}%", r.abort_rate * 1e2);
+                println!(
+                    "bottleneck      {} ({:.0}%)",
+                    r.bottleneck,
+                    r.max_utilization * 1e2
+                );
+                println!(
+                    "writesets       {} applied, {:.0} B mean",
+                    r.writesets_applied, r.mean_writeset_bytes
+                );
+            }
             match &r.transient {
                 Some(t) => print_transient("transient".to_string(), t),
-                None => println!("(schedule disabled: no transient section)"),
+                None if phased => println!("(schedule disabled: no transient section)"),
+                None => {}
             }
         }
     }
     Ok(())
 }
 
-fn validate_cmd(args: &[String], opts: &RunOpts) -> Result<(), String> {
+fn validate_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
     let mut grid = ValidationGrid::new().designs(opts.designs(&Design::ALL));
-    match flag(args, "--workload")? {
-        None => {}
-        Some(v) if v == "all" => {}
+    match args.get("--workload") {
+        None | Some("all") => {}
         Some(v) => {
-            let workloads = split_workloads(&v);
+            let workloads = split_workloads(v);
             if workloads.is_empty() {
                 return Err("--workload lists no workloads".into());
             }
@@ -686,9 +782,7 @@ fn validate_cmd(args: &[String], opts: &RunOpts) -> Result<(), String> {
     if let Some(max) = opts.replicas {
         grid = grid.replicas(doubling_points(max));
     }
-    if let Some(seed) = opts.seed {
-        grid = grid.seed(seed);
-    }
+    grid = grid.seed(opts.seed);
     if let Some(seeds) = opts.seeds {
         grid = grid.seeds(seeds);
     }
@@ -765,15 +859,16 @@ fn print_validation(report: &ValidationReport) {
     }
 }
 
-fn plan_cmd(args: &[String], opts: &RunOpts) -> Result<(), String> {
-    let profile = load_profile(args, opts)?;
+fn plan_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
+    let profile = load_profile(args.req("--workload")?, opts.seed)?;
     let designs = opts.designs(&[Design::MultiMaster, Design::SingleMaster]);
-    let tps: f64 = parse_flag(args, "--tps")?.ok_or("missing --tps")?;
-    let max_resp_ms: Option<f64> = parse_flag(args, "--max-response-ms")?;
-    let max_abort_pct: Option<f64> = parse_flag(args, "--max-abort-pct")?;
-    let clients: usize = opts.clients.unwrap_or_else(|| default_clients(&profile));
+    let max_resp_ms: Option<f64> = args.parsed("--max-response-ms")?;
+    let max_abort_pct: Option<f64> = args.parsed("--max-abort-pct")?;
+    let clients = opts.clients.unwrap_or_else(|| {
+        parse_workload(&profile.name).map_or(DEFAULT_CLIENTS, |s| s.clients_per_replica)
+    });
     let slo = Slo {
-        min_throughput_tps: tps,
+        min_throughput_tps: args.parsed("--tps")?.ok_or("missing --tps")?,
         max_response_time: max_resp_ms.map(|r| r / 1e3),
         max_abort_rate: max_abort_pct.map(|a| a / 1e2),
     };
@@ -782,7 +877,7 @@ fn plan_cmd(args: &[String], opts: &RunOpts) -> Result<(), String> {
         &SystemConfig::lan_cluster(clients),
         &designs,
         &slo,
-        16,
+        PAPER_CLUSTER,
     )
     .map_err(|e| e.to_string())?;
     if opts.json {
@@ -790,7 +885,7 @@ fn plan_cmd(args: &[String], opts: &RunOpts) -> Result<(), String> {
         return Ok(());
     }
     if plans.is_empty() {
-        println!("SLO infeasible within 16 replicas");
+        println!("SLO infeasible within {PAPER_CLUSTER} replicas");
         return Ok(());
     }
     for p in plans {
@@ -806,12 +901,9 @@ fn plan_cmd(args: &[String], opts: &RunOpts) -> Result<(), String> {
     Ok(())
 }
 
-fn profile_cmd(args: &[String], opts: &RunOpts) -> Result<(), String> {
-    let w = flag(args, "--workload")?.ok_or("missing --workload")?;
-    let spec = parse_workload(&w).map_err(|e| e.to_string())?;
-    let outcome = Profiler::new(spec)
-        .seed(opts.seed.unwrap_or(2009))
-        .profile();
+fn profile_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
+    let spec = parse_workload(args.req("--workload")?).map_err(|e| e.to_string())?;
+    let outcome = Profiler::new(spec).seed(opts.seed).profile();
     if opts.json {
         print_json(&outcome.profile);
         return Ok(());
@@ -868,14 +960,14 @@ struct RecoverOutcome {
 /// Scripted durability round trip: deterministic workload → checkpoint +
 /// WAL on disk → cold-start recovery from the files alone → byte-level
 /// verification against states recorded from the live database.
-fn recover_cmd(args: &[String], opts: &RunOpts) -> Result<(), String> {
+fn recover_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
     use replipred::sidb::{Checkpoint, Database, RowId, Value, WalRecord, WalWriter};
 
-    let commits = parse_count(args, "--commits")?.unwrap_or(64);
-    let group = parse_count(args, "--group-commit")?.unwrap_or(8);
-    let cut: Option<usize> = parse_flag(args, "--truncate-at")?;
-    let seed = opts.seed.unwrap_or(2009);
-    let dir = match flag(args, "--dir")? {
+    let commits = args.count("--commits")?.unwrap_or(64);
+    let group = args.count("--group-commit")?.unwrap_or(8);
+    let cut: Option<usize> = args.parsed("--truncate-at")?;
+    let seed = opts.seed;
+    let dir = match args.get("--dir") {
         Some(d) => std::path::PathBuf::from(d),
         None => std::env::temp_dir().join(format!("replipred-recover-{seed}")),
     };
@@ -992,35 +1084,150 @@ fn recover_cmd(args: &[String], opts: &RunOpts) -> Result<(), String> {
     Ok(())
 }
 
+fn figures_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
+    if args.has("--list") {
+        for a in &ARTIFACTS {
+            println!("{:<30} {}", a.key, a.title);
+        }
+        return Ok(());
+    }
+    let (all, keys) = (args.has("--all"), &args.positional);
+    if all != keys.is_empty() {
+        return Err("name artifact keys or pass --all, one of the two (--list names them)".into());
+    }
+    if let Some(k) = keys.iter().find(|k| figures::find(k).is_none()) {
+        return Err(format!("unknown artifact `{k}` (--list names them)"));
+    }
+    let mut session = figures::Session::new(figures::Options {
+        seed: opts.seed,
+        seeds: opts.seeds.unwrap_or(1),
+        jobs: opts.jobs,
+        full: args.has("--full"),
+    });
+    // Table order, whatever the order of the keys.
+    for artifact in ARTIFACTS.iter().filter(|a| all || keys.contains(&a.key)) {
+        print!("{}", session.render(artifact));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses `replipred <line>` (double-quoted spans stay whole) as far
+    /// as the typed options, running nothing.
+    fn parse(line: &str) -> Result<RunOpts, String> {
+        let argv: Vec<String> = line
+            .split('"')
+            .enumerate()
+            .flat_map(|(i, span)| match i % 2 {
+                0 => span.split_whitespace().map(str::to_string).collect(),
+                _ => vec![span.to_string()],
+            })
+            .collect();
+        let cmd = command(&argv[0]).ok_or("unknown subcommand")?;
+        RunOpts::new(cmd, &Args::parse(cmd, &argv[1..])?)
+    }
+
     #[test]
     fn run_opts_parse_rejects_bad_values() {
-        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(RunOpts::parse(&args(&["--jobs", "0"])).is_err());
-        assert!(RunOpts::parse(&args(&["--phase-window", "0"])).is_err());
-        assert!(RunOpts::parse(&args(&["--phase-window", "-2"])).is_err());
-        assert!(RunOpts::parse(&args(&["--schedule", "bogus@x"])).is_err());
-        assert!(RunOpts::parse(&args(&["--design", "mm,mm"])).is_err());
-        let opts = RunOpts::parse(&args(&[
-            "--schedule",
-            "crash@30=1,join@60=1,window=5",
-            "--replicas",
-            "4",
-        ]))
-        .unwrap();
+        assert!(parse("phases --jobs 0").is_err());
+        assert!(parse("phases --phase-window 0").is_err());
+        assert!(parse("phases --phase-window -2").is_err());
+        assert!(parse("phases --schedule bogus@x").is_err());
+        assert!(parse("phases --design mm,mm").is_err());
+        let opts = parse("phases --schedule crash@30=1,join@60=1,window=5 --replicas 4").unwrap();
         assert_eq!(opts.replicas, Some(4));
         assert!(opts.schedule.as_ref().is_some_and(Schedule::enabled));
     }
 
     #[test]
     fn phase_window_alone_enables_a_schedule() {
-        let args: Vec<String> = vec!["--phase-window".into(), "2.5".into()];
-        let opts = RunOpts::parse(&args).unwrap();
+        let opts = parse("phases --phase-window 2.5").unwrap();
         let schedule = opts.schedule.expect("window implies a schedule");
         assert!(schedule.enabled());
         assert_eq!(schedule.effective_window(), 2.5);
+    }
+
+    #[test]
+    fn flags_outside_a_subcommands_grant_are_rejected_by_name() {
+        for c in &COMMANDS {
+            let line = |tail: &str| {
+                let required: String = c.required.iter().map(|f| format!(" {f} 1")).collect();
+                format!("{}{required} {tail}", c.name)
+            };
+            let err = parse(&line("--replcas 2")).err();
+            assert_eq!(err.as_deref(), Some("unknown flag --replcas"), "{}", c.name);
+            // Every flag the table withholds from this subcommand.
+            for f in FLAGS.iter().filter(|f| !f.cmds.contains(&c.name)) {
+                let err = parse(&line(&format!("{} 1", f.name)))
+                    .err()
+                    .unwrap_or_else(|| panic!("{} accepted {}", c.name, f.name));
+                let expected = format!("flag {} does not apply to `{}`", f.name, c.name);
+                assert!(err.starts_with(&expected), "{err}");
+            }
+            // Without a required flag the line is rejected naming it.
+            for f in c.required {
+                let err = parse(&line("").replacen(&format!(" {f} 1"), "", 1)).err();
+                assert_eq!(err, Some(format!("missing {f}")), "{}", c.name);
+            }
+        }
+        // (`predict --simulate`, `profile --tps 4`, `recover --durable`
+        // are rows of the loop above.) Positionals are `figures`' alone.
+        assert!(parse("predict --workload w stray").is_err());
+        assert!(parse("figures fig6 table2").is_ok());
+    }
+
+    #[test]
+    fn every_documented_invocation_still_parses() {
+        // The CI smokes, read from the workflow file itself.
+        let ci = include_str!("../.github/workflows/ci.yml");
+        let smokes: Vec<&str> = ci
+            .lines()
+            .filter_map(|l| {
+                l.split_once("cargo run --release -- ")
+                    .map(|(_, rest)| rest)
+            })
+            .collect();
+        assert!(smokes.len() >= 11, "CI lost its CLI smokes: {smokes:?}");
+        // The two process spawns of `benchmark/src/layers/cli.rs`.
+        let harness = [
+            "predict --workload tpcw-shopping --design mm --replicas 4 --json",
+            "recover --commits 20000 --json --dir benchmark/out/cli-recover",
+        ];
+        for line in smokes.into_iter().chain(harness) {
+            parse(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+        }
+    }
+
+    #[test]
+    fn synopsis_lists_exactly_the_granted_flags() {
+        for c in &COMMANDS {
+            let text = synopsis(c);
+            assert!(text.starts_with(&format!("  replipred {}", c.name)));
+            assert!(text.lines().all(|l| l.len() <= 88), "{text}");
+            let mut listed: Vec<&str> = text
+                .split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '-'))
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            let mut granted: Vec<&str> = FLAGS
+                .iter()
+                .filter(|f| f.cmds.contains(&c.name))
+                .map(|f| f.name)
+                .collect();
+            listed.sort_unstable();
+            granted.sort_unstable();
+            assert_eq!(listed, granted, "{}", c.name);
+            for f in c.required {
+                assert!(text.contains(&format!(" {f} ")), "{f} is bracketed: {text}");
+            }
+        }
+        // Every row names real subcommands, and the full text carries it.
+        let usage = usage();
+        for f in &FLAGS {
+            assert!(f.cmds.iter().all(|c| command(c).is_some()), "{}", f.name);
+            assert!(usage.contains(f.help), "{}", f.name);
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! registry.
 //!
 //! Every front end — the `replipred` CLI (`predict`, `simulate`,
-//! `sweep`), the figure/table experiment bins in `replipred-bench`, and
+//! `sweep`), the paper's figures and tables ([`crate::figures`]), and
 //! library users — expresses experiments this way instead of
 //! hand-rolling a predict→simulate→report loop per design.
 //!
@@ -60,6 +60,17 @@ pub const PUBLISHED_WORKLOADS: [&str; 5] = [
     "rubis-browsing",
     "rubis-bidding",
 ];
+
+/// The paper's cluster size: the longest curve the tools draw by default
+/// and the ceiling of the capacity planner's search.
+pub const PAPER_CLUSTER: usize = 16;
+
+/// The seed of every run that does not name one: the paper's year.
+pub const DEFAULT_SEED: u64 = 2009;
+
+/// Clients per replica `C` when nothing names one: no `--clients`, and a
+/// profile whose name the workload registry cannot resolve.
+pub const DEFAULT_CLIENTS: usize = 50;
 
 /// The published profile for `name`, if it is one of
 /// [`PUBLISHED_WORKLOADS`].
@@ -197,9 +208,9 @@ impl Scenario {
         Scenario {
             source,
             designs: vec![Design::MultiMaster, Design::SingleMaster],
-            replicas: (1..=16).collect(),
+            replicas: (1..=PAPER_CLUSTER).collect(),
             clients: None,
-            seed: 2009,
+            seed: DEFAULT_SEED,
             seeds: 1,
             jobs: 1,
             predict: true,
@@ -358,14 +369,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the transient metrics window (seconds) on the scenario's
-    /// schedule, creating an empty schedule if none was set — windowed
-    /// collection without any injected events.
-    pub fn phase_window(mut self, window: f64) -> Self {
-        self.schedule = Some(self.schedule.unwrap_or_default().window(window));
-        self
-    }
-
     /// Redo-log durability for every simulated cell: commits pay the
     /// amortized group-commit disk term and crashed replicas rejoin by
     /// recovering from their checkpoint + WAL (see
@@ -421,7 +424,8 @@ impl Scenario {
         // spec, else whatever the registry resolves under the profile's
         // name — so an `@profile.json` of a published *or* synthetic
         // workload predicts at the same C and think time as the named
-        // workload. Unresolvable names fall back to C = 50, Z = 1.0 s.
+        // workload. Unresolvable names fall back to [`DEFAULT_CLIENTS`],
+        // Z = 1.0 s.
         let reference = match &spec {
             Some(s) => Some(s.clone()),
             None => parse_workload(&profile.name).ok(),
@@ -429,7 +433,7 @@ impl Scenario {
         let clients = self
             .clients
             .or_else(|| reference.as_ref().map(|s| s.clients_per_replica))
-            .unwrap_or(50);
+            .unwrap_or(DEFAULT_CLIENTS);
         // Model and simulation must describe the same system: the default
         // configuration adopts the workload's think time (the published
         // mixes all use the paper's 1.0 s, but synthetic workloads roam),
@@ -601,6 +605,20 @@ impl DesignReport {
             Some(curve) => curve.points.iter().zip(&self.measured).collect(),
             None => Vec::new(),
         }
+    }
+
+    /// Every predicted point next to its measurement `(throughput,
+    /// response time, abort rate)` — the replication mean when seeds ≥ 2,
+    /// else the base-seed run. Empty unless both sides ran.
+    pub fn compared(&self) -> impl Iterator<Item = (&replipred_core::Prediction, (f64, f64, f64))> {
+        let points = self.predicted.iter().flat_map(|curve| &curve.points);
+        points.zip(&self.measured).enumerate().map(|(i, (p, m))| {
+            let measured = match self.replicated.get(i) {
+                Some(r) => (r.throughput_tps, r.response_time, r.abort_rate),
+                None => (m.throughput_tps, m.response_time, m.abort_rate),
+            };
+            (p, measured)
+        })
     }
 }
 

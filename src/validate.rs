@@ -46,7 +46,7 @@ use replipred_repl::SimConfig;
 use replipred_sim::pool::map_parallel;
 use replipred_workload::WorkloadSpec;
 
-use crate::scenario::{parse_workload, Scenario, ScenarioError, PUBLISHED_WORKLOADS};
+use crate::scenario::{parse_workload, Scenario, ScenarioError, DEFAULT_SEED, PUBLISHED_WORKLOADS};
 
 /// Synthetic presets included in the default grid, spanning the corners
 /// of workload space around the five published mixes.
@@ -102,7 +102,7 @@ impl ValidationGrid {
             specs: None,
             designs: Design::ALL.to_vec(),
             replicas: vec![1, 2, 4],
-            seed: 2009,
+            seed: DEFAULT_SEED,
             seeds: 1,
             jobs: 1,
             sim_template: None,
@@ -277,16 +277,7 @@ impl ValidationGrid {
             let Some(d) = reports.iter().find_map(|r| r.design(design)) else {
                 continue;
             };
-            let curve = d.predicted.as_ref().expect("prediction enabled");
-            for (i, (predicted, measured)) in curve.points.iter().zip(&d.measured).enumerate() {
-                let (m_tput, m_resp, m_abort) = match d.replicated.get(i) {
-                    Some(r) => (r.throughput_tps, r.response_time, r.abort_rate),
-                    None => (
-                        measured.throughput_tps,
-                        measured.response_time,
-                        measured.abort_rate,
-                    ),
-                };
+            for (predicted, (m_tput, m_resp, m_abort)) in d.compared() {
                 cells.push(CellError {
                     design,
                     replicas: predicted.replicas,
@@ -354,7 +345,7 @@ pub fn doubling_points(max: usize) -> Vec<usize> {
 }
 
 /// `|predicted - measured| / max(measured, floor)` — always finite.
-fn rel_error(predicted: f64, measured: f64, floor: f64) -> f64 {
+pub(crate) fn rel_error(predicted: f64, measured: f64, floor: f64) -> f64 {
     (predicted - measured).abs() / measured.max(floor)
 }
 

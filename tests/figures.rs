@@ -1,0 +1,93 @@
+//! The `figures` descriptor table: coverage of the paper's evaluation,
+//! and text goldens for the cheap artifacts.
+//!
+//! The goldens under `tests/golden/figures_<key>.txt` are the stdout of
+//! the twenty per-artifact binaries this table replaced, captured at the
+//! default seed in quick mode before they were deleted, so they pin the
+//! renderers byte for byte. Regenerate after an *intentional* change
+//! with `REPLIPRED_BLESS=1 cargo test --test figures`.
+
+use replipred::figures::{find, Kind, Options, Session, ARTIFACTS};
+
+/// The artifacts cheap enough for a debug-build test: no simulation
+/// grid behind them (`sens-certifier` runs five short cells).
+const PINNED: [&str; 6] = [
+    "table2",
+    "table4",
+    "sens-certifier",
+    "sens-network-delay",
+    "ablation-cw-fixed-point",
+    "ablation-mva-exact-vs-approx",
+];
+
+/// Replaces the two wall-clock columns of the MVA ablation's timing rows
+/// (six fields, the first a population) — the one output that is not a
+/// function of the seed.
+fn mask_wall_clock(text: &str) -> String {
+    let mask = |line: &str| {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        match fields[..] {
+            [n, _, _, _, _, _] if n.parse::<usize>().is_ok() => {
+                format!("{} <wall-clock>", &line[..41])
+            }
+            _ => line.to_string(),
+        }
+    };
+    text.lines().map(|l| mask(l) + "\n").collect()
+}
+
+#[test]
+fn the_table_covers_the_papers_figures_and_tables_exactly_once() {
+    let keys: Vec<&str> = ARTIFACTS.iter().map(|a| a.key).collect();
+    for key in (6..=14)
+        .map(|n| format!("fig{n}"))
+        .chain((2..=5).map(|n| format!("table{n}")))
+    {
+        let count = keys.iter().filter(|k| **k == key).count();
+        assert_eq!(count, 1, "{key} appears {count} times");
+    }
+    let mut unique = keys.clone();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(unique.len(), keys.len(), "duplicate keys: {keys:?}");
+    // The twelve regular artifacts are data; only the rest carry code.
+    let bespoke = ARTIFACTS
+        .iter()
+        .filter(|a| matches!(a.kind, Kind::Bespoke(_)));
+    assert_eq!(bespoke.count(), 8);
+    for a in &ARTIFACTS {
+        assert!(std::ptr::eq(find(a.key).unwrap(), a));
+        // "Figure 6." / "Table 2." titles carry the paper's numbering.
+        if let Some(n) = a.key.strip_prefix("fig") {
+            assert!(a.title.starts_with(&format!("Figure {n}. ")), "{}", a.title);
+        }
+        if let Some(n) = a.key.strip_prefix("table") {
+            assert!(a.title.starts_with(&format!("Table {n}. ")), "{}", a.title);
+        }
+    }
+    assert!(find("fig5").is_none());
+}
+
+#[test]
+fn cheap_artifacts_match_their_text_goldens() {
+    let bless = std::env::var("REPLIPRED_BLESS").is_ok_and(|v| v == "1");
+    // The goldens were captured at two workers: one worker here also
+    // shows the output does not depend on the job count.
+    let mut session = Session::new(Options::default());
+    for key in PINNED {
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(format!("figures_{key}.txt"));
+        let text = mask_wall_clock(&session.render(find(key).expect("pinned key")));
+        if bless {
+            std::fs::write(&path, &text).expect("write blessed golden");
+        }
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        assert!(
+            text == golden,
+            "`figures {key}` drifted from {}.\n--- got ---\n{text}--- want ---\n{golden}",
+            path.display()
+        );
+    }
+}
