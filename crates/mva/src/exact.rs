@@ -104,32 +104,6 @@ pub fn solve(network: &ClosedNetwork, population: usize) -> Result<MvaSolution, 
     solve_with_hook(network, population, |_, _| None)
 }
 
-/// Solves the network, returning every intermediate population's solution.
-///
-/// `solutions[i]` corresponds to population `i + 1`. Useful for plotting
-/// throughput-vs-clients curves without re-running the recurrence.
-///
-/// # Errors
-///
-/// Returns [`MvaError::InvalidPopulation`] when `population` is zero.
-pub fn solve_trajectory(
-    network: &ClosedNetwork,
-    population: usize,
-) -> Result<Vec<MvaSolution>, MvaError> {
-    if population == 0 {
-        return Err(MvaError::InvalidPopulation(
-            "population must be at least 1".into(),
-        ));
-    }
-    let mut out = Vec::with_capacity(population);
-    let mut state = Recurrence::new(network);
-    for n in 1..=population {
-        state.step(n, None);
-        out.push(state.snapshot(network, n));
-    }
-    Ok(out)
-}
-
 /// Solves the network with a demand-rewrite hook invoked before each
 /// population step.
 ///
@@ -335,22 +309,13 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_matches_pointwise_solutions() {
-        let net = simple_net();
-        let traj = solve_trajectory(&net, 60).unwrap();
-        assert_eq!(traj.len(), 60);
-        for (i, s) in traj.iter().enumerate() {
-            let direct = solve(&net, i + 1).unwrap();
-            assert!((s.throughput - direct.throughput).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn throughput_monotonic_in_population() {
         let net = simple_net();
-        let traj = solve_trajectory(&net, 400).unwrap();
-        for w in traj.windows(2) {
-            assert!(w[1].throughput >= w[0].throughput - 1e-12);
+        let mut previous = 0.0;
+        for n in 1..=400usize {
+            let x = solve(&net, n).unwrap().throughput;
+            assert!(x >= previous - 1e-12, "n={n}: {x} < {previous}");
+            previous = x;
         }
     }
 

@@ -9,8 +9,8 @@
 use replipred_mva::ops::demand_from_utilization;
 use replipred_repl::standalone::{StandaloneSim, TxnFilter};
 use replipred_repl::SimConfig;
-use replipred_sim::engine::Engine;
-use replipred_sim::resource::{Fcfs, Ps};
+use replipred_sim::engine::{Engine, Event};
+use replipred_sim::resource::{Fcfs, Ps, ServiceToken};
 use replipred_sim::{Rng, SimTime};
 use replipred_workload::spec::WorkloadSpec;
 
@@ -43,15 +43,71 @@ pub fn measure_transaction_demands(
 }
 
 struct WsWorld {
-    cpu: Ps<WsWorld>,
-    disk: Fcfs<WsWorld>,
+    cpu: Ps<WsWorld, WsEv>,
+    disk: Fcfs<WsWorld, WsEv>,
     rng: Rng,
     applied: u64,
     measuring: bool,
     ws_cpu: f64,
     ws_disk: f64,
     rate: f64,
-    end: f64,
+}
+
+/// The writeset replay's events.
+enum WsEv {
+    /// A writeset arrives: draw its demands, start its CPU phase and
+    /// schedule the next arrival.
+    Arrival,
+    /// The CPU phase finished; the disk phase (of this demand) follows.
+    CpuDone(f64),
+    /// The disk phase finished: the writeset is applied.
+    DiskDone,
+    /// Internal PS completion of the CPU (see [`Ps::on_fired`]).
+    CpuFired,
+    /// Internal FCFS completion of the disk (see [`Fcfs::on_fired`]).
+    DiskFired(ServiceToken),
+    /// End of warm-up: discard all measurements.
+    Warmup,
+}
+
+fn cpu(w: &mut WsWorld) -> &mut Ps<WsWorld, WsEv> {
+    &mut w.cpu
+}
+
+fn disk(w: &mut WsWorld) -> &mut Fcfs<WsWorld, WsEv> {
+    &mut w.disk
+}
+
+impl Event<WsWorld> for WsEv {
+    fn fire(self, engine: &mut Engine<WsWorld, WsEv>) {
+        match self {
+            WsEv::Arrival => {
+                let w = engine.world_mut();
+                let (cpu_d, disk_d) = (w.rng.exp(w.ws_cpu), w.rng.exp(w.ws_disk));
+                Ps::submit_event(engine, cpu, cpu_d, WsEv::CpuDone(disk_d), || WsEv::CpuFired);
+                schedule_arrival(engine);
+            }
+            WsEv::CpuDone(disk_d) => {
+                Fcfs::submit_event(engine, disk, disk_d, WsEv::DiskDone, WsEv::DiskFired);
+            }
+            WsEv::DiskDone => {
+                let w = engine.world_mut();
+                if w.measuring {
+                    w.applied += 1;
+                }
+            }
+            WsEv::CpuFired => Ps::on_fired(engine, cpu, || WsEv::CpuFired),
+            WsEv::DiskFired(token) => Fcfs::on_fired(engine, disk, token, WsEv::DiskFired),
+            WsEv::Warmup => {
+                let now = engine.now().as_secs();
+                let w = engine.world_mut();
+                w.applied = 0;
+                w.cpu.stats.reset(now);
+                w.disk.stats.reset(now);
+                w.measuring = true;
+            }
+        }
+    }
 }
 
 /// Plays a writeset stream at `rate` writesets/second against the
@@ -73,19 +129,10 @@ pub fn measure_writeset_demands(
         ws_cpu: spec.ws_cpu,
         ws_disk: spec.ws_disk,
         rate,
-        end: cfg.warmup + cfg.duration,
     };
     let mut engine = Engine::new(world);
     schedule_arrival(&mut engine);
-    let warmup = cfg.warmup;
-    engine.schedule_at(SimTime::from_secs(warmup), |e| {
-        let now = e.now().as_secs();
-        let w = e.world_mut();
-        w.applied = 0;
-        w.cpu.stats.reset(now);
-        w.disk.stats.reset(now);
-        w.measuring = true;
-    });
+    engine.schedule_event_at(SimTime::from_secs(cfg.warmup), WsEv::Warmup);
     let end = SimTime::from_secs(cfg.warmup + cfg.duration);
     engine.run_until(end);
     let end_s = end.as_secs();
@@ -98,47 +145,12 @@ pub fn measure_writeset_demands(
     }
 }
 
-fn schedule_arrival(engine: &mut Engine<WsWorld>) {
-    let (gap, done) = {
-        let w = engine.world_mut();
-        let rate = w.rate;
-        let gap = w.rng.exp(1.0 / rate);
-        (gap, engine_done(w))
-    };
-    if done {
-        return;
-    }
-    engine.schedule_in(gap, |e| {
-        let (cpu_d, disk_d) = {
-            let w = e.world_mut();
-            (w.rng.exp(w.ws_cpu), w.rng.exp(w.ws_disk))
-        };
-        Ps::submit(
-            e,
-            |w: &mut WsWorld| &mut w.cpu,
-            cpu_d,
-            move |e| {
-                Fcfs::submit(
-                    e,
-                    |w: &mut WsWorld| &mut w.disk,
-                    disk_d,
-                    |e| {
-                        let w = e.world_mut();
-                        if w.measuring {
-                            w.applied += 1;
-                        }
-                    },
-                );
-            },
-        );
-        schedule_arrival(e);
-    });
-}
-
-fn engine_done(w: &WsWorld) -> bool {
-    // Arrival generation stops once we are past the horizon; run_until
-    // bounds execution anyway, this merely avoids unbounded heap growth.
-    w.end <= 0.0
+/// Schedules the next open-loop arrival one exponential gap from now
+/// (`run_until` bounds the stream at the horizon).
+fn schedule_arrival(engine: &mut Engine<WsWorld, WsEv>) {
+    let w = engine.world_mut();
+    let gap = w.rng.exp(1.0 / w.rate);
+    engine.schedule_event_in(gap, WsEv::Arrival);
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@
 use replipred_sidb::{RowMap, WriteSet};
 use serde::{Deserialize, Serialize};
 
+use crate::wslog::WsLog;
+
 /// Version sentinel for "row never certified" in the per-table vectors
 /// (global versions start at 1).
 const NEVER: u64 = 0;
@@ -30,15 +32,12 @@ pub enum Certification {
     Abort,
 }
 
-/// The certifier's durable state: the global, totally ordered writeset log.
+/// The certifier's durable state: the global, totally ordered writeset
+/// log plus the conflict index over it.
 #[derive(Debug, Default)]
 pub struct Certifier {
-    /// Certified writesets; `log[i]` has global version `i + 1 + truncated`.
-    log: Vec<WriteSet>,
-    /// Number of log entries removed by [`Certifier::truncate_applied`].
-    truncated: u64,
-    /// High-water mark of `log.len()` — the boundedness witness.
-    peak: usize,
+    /// Certified writesets, sequenced by global version.
+    log: WsLog,
     /// Newest certified global version per row, one vector per
     /// [`replipred_sidb::TableId`] — certification is O(1) per writeset
     /// item (an array load for dense keys, one integer hash for sparse
@@ -65,30 +64,24 @@ impl Certifier {
     /// rebasing arithmetic.
     pub fn new_at(version: u64) -> Self {
         Certifier {
-            truncated: version,
+            log: WsLog::anchored_at(version),
             ..Certifier::default()
         }
     }
 
     /// Latest global version.
     pub fn version(&self) -> u64 {
-        self.truncated + self.log.len() as u64
+        self.log.next_seq() - 1
     }
 
-    /// Oldest version still present in the log (0 when nothing was
-    /// truncated).
-    pub fn truncated_below(&self) -> u64 {
-        self.truncated
+    /// The certified-writeset log, sequenced by global version.
+    pub(crate) fn log(&self) -> &WsLog {
+        &self.log
     }
 
-    /// Writesets currently retained in the log.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// High-water mark of the retained writeset count.
-    pub fn peak_len(&self) -> usize {
-        self.peak
+    /// The log, for the kernel's vacuum-cadence truncation.
+    pub(crate) fn log_mut(&mut self) -> &mut WsLog {
+        &mut self.log
     }
 
     /// Certifies a writeset against the global log. On success the
@@ -113,7 +106,7 @@ impl Certifier {
                 return Certification::Abort;
             }
         }
-        let version = self.version() + 1;
+        let version = self.log.push(ws.clone());
         for (table, row) in ws.keys() {
             if table.index() >= self.newest.len() {
                 self.newest
@@ -121,36 +114,23 @@ impl Certifier {
             }
             self.newest[table.index()].insert(row.raw(), version);
         }
-        self.log.push(ws.clone());
-        self.peak = self.peak.max(self.log.len());
         Certification::Commit(version)
     }
 
-    /// The certified writeset at `version` (1-based), if it exists and was
-    /// not truncated. Used by replicas to fetch propagation payloads.
-    pub fn writeset_at(&self, version: u64) -> Option<&WriteSet> {
-        if version == 0 || version <= self.truncated {
-            return None;
-        }
-        self.log.get((version - self.truncated) as usize - 1)
-    }
-
-    /// Writesets with versions in `(after, to]`, for catch-up propagation.
+    /// Writesets with versions in `(after, to]`, in order, for catch-up
+    /// propagation (`to` past the newest version means "up to it").
     ///
     /// # Panics
     ///
     /// Panics if `after` is below the truncation horizon — the caller
     /// asked for history that no longer exists (it must bootstrap from a
     /// full state transfer instead).
-    pub fn writesets_between(&self, after: u64, to: u64) -> &[WriteSet] {
-        assert!(
-            after >= self.truncated,
-            "versions <= {} were truncated; catch-up from {after} is impossible",
-            self.truncated
-        );
-        let lo = ((after - self.truncated) as usize).min(self.log.len());
-        let hi = (to.saturating_sub(self.truncated) as usize).min(self.log.len());
-        &self.log[lo..hi]
+    pub fn writesets_between(&self, after: u64, to: u64) -> impl Iterator<Item = &WriteSet> {
+        self.log
+            .range_from(after + 1, to.min(self.version()))
+            .unwrap_or_else(|| {
+                panic!("versions after {after} were truncated; catch-up is impossible")
+            })
     }
 
     /// Truncates the log prefix up to and including `version` (safe once
@@ -158,17 +138,14 @@ impl Certifier {
     /// certification correctness only needs the newest version per key.
     /// Returns the number of writesets dropped.
     pub fn truncate_applied(&mut self, version: u64) -> usize {
-        let keep_from = (version.saturating_sub(self.truncated) as usize).min(self.log.len());
-        self.log.drain(..keep_from);
-        self.truncated += keep_from as u64;
-        keep_from
+        self.log.truncate_below(version + 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use replipred_sidb::{RowId, TableId, Value, WriteItem, WriteOp};
+    use replipred_sidb::{Database, RowId, TableId, Value, WriteItem, WriteOp};
 
     fn ws(base: u64, rows: &[u64]) -> WriteSet {
         WriteSet {
@@ -236,13 +213,15 @@ mod tests {
         let mut c = Certifier::new();
         c.certify(&ws(0, &[1]));
         c.certify(&ws(1, &[2]));
-        assert_eq!(c.writeset_at(1).unwrap().items[0].row, RowId(1));
-        assert_eq!(c.writeset_at(2).unwrap().items[0].row, RowId(2));
-        assert!(c.writeset_at(0).is_none());
-        assert!(c.writeset_at(3).is_none());
-        let between = c.writesets_between(0, 2);
-        assert_eq!(between.len(), 2);
-        assert_eq!(c.writesets_between(1, 2).len(), 1);
+        let rows = |after, to| -> Vec<RowId> {
+            c.writesets_between(after, to)
+                .map(|ws| ws.items[0].row)
+                .collect()
+        };
+        assert_eq!(rows(0, 2), [RowId(1), RowId(2)]);
+        assert_eq!(rows(1, 2), [RowId(2)]);
+        assert_eq!(rows(0, 99), [RowId(1), RowId(2)], "`to` clamps to the head");
+        assert_eq!(rows(2, 2), []);
     }
 
     #[test]
@@ -254,14 +233,18 @@ mod tests {
         let dropped = c.truncate_applied(5);
         assert_eq!(dropped, 5);
         assert_eq!(c.version(), 10);
-        assert_eq!((c.log_len(), c.peak_len()), (5, 10));
-        assert!(c.writeset_at(5).is_none());
-        assert_eq!(c.writeset_at(6).unwrap().items[0].row, RowId(5));
+        assert_eq!((c.log().len(), c.log().peak_len()), (5, 10));
+        assert!(!c.log().contains(5) && c.log().contains(6));
         // Conflict detection still works across the truncation horizon.
         assert_eq!(c.certify(&ws(0, &[3])), Certification::Abort);
         assert_eq!(c.certify(&ws(10, &[3])), Certification::Commit(11));
         // Catch-up above the horizon works; the suffix is intact.
-        assert_eq!(c.writesets_between(5, 11).len(), 6);
+        let suffix: Vec<RowId> = c
+            .writesets_between(5, 11)
+            .map(|ws| ws.items[0].row)
+            .collect();
+        assert_eq!(suffix[0], RowId(5));
+        assert_eq!(suffix.len(), 6);
     }
 
     #[test]
@@ -278,14 +261,35 @@ mod tests {
     #[test]
     fn anchored_certifier_uses_absolute_versions() {
         // Replicas seeded to version 50 talk to the certifier in their
-        // own version space — no offset arithmetic anywhere.
+        // own version space: writesets certify with their local
+        // `base_version` as-is and the first commits at `anchor + 1` — no
+        // offset arithmetic anywhere.
         let mut c = Certifier::new_at(50);
         assert_eq!(c.version(), 50);
         assert_eq!(c.certify(&ws(50, &[1])), Certification::Commit(51));
         // A snapshot from before the anchor still conflicts correctly.
         assert_eq!(c.certify(&ws(50, &[1])), Certification::Abort);
         assert_eq!(c.certify(&ws(51, &[1])), Certification::Commit(52));
-        assert_eq!(c.writesets_between(50, 52).len(), 2);
+        assert_eq!(c.writesets_between(50, 52).count(), 2);
+    }
+
+    #[test]
+    fn anchored_at_a_seeded_database_certifies_its_writesets_unrebased() {
+        let mut db = Database::new();
+        let table = db.create_table("t", &["v"]).unwrap();
+        let seed = db.begin();
+        db.insert(seed, table, RowId(1), vec![Value::Int(0)])
+            .unwrap();
+        db.commit(seed).unwrap();
+        let anchor = db.version();
+        let mut c = Certifier::new_at(anchor);
+        let txn = db.begin();
+        db.update(txn, table, RowId(1), vec![Value::Int(1)])
+            .unwrap();
+        let ws = db.writeset_of(txn).unwrap();
+        db.abort(txn).unwrap();
+        assert_eq!(ws.base_version, anchor, "the local snapshot, as-is");
+        assert_eq!(c.certify(&ws), Certification::Commit(anchor + 1));
     }
 
     #[test]

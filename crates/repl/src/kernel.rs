@@ -33,7 +33,7 @@
 //! |---|---|
 //! | [`Policy::LB_HOP`] | whether a load-balancer hop separates `Think` from dispatch |
 //! | [`Policy::WS_SALT`] | the salt of the writeset-demand RNG stream |
-//! | [`Policy::DURABLE_REJOIN`] | whether nodes keep checkpoint + redo log and rejoin by recovery |
+//! | [`Policy::DURABLE_REJOIN`] | whether nodes keep checkpoint + redo log and rejoin by recovery, and the log honours the retention cap |
 //! | [`Policy::label`] | the node's name in the utilisation report |
 //! | [`Policy::sample`] | which transaction a client submits (default: the mix) |
 //! | [`Policy::route`], [`Policy::park`] | where a transaction runs, and where it waits when nowhere |
@@ -41,7 +41,13 @@
 //! | [`Policy::Ev`], [`Policy::fire`] | the design's own events |
 //! | [`Policy::cluster_event`] | which injected cluster events apply (default: crash and rejoin) |
 //! | [`Policy::retired`], [`Policy::crashed`], [`Policy::caught_up`] | side effects of the node lifecycle (election, promotion) |
-//! | [`Policy::log_seq`], [`Policy::log_range`], [`Policy::truncate_log`] | the writeset log rejoiners catch up from |
+//!
+//! There is one writeset log per run, the [`WsLog`] behind
+//! [`Policy::log`]: the policy appends to it when an update commits (the
+//! certifier under multi-master, the master's relay under single-master)
+//! and the kernel does everything else — sizes a fresh node's
+//! `apply_next` from it, replays borrowed ranges of it into rejoiners,
+//! and truncates it at vacuum cadence.
 //!
 //! What the kernel guarantees every policy:
 //!
@@ -71,8 +77,10 @@
 //!   returns the client to its think loop without recording a commit.
 //! - **Log floor.** At vacuum cadence the log is truncated below the
 //!   minimum sequence any node (Down and CatchingUp included) can still
-//!   need, so catch-up never reads a truncated entry unless the policy
-//!   caps retention itself — which the checkpoint state transfer covers.
+//!   need, so catch-up never reads a truncated entry unless the run caps
+//!   retention (`DurabilityConfig::log_retention`, honoured for
+//!   [`Policy::DURABLE_REJOIN`] designs) — which the checkpoint state
+//!   transfer covers.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -88,6 +96,7 @@ use crate::config::SimConfig;
 use crate::durable::NodeDurability;
 use crate::metrics::{Metrics, RunReport};
 use crate::transient::TransientCollector;
+use crate::wslog::WsLog;
 
 /// Abandon a transaction after this many conflict retries (a liveness
 /// backstop; the paper's RTEs retry indefinitely).
@@ -119,7 +128,9 @@ pub(crate) trait Policy: Sized + 'static {
     /// Salt of the writeset-demand RNG stream (`seed ^ WS_SALT`).
     const WS_SALT: u64;
     /// Whether nodes mirror commits into a [`NodeDurability`] (when the
-    /// run enables durability) and rejoin by recovering from it.
+    /// run enables durability) and rejoin by recovering from it, and
+    /// whether the log honours the run's retention cap (rejoiners that
+    /// fall behind it take a state transfer).
     const DURABLE_REJOIN: bool;
 
     /// Node `node`'s name in the utilisation report.
@@ -161,21 +172,13 @@ pub(crate) trait Policy: Sized + 'static {
     /// `node` finished catch-up and is Up again.
     fn caught_up(_engine: &mut Sim<Self>, _node: usize) {}
 
-    /// Sequence of the newest logged writeset (a fresh node's
-    /// `apply_next` is one past it).
-    fn log_seq(&self) -> u64 {
-        0
-    }
+    /// The committed-writeset log rejoiners catch up from. The policy
+    /// appends to it at commit; a design that never propagates keeps it
+    /// empty.
+    fn log(&self) -> &WsLog;
 
-    /// The logged writesets `from..=to`, or `None` when truncation took
-    /// any of them (the rejoiner falls back to a state transfer).
-    fn log_range(&self, _from: u64, _to: u64) -> Option<Vec<WriteSet>> {
-        Some(Vec::new())
-    }
-
-    /// Drops log entries below `floor`, the lowest sequence any node can
-    /// still need.
-    fn truncate_log(&mut self, _floor: u64) {}
+    /// The log, for the kernel's vacuum-cadence truncation.
+    fn log_mut(&mut self) -> &mut WsLog;
 }
 
 /// Node liveness for fault injection.
@@ -242,6 +245,9 @@ pub(crate) struct World<P: Policy> {
     /// Amortized group-commit disk surcharge per logged commit
     /// (`DurabilityConfig::log_disk_demand`; 0 with durability off).
     log_disk: f64,
+    /// Hard log retention cap, entries (0 = unbounded; always 0 unless
+    /// the design is [`Policy::DURABLE_REJOIN`]).
+    log_retention: u64,
     /// Transactions with no live node to run on, drained on rejoin.
     pub(crate) stranded: VecDeque<Waiter>,
     /// Checkpoint state transfers performed (fallback rejoin path).
@@ -444,7 +450,7 @@ pub(crate) fn build<P: Policy>(
         .expect("workload installs on a fresh database");
     let mut dbs = vec![seeded; n];
     let policy = policy(&mut dbs);
-    let log_seq = policy.log_seq();
+    let log_seq = policy.log().next_seq() - 1;
     let durable = P::DURABLE_REJOIN && cfg.durability.enabled;
     let nodes = dbs
         .into_iter()
@@ -486,6 +492,11 @@ pub(crate) fn build<P: Policy>(
             .enabled()
             .then(|| TransientCollector::new(schedule, cfg.warmup, cfg.end_time())),
         log_disk: cfg.durability.log_disk_demand(),
+        log_retention: if P::DURABLE_REJOIN {
+            cfg.durability.log_retention
+        } else {
+            0
+        },
         stranded: VecDeque::new(),
         state_transfers: 0,
     };
@@ -625,9 +636,7 @@ fn start_attempt<P: Policy>(engine: &mut Sim<P>, node: usize, waiter: Waiter, at
     // The snapshot is the node's latest *local* version at execution
     // start (GSI on a replica: possibly stale, never blocking); the
     // conflict window spans the whole execution up to the commit.
-    let now = engine.now().as_secs();
     let host = &mut engine.world_mut().nodes[node];
-    host.db.set_time(now);
     let txn = host.db.begin();
     let epoch = host.epoch;
     let cpu_demand = template.cpu_demand;
@@ -647,10 +656,8 @@ fn start_attempt<P: Policy>(engine: &mut Sim<P>, node: usize, waiter: Waiter, at
 /// [`start_attempt`]. Read-only transactions commit locally in every
 /// design (the GSI guarantee); updates go through the design's protocol.
 fn complete_attempt<P: Policy>(engine: &mut Sim<P>, a: Attempt) {
-    let now = engine.now().as_secs();
     let w = engine.world_mut();
     let db = &mut w.nodes[a.node].db;
-    db.set_time(now);
     w.pool
         .plan()
         .execute(db, a.txn, &a.template)
@@ -848,7 +855,9 @@ fn vacuum<P: Policy>(w: &mut World<P>) {
         })
         .min()
         .expect("at least one node");
-    w.policy.truncate_log(floor);
+    let log = w.policy.log_mut();
+    log.truncate_below(floor);
+    log.cap(w.log_retention);
 }
 
 // ---------------------------------------------------------------------
@@ -963,19 +972,21 @@ fn catchup_step<P: Policy>(engine: &mut Sim<P>, i: usize) {
         return;
     }
     let from = w.nodes[i].apply_next;
-    let target = w.policy.log_seq();
+    let target = w.policy.log().next_seq() - 1;
     if from > target {
         w.nodes[i].state = NodeState::Up;
         P::caught_up(engine, i);
         drain_stranded(engine);
         return;
     }
-    let lag = match w.policy.log_range(from, target) {
+    let per_ws = ws_demand(w);
+    let lag = match w.policy.log().range_from(from, target) {
         Some(missed) => {
-            for ws in &missed {
+            let count = missed.len();
+            for ws in missed {
                 w.nodes[i].replay(ws);
             }
-            missed.len() as f64 * ws_demand(w)
+            count as f64 * per_ws
         }
         None => state_transfer(w, i),
     };
@@ -1053,21 +1064,14 @@ pub(crate) struct Probe {
     pub(crate) state_transfers: u64,
 }
 
-/// How a policy's test module shows the probe the size of its log.
 #[cfg(test)]
-pub(crate) trait LogProbe {
-    /// `(retained entries, high-water mark)`.
-    fn log_extent(&self) -> (usize, usize);
-}
-
-#[cfg(test)]
-impl<P: Policy + LogProbe> World<P> {
+impl<P: Policy> World<P> {
     pub(crate) fn probe(&self) -> Probe {
-        let (log_len, log_peak) = self.policy.log_extent();
+        let log = self.policy.log();
         Probe {
-            log_len,
-            log_peak,
-            log_seq: self.policy.log_seq(),
+            log_len: log.len(),
+            log_peak: log.peak_len(),
+            log_seq: log.next_seq() - 1,
             state_transfers: self.state_transfers,
         }
     }
@@ -1086,6 +1090,8 @@ mod tests {
     /// with `always_conflict`, an update protocol that never succeeds.
     struct Stub {
         always_conflict: bool,
+        /// Never appended to: the stub propagates nothing.
+        log: WsLog,
     }
 
     impl Policy for Stub {
@@ -1117,6 +1123,21 @@ mod tests {
 
         fn fire(_: &mut Sim<Self>, ev: Infallible) {
             match ev {}
+        }
+
+        fn log(&self) -> &WsLog {
+            &self.log
+        }
+
+        fn log_mut(&mut self) -> &mut WsLog {
+            &mut self.log
+        }
+    }
+
+    fn policy(always_conflict: bool) -> impl FnOnce(&mut [Database]) -> Stub {
+        move |_| Stub {
+            always_conflict,
+            log: WsLog::new(),
         }
     }
 
@@ -1169,7 +1190,7 @@ mod tests {
     }
 
     fn stub(spec: &WorkloadSpec, cfg: &SimConfig, always_conflict: bool) -> Sim<Stub> {
-        build(spec, cfg, 1, |_| Stub { always_conflict })
+        build(spec, cfg, 1, policy(always_conflict))
     }
 
     /// Steps until no transaction is resident on node 0.
@@ -1185,9 +1206,7 @@ mod tests {
         let cfg = cfg(3, Schedule::default());
         let mut installed = Database::new();
         spec.install(&mut installed, cfg.seed_scale).unwrap();
-        let mut engine = build(&spec, &cfg, 4, |_| Stub {
-            always_conflict: false,
-        });
+        let mut engine = build(&spec, &cfg, 4, policy(false));
         let next_txn = installed.begin();
         installed.abort(next_txn).unwrap();
         assert_eq!(engine.world().nodes.len(), 4);
@@ -1330,9 +1349,7 @@ mod tests {
             duration: 4.0,
             ..cfg(32, schedule)
         };
-        let (report, w) = run(&spec(2, 0.5, 0.5, 0.01), &cfg, 1, |_| Stub {
-            always_conflict: false,
-        });
+        let (report, w) = run(&spec(2, 0.5, 0.5, 0.01), &cfg, 1, policy(false));
         let t = report.transient.expect("schedule enables transient");
         let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
         assert_eq!(

@@ -39,9 +39,12 @@
 //!   the `N = 1` anchor of every measured curve); any-replica routing
 //!   with a certifier round trip; master-for-updates routing with a
 //!   relay log, election and promotion.
+//! - [`wslog`] — the committed-writeset log, the one sequence a lagging
+//!   replica catches up from: the certifier's log under multi-master,
+//!   the master's relay log under single-master, truncated at vacuum
+//!   cadence by the kernel.
 //! - [`durable`] — per-replica durability (checkpoint + redo log +
-//!   recovery) and [`wslog`] — the bounded, truncatable relay log; both
-//!   back the crash/rejoin paths when
+//!   recovery), backing the crash/rejoin paths when
 //!   [`config::DurabilityConfig`] is enabled.
 //! - [`transient`] — windowed time-series collection and the
 //!   [`transient::TransientReport`] produced by time-phased runs (see
@@ -70,7 +73,6 @@ pub mod durable;
 mod kernel;
 pub mod metrics;
 pub mod mm;
-pub mod replicated_certifier;
 pub mod sm;
 pub mod standalone;
 pub mod transient;
@@ -82,7 +84,6 @@ pub use design::{DesignSpec, Simulator, SimulatorRegistry};
 pub use durable::NodeDurability;
 pub use metrics::RunReport;
 pub use mm::MultiMasterSim;
-pub use replicated_certifier::ReplicatedCertifier;
 pub use replipred_core::{Design, Phase, Schedule, ScheduleEvent};
 pub use sm::SingleMasterSim;
 pub use standalone::StandaloneSim;

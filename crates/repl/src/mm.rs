@@ -31,9 +31,9 @@
 //!
 //! Durability here is the fsync surcharge only: a crashed replica keeps
 //! its in-memory image and replays the certifier log on rejoin. Giving
-//! it single-master's recovery-based rejoin is `DURABLE_REJOIN` plus a
-//! retention cap in `truncate_log` — a policy change, deliberately not
-//! made here because it moves every durable multi-master fault report.
+//! it single-master's recovery-based rejoin (and the retention cap that
+//! comes with it) is flipping `DURABLE_REJOIN` — deliberately not done
+//! here because it moves every durable multi-master fault report.
 
 use std::collections::VecDeque;
 
@@ -45,6 +45,7 @@ use crate::certifier::{Certification, Certifier};
 use crate::config::SimConfig;
 use crate::kernel::{self, Attempt, Ev, Policy, Sim, World};
 use crate::metrics::RunReport;
+use crate::wslog::WsLog;
 
 /// The certifier-based design's state.
 struct Mm {
@@ -118,18 +119,15 @@ impl Policy for Mm {
         }
     }
 
+    /// The certifier's log, appended to by every successful `certify`.
     /// Every replica — the origin included — retires certified writesets
     /// through `mark_ready`, so `apply_next` is each one's log position.
-    fn log_seq(&self) -> u64 {
-        self.certifier.version()
+    fn log(&self) -> &WsLog {
+        self.certifier.log()
     }
 
-    fn log_range(&self, from: u64, to: u64) -> Option<Vec<WriteSet>> {
-        Some(self.certifier.writesets_between(from - 1, to).to_vec())
-    }
-
-    fn truncate_log(&mut self, floor: u64) {
-        self.certifier.truncate_applied(floor - 1);
+    fn log_mut(&mut self) -> &mut WsLog {
+        self.certifier.log_mut()
     }
 }
 
@@ -207,15 +205,8 @@ impl MultiMasterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::LogProbe;
     use replipred_core::Schedule;
     use replipred_workload::{heap, rubis, tpcw};
-
-    impl LogProbe for Mm {
-        fn log_extent(&self) -> (usize, usize) {
-            (self.certifier.log_len(), self.certifier.peak_len())
-        }
-    }
 
     fn quick(n: usize, seed: u64) -> SimConfig {
         SimConfig {

@@ -16,15 +16,14 @@
 //!
 //! The node lifecycle is the replica kernel's; this module is the
 //! single-master *policy*: master-for-updates routing, master-local
-//! commit plus relay-log append, the relay log (with its retention cap)
-//! as the catch-up source, and what a crash or rejoin means for
-//! mastership — election of the most caught-up live node and its
-//! promotion once it has applied the whole log.
+//! commit plus relay-log append, the relay log as the catch-up source,
+//! and what a crash or rejoin means for mastership — election of the
+//! most caught-up live node and its promotion once it has applied the
+//! whole log.
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
 
-use replipred_sidb::WriteSet;
 use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 
 use crate::config::SimConfig;
@@ -40,11 +39,10 @@ struct Sm {
     /// full writeset log, then it becomes the master.
     promoting: Option<usize>,
     /// Committed writesets awaiting replay by lagging replicas, sequenced
-    /// by master commit order.
+    /// by master commit order. The kernel truncates it at vacuum cadence
+    /// and applies the run's retention cap; rejoiners that fall behind
+    /// the cap take a checkpoint state transfer.
     ws_log: WsLog,
-    /// Hard relay-log retention cap (0 = unbounded); rejoiners that fall
-    /// behind it take a checkpoint state transfer.
-    log_retention: u64,
     /// Updates waiting for a live master (crash or promotion in
     /// progress), drained in FIFO order once one exists.
     pending_updates: VecDeque<Waiter>,
@@ -136,17 +134,12 @@ impl Policy for Sm {
         try_complete_promotion(engine);
     }
 
-    fn log_seq(&self) -> u64 {
-        self.ws_log.next_seq() - 1
+    fn log(&self) -> &WsLog {
+        &self.ws_log
     }
 
-    fn log_range(&self, from: u64, to: u64) -> Option<Vec<WriteSet>> {
-        self.ws_log.range_from(from, to)
-    }
-
-    fn truncate_log(&mut self, floor: u64) {
-        self.ws_log.truncate_below(floor);
-        self.ws_log.cap(self.log_retention);
+    fn log_mut(&mut self) -> &mut WsLog {
+        &mut self.ws_log
     }
 }
 
@@ -217,7 +210,6 @@ impl SingleMasterSim {
             master: 0,
             promoting: None,
             ws_log: WsLog::new(),
-            log_retention: self.cfg.durability.log_retention,
             pending_updates: VecDeque::new(),
         })
     }
@@ -227,15 +219,8 @@ impl SingleMasterSim {
 mod tests {
     use super::*;
     use crate::config::DurabilityConfig;
-    use crate::kernel::LogProbe;
     use replipred_core::Schedule;
     use replipred_workload::{rubis, tpcw};
-
-    impl LogProbe for Sm {
-        fn log_extent(&self) -> (usize, usize) {
-            (self.ws_log.len(), self.ws_log.peak_len())
-        }
-    }
 
     fn quick(n: usize, seed: u64) -> SimConfig {
         SimConfig {
@@ -481,7 +466,7 @@ mod tests {
         // Quiescence: drain what each replica has not retired yet from
         // the relay log, then every live replica must hold the master's
         // exact state.
-        let head = world.policy.log_seq();
+        let head = world.probe().log_seq;
         let master = &world.nodes[world.policy.master];
         assert_eq!(master.apply_next, head + 1);
         for (i, node) in world.nodes.iter().enumerate() {
@@ -489,9 +474,10 @@ mod tests {
             let mut db = node.db.clone();
             let missed = world
                 .policy
-                .log_range(node.apply_next, head)
+                .ws_log
+                .range_from(node.apply_next, head)
                 .expect("the log keeps what a live replica still needs");
-            for ws in &missed {
+            for ws in missed {
                 db.apply_writeset(ws).unwrap();
             }
             assert_eq!(

@@ -22,6 +22,7 @@ use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 use crate::config::SimConfig;
 use crate::kernel::{self, Attempt, Policy, Sim, World};
 use crate::metrics::RunReport;
+use crate::wslog::WsLog;
 
 /// One-node closed-loop simulation.
 pub struct StandaloneSim {
@@ -56,6 +57,8 @@ pub struct StandaloneOutcome {
 /// The one-node design: everything runs on node 0 and commits locally.
 struct Solo {
     filter: TxnFilter,
+    /// Never appended to: a single node propagates nothing.
+    log: WsLog,
 }
 
 impl Policy for Solo {
@@ -108,6 +111,14 @@ impl Policy for Solo {
     fn cluster_event(_: &mut Sim<Self>, _: &ScheduleEvent) -> bool {
         false
     }
+
+    fn log(&self) -> &WsLog {
+        &self.log
+    }
+
+    fn log_mut(&mut self) -> &mut WsLog {
+        &mut self.log
+    }
 }
 
 impl StandaloneSim {
@@ -151,6 +162,7 @@ impl StandaloneSim {
             dbs[0].set_statement_logging(self.log_statements);
             Solo {
                 filter: self.filter,
+                log: WsLog::new(),
             }
         });
         let db = world.nodes.remove(0).db;
@@ -284,11 +296,10 @@ mod tests {
     fn statement_log_available_after_run() {
         let spec = tpcw::mix(tpcw::Mix::Shopping);
         let sim = StandaloneSim::new(spec, quick_cfg(17));
-        let mut outcome = sim.run_with_db();
+        let outcome = sim.run_with_db();
         // Logging was off by default.
         assert!(outcome.db.log().is_empty());
         // But stats are live.
-        outcome.db.set_time(0.0);
         assert!(outcome.db.stats().read_only_commits > 0);
     }
 }

@@ -24,8 +24,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::DbError;
+use crate::frame::{self, FrameError};
 use crate::value::Row;
-use crate::wal::{crc32, put_row, put_str, Reader, WalRecord};
+use crate::wal::{put_row, put_str, Reader, WalRecord, FRAME_HEADER};
 
 /// Magic prefix of a checkpoint image.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"SIDBCKP1";
@@ -177,11 +178,9 @@ impl Checkpoint {
                 put_row(&mut payload, row);
             }
         }
-        let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 8 + payload.len());
+        let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + FRAME_HEADER + payload.len());
         out.extend_from_slice(CHECKPOINT_MAGIC);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        frame::put(&mut out, &payload);
         out
     }
 
@@ -192,23 +191,16 @@ impl Checkpoint {
     /// Returns a [`CheckpointError`] describing the first defect found;
     /// never panics on arbitrary bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let header = CHECKPOINT_MAGIC.len() + 8;
-        if bytes.len() < header {
+        if bytes.len() < CHECKPOINT_MAGIC.len() + FRAME_HEADER {
             return Err(CheckpointError::TooShort);
         }
-        if &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let m = CHECKPOINT_MAGIC.len();
-        let len = u32::from_le_bytes(bytes[m..m + 4].try_into().expect("4-byte slice")) as usize;
-        let crc = u32::from_le_bytes(bytes[m + 4..m + 8].try_into().expect("4-byte slice"));
-        if bytes.len() < header + len {
-            return Err(CheckpointError::TooShort);
-        }
-        let payload = &bytes[header..header + len];
-        if crc32(payload) != crc {
-            return Err(CheckpointError::BadCrc);
-        }
+        let framed = bytes
+            .strip_prefix(CHECKPOINT_MAGIC)
+            .ok_or(CheckpointError::BadMagic)?;
+        let (payload, _) = frame::take(framed).map_err(|e| match e {
+            FrameError::Short => CheckpointError::TooShort,
+            FrameError::BadCrc => CheckpointError::BadCrc,
+        })?;
         decode_payload(payload).ok_or(CheckpointError::Malformed)
     }
 }

@@ -91,7 +91,6 @@ pub struct Database {
     min_snapshot: u64,
     next_txn: u64,
     commit_seq: u64,
-    clock: f64,
     log: StatementLog,
     stats: DbStats,
 }
@@ -100,11 +99,6 @@ impl Database {
     /// Creates an empty database at version 0.
     pub fn new() -> Self {
         Database::default()
-    }
-
-    /// Sets the clock used to timestamp log entries (virtual seconds).
-    pub fn set_time(&mut self, t: f64) {
-        self.clock = t;
     }
 
     /// Current database version (latest commit sequence).
@@ -139,14 +133,7 @@ impl Database {
         self.log.set_enabled(on);
     }
 
-    /// Additionally captures raw log entries (debugging/tests; the
-    /// profiler needs only the folded totals).
-    pub fn set_log_capture(&mut self, on: bool) {
-        self.log.set_capture(on);
-    }
-
-    /// Discards folded totals and captured entries (start of a fresh
-    /// measurement window).
+    /// Discards folded totals (start of a fresh measurement window).
     pub fn reset_log(&mut self) {
         self.log.reset();
     }
@@ -248,8 +235,7 @@ impl Database {
         self.next_txn += 1;
         self.active.insert(id, TxnState::new(snapshot));
         *self.snapshots.entry(snapshot).or_insert(0) += 1;
-        self.log
-            .statement(self.clock, id, StatementKind::Begin, None);
+        self.log.statement(StatementKind::Begin);
         id
     }
 
@@ -282,8 +268,7 @@ impl Database {
             .ok_or(DbError::TxnNotActive(txn))?;
         state.reads += 1;
         self.stats.rows_read += 1;
-        self.log
-            .statement(self.clock, txn, StatementKind::Select, Some(table));
+        self.log.statement(StatementKind::Select);
         // Own writes first (read-your-writes).
         if let Some(pending) = state.pending(table, row) {
             return Ok(pending.as_ref());
@@ -334,8 +319,7 @@ impl Database {
         state.reads += count;
         self.stats.rows_read += count;
         rows.sort_by_key(|(id, _)| id.0);
-        self.log
-            .statement(self.clock, txn, StatementKind::Select, Some(table));
+        self.log.statement(StatementKind::Select);
         Ok(rows)
     }
 
@@ -361,8 +345,7 @@ impl Database {
             return Err(DbError::DuplicateRow { table, row });
         }
         self.buffer_write(txn, found, table, row, Some(data), visible);
-        self.log
-            .statement(self.clock, txn, StatementKind::Insert, Some(table));
+        self.log.statement(StatementKind::Insert);
         Ok(())
     }
 
@@ -382,8 +365,7 @@ impl Database {
         self.check_arity(table, &data)?;
         let (found, snap_visible) = self.require_visible(txn, table, row)?;
         self.buffer_write(txn, found, table, row, Some(data), snap_visible);
-        self.log
-            .statement(self.clock, txn, StatementKind::Update, Some(table));
+        self.log.statement(StatementKind::Update);
         Ok(())
     }
 
@@ -397,8 +379,7 @@ impl Database {
         self.check_table(table)?;
         let (found, snap_visible) = self.require_visible(txn, table, row)?;
         self.buffer_write(txn, found, table, row, None, snap_visible);
-        self.log
-            .statement(self.clock, txn, StatementKind::Delete, Some(table));
+        self.log.statement(StatementKind::Delete);
         Ok(())
     }
 
@@ -419,7 +400,7 @@ impl Database {
         self.release_snapshot(state.snapshot);
         if state.is_read_only() {
             self.stats.read_only_commits += 1;
-            self.log.commit(self.clock, txn, 0);
+            self.log.commit(0);
             return Ok(CommitInfo {
                 txn,
                 commit_seq: state.snapshot,
@@ -436,7 +417,7 @@ impl Database {
             if let Some(slot) = t.slot_of(w.row.0) {
                 if t.latest_seq(slot) > state.snapshot {
                     self.stats.conflict_aborts += 1;
-                    self.log.abort(self.clock, txn, true);
+                    self.log.abort(true);
                     return Err(DbError::WriteWriteConflict {
                         txn,
                         table: w.table,
@@ -465,7 +446,7 @@ impl Database {
             });
         }
         self.stats.update_commits += 1;
-        self.log.commit(self.clock, txn, write_stmts);
+        self.log.commit(write_stmts);
         Ok(CommitInfo {
             txn,
             commit_seq: seq,
@@ -512,7 +493,7 @@ impl Database {
         let state = self.active.remove(&txn).ok_or(DbError::TxnNotActive(txn))?;
         self.release_snapshot(state.snapshot);
         self.stats.voluntary_aborts += 1;
-        self.log.abort(self.clock, txn, false);
+        self.log.abort(false);
         Ok(())
     }
 
@@ -1340,8 +1321,6 @@ mod tests {
     fn statement_log_folds_lifecycle() {
         let (mut db, items) = seeded();
         db.set_statement_logging(true);
-        db.set_log_capture(true);
-        db.set_time(12.5);
         let t = db.begin();
         db.read(t, items, RowId(1)).unwrap();
         db.update(t, items, RowId(1), vec![Value::text("x"), Value::Int(3)])
@@ -1353,21 +1332,7 @@ mod tests {
         assert_eq!(totals.updates, 1);
         assert_eq!(totals.update_commits, 1);
         assert_eq!(totals.update_ops_sum, 1);
-        let kinds: Vec<_> = db.log().entries().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                StatementKind::Begin,
-                StatementKind::Select,
-                StatementKind::Update,
-                StatementKind::Commit
-            ]
-        );
-        assert!(db
-            .log()
-            .entries()
-            .iter()
-            .all(|e| (e.at - 12.5).abs() < 1e-12));
+        assert_eq!(totals.statements(), 4, "begin, select, update, commit");
     }
 
     #[test]

@@ -78,6 +78,7 @@
 pub mod checkpoint;
 pub mod db;
 pub mod error;
+mod frame;
 pub mod ids;
 pub mod log;
 pub mod rowmap;
@@ -91,7 +92,7 @@ pub use checkpoint::{Checkpoint, CheckpointError, RecoveryReport, TableCheckpoin
 pub use db::{CommitInfo, Database, DbStats};
 pub use error::DbError;
 pub use ids::{RowId, TableId};
-pub use log::{LogTotals, StatementKind, StatementLog, StatementLogEntry};
+pub use log::{LogTotals, StatementKind, StatementLog};
 pub use rowmap::{FxBuildHasher, FxHashMap, RowMap};
 pub use txn::{TxnId, TxnStatus};
 pub use value::{Row, Value};

@@ -12,15 +12,11 @@
 //! outcome (with their write-statement count) as they retire. A 60-second
 //! capture therefore costs a fixed-size struct instead of an
 //! entry-per-statement vector — the profiler reads [`LogTotals`] directly.
-//! Raw entry capture ([`StatementLog::set_capture`]) remains available for
-//! debugging and tests, and is off by default.
 
 use serde::{Deserialize, Serialize};
 
-use crate::ids::TableId;
-use crate::txn::TxnId;
-
-/// The operation recorded in a log line.
+/// A statement inside a transaction. Retirements are not statements:
+/// they fold through [`StatementLog::commit`] / [`StatementLog::abort`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StatementKind {
     /// Transaction begin.
@@ -33,29 +29,6 @@ pub enum StatementKind {
     Update,
     /// Row delete.
     Delete,
-    /// Successful commit.
-    Commit,
-    /// Abort — `conflict` distinguishes certification failures from
-    /// client-initiated rollbacks.
-    Abort {
-        /// True when the abort was a write-write certification failure.
-        conflict: bool,
-    },
-}
-
-/// One raw log line (captured only when [`StatementLog::set_capture`] is
-/// on).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StatementLogEntry {
-    /// Timestamp (seconds, from the clock the embedder installs —
-    /// virtual time in simulation).
-    pub at: f64,
-    /// Session/connection identifier (we use the transaction id).
-    pub session: TxnId,
-    /// Operation.
-    pub kind: StatementKind,
-    /// Target table, when applicable.
-    pub table: Option<TableId>,
 }
 
 /// Folded statement-log aggregates — everything the Section-4 profiling
@@ -109,9 +82,7 @@ impl LogTotals {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StatementLog {
     enabled: bool,
-    capture: bool,
     totals: LogTotals,
-    entries: Vec<StatementLogEntry>,
 }
 
 impl StatementLog {
@@ -130,26 +101,13 @@ impl StatementLog {
         self.enabled
     }
 
-    /// Additionally captures raw [`StatementLogEntry`] lines (debugging;
-    /// the profiler needs only [`LogTotals`]).
-    pub fn set_capture(&mut self, on: bool) {
-        self.capture = on;
-    }
-
     /// The folded aggregates.
     pub fn totals(&self) -> LogTotals {
         self.totals
     }
 
-    /// Folds one non-retiring statement (begin/select/insert/update/
-    /// delete). No-op while disabled.
-    pub fn statement(
-        &mut self,
-        at: f64,
-        session: TxnId,
-        kind: StatementKind,
-        table: Option<TableId>,
-    ) {
+    /// Folds one statement. No-op while disabled.
+    pub fn statement(&mut self, kind: StatementKind) {
         if !self.enabled {
             return;
         }
@@ -159,23 +117,12 @@ impl StatementLog {
             StatementKind::Insert => self.totals.inserts += 1,
             StatementKind::Update => self.totals.updates += 1,
             StatementKind::Delete => self.totals.deletes += 1,
-            StatementKind::Commit | StatementKind::Abort { .. } => {
-                debug_assert!(false, "retirements fold via commit()/abort()");
-            }
-        }
-        if self.capture {
-            self.entries.push(StatementLogEntry {
-                at,
-                session,
-                kind,
-                table,
-            });
         }
     }
 
     /// Retires a committed transaction, folding its write-statement count
     /// (`0` marks a read-only commit). No-op while disabled.
-    pub fn commit(&mut self, at: f64, session: TxnId, write_stmts: u64) {
+    pub fn commit(&mut self, write_stmts: u64) {
         if !self.enabled {
             return;
         }
@@ -185,18 +132,10 @@ impl StatementLog {
         } else {
             self.totals.read_commits += 1;
         }
-        if self.capture {
-            self.entries.push(StatementLogEntry {
-                at,
-                session,
-                kind: StatementKind::Commit,
-                table: None,
-            });
-        }
     }
 
     /// Retires an aborted transaction. No-op while disabled.
-    pub fn abort(&mut self, at: f64, session: TxnId, conflict: bool) {
+    pub fn abort(&mut self, conflict: bool) {
         if !self.enabled {
             return;
         }
@@ -205,31 +144,16 @@ impl StatementLog {
         } else {
             self.totals.voluntary_aborts += 1;
         }
-        if self.capture {
-            self.entries.push(StatementLogEntry {
-                at,
-                session,
-                kind: StatementKind::Abort { conflict },
-                table: None,
-            });
-        }
     }
 
-    /// Raw captured entries (empty unless capture is on).
-    pub fn entries(&self) -> &[StatementLogEntry] {
-        &self.entries
-    }
-
-    /// Discards all folded totals and captured entries (start of a fresh
-    /// measurement window).
+    /// Discards all folded totals (start of a fresh measurement window).
     pub fn reset(&mut self) {
         self.totals = LogTotals::default();
-        self.entries.clear();
     }
 
-    /// True when nothing has been folded or captured.
+    /// True when nothing has been folded.
     pub fn is_empty(&self) -> bool {
-        self.totals.statements() == 0 && self.entries.is_empty()
+        self.totals.statements() == 0
     }
 }
 
@@ -237,15 +161,11 @@ impl StatementLog {
 mod tests {
     use super::*;
 
-    fn txn(n: u64) -> TxnId {
-        TxnId(n)
-    }
-
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = StatementLog::new();
-        log.statement(1.0, txn(1), StatementKind::Begin, None);
-        log.commit(1.0, txn(1), 0);
+        log.statement(StatementKind::Begin);
+        log.commit(0);
         assert!(log.is_empty());
         assert_eq!(log.totals().statements(), 0);
     }
@@ -254,11 +174,11 @@ mod tests {
     fn statements_fold_into_totals() {
         let mut log = StatementLog::new();
         log.set_enabled(true);
-        log.statement(0.0, txn(1), StatementKind::Begin, None);
-        log.statement(0.1, txn(1), StatementKind::Select, Some(TableId(0)));
-        log.statement(0.2, txn(1), StatementKind::Update, Some(TableId(0)));
-        log.statement(0.3, txn(1), StatementKind::Update, Some(TableId(0)));
-        log.commit(0.4, txn(1), 2);
+        log.statement(StatementKind::Begin);
+        log.statement(StatementKind::Select);
+        log.statement(StatementKind::Update);
+        log.statement(StatementKind::Update);
+        log.commit(2);
         let t = log.totals();
         assert_eq!(t.begins, 1);
         assert_eq!(t.selects, 1);
@@ -266,8 +186,6 @@ mod tests {
         assert_eq!(t.update_commits, 1);
         assert_eq!(t.update_ops_sum, 2);
         assert_eq!(t.read_commits, 0);
-        // Totals only: no entry capture by default.
-        assert!(log.entries().is_empty());
         assert!(!log.is_empty());
     }
 
@@ -275,8 +193,8 @@ mod tests {
     fn commits_classify_by_write_count() {
         let mut log = StatementLog::new();
         log.set_enabled(true);
-        log.commit(0.0, txn(1), 0);
-        log.commit(0.0, txn(2), 3);
+        log.commit(0);
+        log.commit(3);
         let t = log.totals();
         assert_eq!(t.read_commits, 1);
         assert_eq!(t.update_commits, 1);
@@ -288,43 +206,20 @@ mod tests {
     fn aborts_distinguish_conflicts() {
         let mut log = StatementLog::new();
         log.set_enabled(true);
-        log.abort(0.0, txn(1), true);
-        log.abort(0.0, txn(2), false);
+        log.abort(true);
+        log.abort(false);
         assert_eq!(log.totals().conflict_aborts, 1);
         assert_eq!(log.totals().voluntary_aborts, 1);
-    }
-
-    #[test]
-    fn capture_keeps_raw_entries_in_order() {
-        let mut log = StatementLog::new();
-        log.set_enabled(true);
-        log.set_capture(true);
-        log.statement(1.5, txn(1), StatementKind::Begin, None);
-        log.statement(1.6, txn(1), StatementKind::Select, Some(TableId(2)));
-        log.commit(1.7, txn(1), 0);
-        let kinds: Vec<_> = log.entries().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                StatementKind::Begin,
-                StatementKind::Select,
-                StatementKind::Commit
-            ]
-        );
-        assert_eq!(log.entries()[1].table, Some(TableId(2)));
-        assert!((log.entries()[0].at - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn reset_discards_everything() {
         let mut log = StatementLog::new();
         log.set_enabled(true);
-        log.set_capture(true);
-        log.statement(0.0, txn(1), StatementKind::Begin, None);
-        log.commit(0.0, txn(1), 1);
+        log.statement(StatementKind::Begin);
+        log.commit(1);
         log.reset();
         assert!(log.is_empty());
         assert_eq!(log.totals(), LogTotals::default());
-        assert!(log.entries().is_empty());
     }
 }

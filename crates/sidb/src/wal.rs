@@ -1,11 +1,8 @@
 //! Crc-framed redo log with group commit.
 //!
-//! The write-ahead log is a sequence of **frames**, each holding one
-//! group commit's worth of records:
-//!
-//! ```text
-//! [payload len: u32 LE][crc32(payload): u32 LE][payload bytes]
-//! ```
+//! The write-ahead log is a sequence of crc **frames**
+//! (`[payload len: u32 LE][crc32(payload): u32 LE][payload bytes]`),
+//! each holding one group commit's worth of records.
 //!
 //! Records (schema creations and committed writesets) accumulate in a
 //! pending buffer and are sealed into a frame every `group_commit`
@@ -25,6 +22,7 @@
 //! histories produce equal logs on every host, keeping the workspace's
 //! byte-determinism contract intact for durable state.
 
+use crate::frame;
 use crate::ids::{RowId, TableId};
 use crate::value::{Row, Value};
 use crate::writeset::{WriteItem, WriteOp, WriteSet};
@@ -383,9 +381,7 @@ impl WalWriter {
         if self.pending.is_empty() {
             return;
         }
-        put_u32(&mut self.buf, self.pending.len() as u32);
-        put_u32(&mut self.buf, crc32(&self.pending));
-        self.buf.extend_from_slice(&self.pending);
+        frame::put(&mut self.buf, &self.pending);
         self.pending.clear();
         self.sealed_records += self.pending_records;
         self.pending_records = 0;
@@ -439,47 +435,37 @@ pub struct WalScan {
 /// yields an empty, fully truncated scan.
 pub fn scan(bytes: &[u8]) -> WalScan {
     let mut records = Vec::new();
-    let mut offset = 0usize;
-    while offset + FRAME_HEADER <= bytes.len() {
-        let len =
-            u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
-        let Some(end) = offset
-            .checked_add(FRAME_HEADER)
-            .and_then(|s| s.checked_add(len))
-        else {
-            break;
-        };
-        if end > bytes.len() {
-            break; // torn tail: the frame's payload was cut short
-        }
-        let payload = &bytes[offset + FRAME_HEADER..end];
-        if crc32(payload) != crc {
-            break; // bit rot or a torn header: distrust from here on
-        }
-        let mut reader = Reader::new(payload);
-        let mut frame_records = Vec::new();
-        let mut malformed = false;
-        while !reader.is_empty() {
-            match reader.record() {
-                Some(rec) => frame_records.push(rec),
-                None => {
-                    malformed = true;
-                    break;
-                }
-            }
-        }
-        if malformed {
+    let mut rest = bytes;
+    // A torn tail or a crc mismatch ends the scan: distrust everything
+    // from the bad frame on.
+    while let Ok((payload, after)) = frame::take(rest) {
+        if !decode_records(payload, &mut records) {
             break;
         }
-        records.extend(frame_records);
-        offset = end;
+        rest = after;
     }
     WalScan {
         records,
-        valid_len: offset,
-        truncated: offset < bytes.len(),
+        valid_len: bytes.len() - rest.len(),
+        truncated: !rest.is_empty(),
     }
+}
+
+/// Appends a frame payload's records to `out`: all of them, or — when
+/// one is malformed — none, and `false`.
+fn decode_records(payload: &[u8], out: &mut Vec<WalRecord>) -> bool {
+    let whole_frames = out.len();
+    let mut reader = Reader::new(payload);
+    while !reader.is_empty() {
+        match reader.record() {
+            Some(rec) => out.push(rec),
+            None => {
+                out.truncate(whole_frames);
+                return false;
+            }
+        }
+    }
+    true
 }
 
 #[cfg(test)]

@@ -5,11 +5,10 @@
 //! the authors' 16-machine prototype played. This crate provides the
 //! simulation substrate:
 //!
-//! - [`engine`] — virtual clock and event heap. Events are either boxed
-//!   `FnOnce` closures over a user-supplied world type (the convenient
-//!   default) or values of a user-defined typed event enum stored in a
-//!   recycled slab (the allocation-free hot path); execution is
-//!   deterministic (ties broken by schedule order).
+//! - [`engine`] — virtual clock and event heap. Events are values of a
+//!   user-defined typed event enum over a user-supplied world type,
+//!   stored inline in a recycled slab (no per-event allocation);
+//!   execution is deterministic (ties broken by schedule order).
 //! - [`resource`] — queueing resources: multi-server FCFS queues and an
 //!   egalitarian processor-sharing server, both with integrated busy-time
 //!   and queue-length accounting.
@@ -20,29 +19,34 @@
 //!   seeding, giving reproducible independent streams without external
 //!   dependencies.
 //! - [`stats`] — streaming measurement: Welford moments, time-weighted
-//!   averages (utilization, queue lengths), fixed-bucket histograms for
-//!   percentiles, and batch-means confidence intervals.
+//!   averages (utilization, queue lengths), windowed time series, and
+//!   batch-means confidence intervals.
 //!
 //! # Examples
 //!
 //! A chain of events over a tiny world:
 //!
 //! ```
-//! use replipred_sim::engine::Engine;
+//! use replipred_sim::engine::{Engine, Event};
 //!
 //! struct World {
 //!     completions: u64,
 //! }
 //!
-//! let mut engine = Engine::new(World { completions: 0 });
-//! // Schedule a chain of three unit-time "transactions".
-//! fn next(engine: &mut Engine<World>) {
-//!     engine.world_mut().completions += 1;
-//!     if engine.world().completions < 3 {
-//!         engine.schedule_in(1.0, next);
+//! /// One unit-time "transaction" completes; two more follow it.
+//! struct Next;
+//!
+//! impl Event<World> for Next {
+//!     fn fire(self, engine: &mut Engine<World, Next>) {
+//!         engine.world_mut().completions += 1;
+//!         if engine.world().completions < 3 {
+//!             engine.schedule_event_in(1.0, Next);
+//!         }
 //!     }
 //! }
-//! engine.schedule_in(1.0, next);
+//!
+//! let mut engine = Engine::new(World { completions: 0 });
+//! engine.schedule_event_in(1.0, Next);
 //! engine.run();
 //! assert_eq!(engine.world().completions, 3);
 //! assert_eq!(engine.now().as_secs(), 3.0);

@@ -16,31 +16,47 @@
 //! mapping `&mut W` to the resource — so the engine and the resource are
 //! never borrowed simultaneously.
 //!
-//! Like the engine, resources are generic over the event type `E`:
-//!
-//! - With the default boxed events, [`Fcfs::submit`] / [`Ps::submit`] take
-//!   completion *closures* — convenient, one allocation per job.
-//! - With a typed event enum, [`Fcfs::submit_event`] / [`Ps::submit_event`]
-//!   take completion *events* plus a factory producing the resource's
-//!   internal service-completion event. Continuations are stored inline in
-//!   the resource's recycled buffers, so the hot path never allocates.
+//! Like the engine, resources are generic over the simulation's typed
+//! event enum `E`: [`Fcfs::submit_event`] / [`Ps::submit_event`] take the
+//! job's completion *event* plus a factory producing the resource's
+//! internal service-completion event, which the simulation routes back to
+//! [`Fcfs::on_fired`] / [`Ps::on_fired`]. Continuations are stored inline
+//! in the resource's recycled buffers, so the hot path never allocates.
 //!
 //! # Examples
 //!
 //! ```
-//! use replipred_sim::engine::Engine;
-//! use replipred_sim::resource::Fcfs;
+//! use replipred_sim::engine::{Engine, Event};
+//! use replipred_sim::resource::{Fcfs, ServiceToken};
 //!
 //! struct World {
-//!     disk: Fcfs<World>,
+//!     disk: Fcfs<World, Ev>,
 //!     done: u32,
+//! }
+//!
+//! enum Ev {
+//!     /// A request completed.
+//!     Done,
+//!     /// The disk's internal service completion.
+//!     DiskFired(ServiceToken),
+//! }
+//!
+//! fn disk(w: &mut World) -> &mut Fcfs<World, Ev> {
+//!     &mut w.disk
+//! }
+//!
+//! impl Event<World> for Ev {
+//!     fn fire(self, engine: &mut Engine<World, Ev>) {
+//!         match self {
+//!             Ev::Done => engine.world_mut().done += 1,
+//!             Ev::DiskFired(token) => Fcfs::on_fired(engine, disk, token, Ev::DiskFired),
+//!         }
+//!     }
 //! }
 //!
 //! let mut engine = Engine::new(World { disk: Fcfs::new(1), done: 0 });
 //! for _ in 0..3 {
-//!     Fcfs::submit(&mut engine, |w: &mut World| &mut w.disk, 0.010, |e| {
-//!         e.world_mut().done += 1;
-//!     });
+//!     Fcfs::submit_event(&mut engine, disk, 0.010, Ev::Done, Ev::DiskFired);
 //! }
 //! engine.run();
 //! assert_eq!(engine.world().done, 3);
@@ -51,7 +67,7 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
-use crate::engine::{BoxedEvent, Engine, Event, EventId};
+use crate::engine::{Engine, Event, EventId};
 use crate::stats::{Tally, TimeWeighted};
 
 /// Utilization / occupancy statistics shared by both disciplines.
@@ -98,7 +114,7 @@ struct FcfsJob<E> {
 }
 
 /// A multi-server FCFS queueing resource.
-pub struct Fcfs<W, E = BoxedEvent<W>> {
+pub struct Fcfs<W, E> {
     servers: usize,
     busy: usize,
     queue: VecDeque<FcfsJob<E>>,
@@ -232,38 +248,6 @@ impl<W: 'static, E: Event<W>> Fcfs<W, E> {
     }
 }
 
-impl<W: 'static> Fcfs<W> {
-    /// Submits a job needing `service` seconds; `done` fires on completion
-    /// (boxed-closure form of [`Fcfs::submit_event`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `service` is negative or NaN.
-    pub fn submit<L>(
-        engine: &mut Engine<W>,
-        lens: L,
-        service: f64,
-        done: impl FnOnce(&mut Engine<W>) + 'static,
-    ) where
-        L: Fn(&mut W) -> &mut Fcfs<W> + Copy + 'static,
-    {
-        Self::submit_event(engine, lens, service, BoxedEvent::new(done), move |t| {
-            Self::boxed_fired(lens, t)
-        });
-    }
-
-    /// The boxed service-completion event: re-enters [`Fcfs::on_fired`]
-    /// with a factory that rebuilds itself (a named fn so it can recurse).
-    fn boxed_fired<L>(lens: L, token: ServiceToken) -> BoxedEvent<W>
-    where
-        L: Fn(&mut W) -> &mut Fcfs<W> + Copy + 'static,
-    {
-        BoxedEvent::new(move |e| {
-            Self::on_fired(e, lens, token, move |t| Self::boxed_fired(lens, t))
-        })
-    }
-}
-
 struct PsJob<E> {
     remaining: f64,
     done: Option<E>,
@@ -274,7 +258,7 @@ struct PsJob<E> {
 /// All resident jobs progress at `rate / n` where `n` is the number of
 /// resident jobs; a job with `work` seconds of demand completes after
 /// `work * n_avg / rate` of wall-clock time.
-pub struct Ps<W, E = BoxedEvent<W>> {
+pub struct Ps<W, E> {
     rate: f64,
     jobs: Vec<PsJob<E>>,
     last_advance: f64,
@@ -427,62 +411,74 @@ impl<W: 'static, E: Event<W>> Ps<W, E> {
     }
 }
 
-impl<W: 'static> Ps<W> {
-    /// Submits a job with `work` seconds of service demand; `done` fires on
-    /// completion (boxed-closure form of [`Ps::submit_event`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `work` is negative or NaN.
-    pub fn submit<L>(
-        engine: &mut Engine<W>,
-        lens: L,
-        work: f64,
-        done: impl FnOnce(&mut Engine<W>) + 'static,
-    ) where
-        L: Fn(&mut W) -> &mut Ps<W> + Copy + 'static,
-    {
-        Self::submit_event(engine, lens, work, BoxedEvent::new(done), move || {
-            Self::boxed_fired(lens)
-        });
-    }
-
-    /// The boxed completion event: re-enters [`Ps::on_fired`] with a
-    /// factory that rebuilds itself (a named fn so it can recurse).
-    fn boxed_fired<L>(lens: L) -> BoxedEvent<W>
-    where
-        L: Fn(&mut W) -> &mut Ps<W> + Copy + 'static,
-    {
-        BoxedEvent::new(move |e| Self::on_fired(e, lens, move || Self::boxed_fired(lens)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng;
     use crate::time::SimTime;
 
-    struct DiskWorld {
-        disk: Fcfs<DiskWorld>,
+    /// One disk and one CPU; completions leave their time and tag behind.
+    struct Station {
+        disk: Fcfs<Station, Ev>,
+        cpu: Ps<Station, Ev>,
         completed_at: Vec<f64>,
+        order: Vec<u32>,
     }
 
-    fn disk_lens(w: &mut DiskWorld) -> &mut Fcfs<DiskWorld> {
+    enum Ev {
+        /// Job `tag` completed.
+        Done(u32),
+        /// A CPU job with this much work arrives now.
+        CpuArrival(f64),
+        DiskFired(ServiceToken),
+        CpuFired,
+    }
+
+    fn disk(w: &mut Station) -> &mut Fcfs<Station, Ev> {
         &mut w.disk
+    }
+    fn cpu(w: &mut Station) -> &mut Ps<Station, Ev> {
+        &mut w.cpu
+    }
+
+    impl Event<Station> for Ev {
+        fn fire(self, engine: &mut Engine<Station, Ev>) {
+            match self {
+                Ev::Done(tag) => {
+                    let now = engine.now().as_secs();
+                    let w = engine.world_mut();
+                    w.completed_at.push(now);
+                    w.order.push(tag);
+                }
+                Ev::CpuArrival(work) => cpu_job(engine, work),
+                Ev::DiskFired(token) => Fcfs::on_fired(engine, disk, token, Ev::DiskFired),
+                Ev::CpuFired => Ps::on_fired(engine, cpu, || Ev::CpuFired),
+            }
+        }
+    }
+
+    fn station(servers: usize, rate: f64) -> Engine<Station, Ev> {
+        Engine::new(Station {
+            disk: Fcfs::new(servers),
+            cpu: Ps::new(rate),
+            completed_at: Vec::new(),
+            order: Vec::new(),
+        })
+    }
+
+    fn disk_job(engine: &mut Engine<Station, Ev>, service: f64, tag: u32) {
+        Fcfs::submit_event(engine, disk, service, Ev::Done(tag), Ev::DiskFired);
+    }
+
+    fn cpu_job(engine: &mut Engine<Station, Ev>, work: f64) {
+        Ps::submit_event(engine, cpu, work, Ev::Done(0), || Ev::CpuFired);
     }
 
     #[test]
     fn fcfs_serializes_single_server() {
-        let mut engine = Engine::new(DiskWorld {
-            disk: Fcfs::new(1),
-            completed_at: Vec::new(),
-        });
+        let mut engine = station(1, 1.0);
         for _ in 0..4 {
-            Fcfs::submit(&mut engine, disk_lens, 0.25, |e| {
-                let now = e.now().as_secs();
-                e.world_mut().completed_at.push(now);
-            });
+            disk_job(&mut engine, 0.25, 0);
         }
         engine.run();
         assert_eq!(engine.world().completed_at, vec![0.25, 0.5, 0.75, 1.0]);
@@ -490,15 +486,9 @@ mod tests {
 
     #[test]
     fn fcfs_multi_server_runs_in_parallel() {
-        let mut engine = Engine::new(DiskWorld {
-            disk: Fcfs::new(2),
-            completed_at: Vec::new(),
-        });
+        let mut engine = station(2, 1.0);
         for _ in 0..4 {
-            Fcfs::submit(&mut engine, disk_lens, 1.0, |e| {
-                let now = e.now().as_secs();
-                e.world_mut().completed_at.push(now);
-            });
+            disk_job(&mut engine, 1.0, 0);
         }
         engine.run();
         // Two at t=1, two at t=2.
@@ -507,33 +497,31 @@ mod tests {
 
     #[test]
     fn fcfs_preserves_order() {
-        struct W {
-            disk: Fcfs<W>,
-            order: Vec<u32>,
-        }
-        let mut engine = Engine::new(W {
-            disk: Fcfs::new(1),
-            order: Vec::new(),
-        });
+        let mut engine = station(1, 1.0);
         for tag in 0..5u32 {
-            Fcfs::submit(
-                &mut engine,
-                |w: &mut W| &mut w.disk,
-                0.1,
-                move |e| e.world_mut().order.push(tag),
-            );
+            disk_job(&mut engine, 0.1, tag);
         }
         engine.run();
         assert_eq!(engine.world().order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
+    fn fcfs_multi_server_tokens_route_out_of_order_completions() {
+        // Two servers, first job longer than the second: completions come
+        // back out of submission order and the tokens must route each
+        // `done` to the right job.
+        let mut engine = station(2, 1.0);
+        disk_job(&mut engine, 2.0, 1);
+        disk_job(&mut engine, 1.0, 2);
+        disk_job(&mut engine, 5.0, 3);
+        engine.run();
+        assert_eq!(engine.world().order, vec![2, 1, 3]);
+    }
+
+    #[test]
     fn fcfs_utilization_accounting() {
-        let mut engine = Engine::new(DiskWorld {
-            disk: Fcfs::new(1),
-            completed_at: Vec::new(),
-        });
-        Fcfs::submit(&mut engine, disk_lens, 2.0, |_| {});
+        let mut engine = station(1, 1.0);
+        disk_job(&mut engine, 2.0, 0);
         engine.run();
         engine.run_until(SimTime::from_secs(4.0));
         // Busy 2 s of 4 s window.
@@ -544,12 +532,9 @@ mod tests {
 
     #[test]
     fn fcfs_wait_times_are_recorded() {
-        let mut engine = Engine::new(DiskWorld {
-            disk: Fcfs::new(1),
-            completed_at: Vec::new(),
-        });
+        let mut engine = station(1, 1.0);
         for _ in 0..3 {
-            Fcfs::submit(&mut engine, disk_lens, 1.0, |_| {});
+            disk_job(&mut engine, 1.0, 0);
         }
         engine.run();
         // Waits: 0, 1, 2 -> mean 1.
@@ -561,31 +546,44 @@ mod tests {
     #[test]
     fn fcfs_closed_loop_matches_utilization_law() {
         struct W {
-            disk: Fcfs<W>,
+            disk: Fcfs<W, Loop>,
             rng: Rng,
             completions: u64,
         }
-        fn lens(w: &mut W) -> &mut Fcfs<W> {
+        enum Loop {
+            /// Think time over: request this much service.
+            Submit(f64),
+            Done,
+            Fired(ServiceToken),
+        }
+        fn lens(w: &mut W) -> &mut Fcfs<W, Loop> {
             &mut w.disk
         }
-        fn cycle(engine: &mut Engine<W>, lens: fn(&mut W) -> &mut Fcfs<W>) {
-            let (think, service) = {
-                let w = engine.world_mut();
-                (w.rng.exp(0.9), w.rng.exp(0.1))
-            };
-            engine.schedule_in(think, move |e| {
-                Fcfs::submit(e, lens, service, move |e| {
-                    e.world_mut().completions += 1;
-                    cycle(e, lens);
-                });
-            });
+        fn cycle(engine: &mut Engine<W, Loop>) {
+            let w = engine.world_mut();
+            let (think, service) = (w.rng.exp(0.9), w.rng.exp(0.1));
+            engine.schedule_event_in(think, Loop::Submit(service));
+        }
+        impl Event<W> for Loop {
+            fn fire(self, engine: &mut Engine<W, Loop>) {
+                match self {
+                    Loop::Submit(service) => {
+                        Fcfs::submit_event(engine, lens, service, Loop::Done, Loop::Fired);
+                    }
+                    Loop::Done => {
+                        engine.world_mut().completions += 1;
+                        cycle(engine);
+                    }
+                    Loop::Fired(token) => Fcfs::on_fired(engine, lens, token, Loop::Fired),
+                }
+            }
         }
         let mut engine = Engine::new(W {
             disk: Fcfs::new(1),
             rng: Rng::seed_from_u64(99),
             completions: 0,
         });
-        cycle(&mut engine, lens);
+        cycle(&mut engine);
         engine.run_until(SimTime::from_secs(5_000.0));
         let w = engine.world();
         let x = w.completions as f64 / 5_000.0;
@@ -594,40 +592,19 @@ mod tests {
         assert!((u - x * 0.1).abs() < 0.01, "u={u} x={x}");
     }
 
-    struct CpuWorld {
-        cpu: Ps<CpuWorld>,
-        completed_at: Vec<f64>,
-    }
-
-    fn cpu_lens(w: &mut CpuWorld) -> &mut Ps<CpuWorld> {
-        &mut w.cpu
-    }
-
     #[test]
     fn ps_single_job_runs_at_full_rate() {
-        let mut engine = Engine::new(CpuWorld {
-            cpu: Ps::new(1.0),
-            completed_at: Vec::new(),
-        });
-        Ps::submit(&mut engine, cpu_lens, 0.5, |e| {
-            let now = e.now().as_secs();
-            e.world_mut().completed_at.push(now);
-        });
+        let mut engine = station(1, 1.0);
+        cpu_job(&mut engine, 0.5);
         engine.run();
         assert_eq!(engine.world().completed_at, vec![0.5]);
     }
 
     #[test]
     fn ps_equal_jobs_finish_together() {
-        let mut engine = Engine::new(CpuWorld {
-            cpu: Ps::new(1.0),
-            completed_at: Vec::new(),
-        });
+        let mut engine = station(1, 1.0);
         for _ in 0..2 {
-            Ps::submit(&mut engine, cpu_lens, 1.0, |e| {
-                let now = e.now().as_secs();
-                e.world_mut().completed_at.push(now);
-            });
+            cpu_job(&mut engine, 1.0);
         }
         engine.run();
         // Two unit jobs sharing one CPU both finish at t=2.
@@ -640,18 +617,9 @@ mod tests {
 
     #[test]
     fn ps_short_job_finishes_first() {
-        let mut engine = Engine::new(CpuWorld {
-            cpu: Ps::new(1.0),
-            completed_at: Vec::new(),
-        });
-        Ps::submit(&mut engine, cpu_lens, 1.0, |e| {
-            let now = e.now().as_secs();
-            e.world_mut().completed_at.push(now);
-        });
-        Ps::submit(&mut engine, cpu_lens, 0.2, |e| {
-            let now = e.now().as_secs();
-            e.world_mut().completed_at.push(now);
-        });
+        let mut engine = station(1, 1.0);
+        cpu_job(&mut engine, 1.0);
+        cpu_job(&mut engine, 0.2);
         engine.run();
         // Short job: shares CPU until it has consumed 0.2 -> finishes at 0.4.
         // Long job: 0.2 done by then, remaining 0.8 alone -> t = 1.2.
@@ -662,20 +630,9 @@ mod tests {
 
     #[test]
     fn ps_late_arrival_shares_fairly() {
-        let mut engine = Engine::new(CpuWorld {
-            cpu: Ps::new(1.0),
-            completed_at: Vec::new(),
-        });
-        Ps::submit(&mut engine, cpu_lens, 1.0, |e| {
-            let now = e.now().as_secs();
-            e.world_mut().completed_at.push(now);
-        });
-        engine.schedule_in(0.5, |e| {
-            Ps::submit(e, cpu_lens, 1.0, |e| {
-                let now = e.now().as_secs();
-                e.world_mut().completed_at.push(now);
-            });
-        });
+        let mut engine = station(1, 1.0);
+        cpu_job(&mut engine, 1.0);
+        engine.schedule_event_in(0.5, Ev::CpuArrival(1.0));
         engine.run();
         // Job A alone [0,0.5] does 0.5 work; then shares. A finishes at 1.5;
         // B then runs alone with 0.5 left, finishing at 2.0.
@@ -686,141 +643,27 @@ mod tests {
 
     #[test]
     fn ps_rate_scales_service() {
-        let mut engine = Engine::new(CpuWorld {
-            cpu: Ps::new(2.0),
-            completed_at: Vec::new(),
-        });
-        Ps::submit(&mut engine, cpu_lens, 1.0, |e| {
-            let now = e.now().as_secs();
-            e.world_mut().completed_at.push(now);
-        });
+        let mut engine = station(1, 2.0);
+        cpu_job(&mut engine, 1.0);
         engine.run();
         assert_eq!(engine.world().completed_at, vec![0.5]);
     }
 
     #[test]
     fn ps_zero_work_job_completes_immediately() {
-        let mut engine = Engine::new(CpuWorld {
-            cpu: Ps::new(1.0),
-            completed_at: Vec::new(),
-        });
-        Ps::submit(&mut engine, cpu_lens, 0.0, |e| {
-            let now = e.now().as_secs();
-            e.world_mut().completed_at.push(now);
-        });
+        let mut engine = station(1, 1.0);
+        cpu_job(&mut engine, 0.0);
         engine.run();
         assert_eq!(engine.world().completed_at, vec![0.0]);
     }
 
     #[test]
     fn ps_utilization_busy_fraction() {
-        let mut engine = Engine::new(CpuWorld {
-            cpu: Ps::new(1.0),
-            completed_at: Vec::new(),
-        });
-        Ps::submit(&mut engine, cpu_lens, 1.0, |_| {});
+        let mut engine = station(1, 1.0);
+        cpu_job(&mut engine, 1.0);
         engine.run();
         engine.run_until(SimTime::from_secs(2.0));
         let u = engine.world().cpu.utilization_at(2.0);
         assert!((u - 0.5).abs() < 1e-9, "u={u}");
-    }
-
-    // ---- typed (unboxed) event path ----
-
-    struct TypedWorld {
-        disk: Fcfs<TypedWorld, Ev>,
-        cpu: Ps<TypedWorld, Ev>,
-        completed_at: Vec<f64>,
-    }
-
-    enum Ev {
-        DiskDone,
-        DiskFired(ServiceToken),
-        CpuDone,
-        CpuFired,
-    }
-
-    fn tdisk(w: &mut TypedWorld) -> &mut Fcfs<TypedWorld, Ev> {
-        &mut w.disk
-    }
-    fn tcpu(w: &mut TypedWorld) -> &mut Ps<TypedWorld, Ev> {
-        &mut w.cpu
-    }
-
-    impl Event<TypedWorld> for Ev {
-        fn fire(self, engine: &mut Engine<TypedWorld, Ev>) {
-            match self {
-                Ev::DiskDone | Ev::CpuDone => {
-                    let now = engine.now().as_secs();
-                    engine.world_mut().completed_at.push(now);
-                }
-                Ev::DiskFired(token) => Fcfs::on_fired(engine, tdisk, token, Ev::DiskFired),
-                Ev::CpuFired => Ps::on_fired(engine, tcpu, || Ev::CpuFired),
-            }
-        }
-    }
-
-    fn typed_engine() -> Engine<TypedWorld, Ev> {
-        Engine::new(TypedWorld {
-            disk: Fcfs::new(1),
-            cpu: Ps::new(1.0),
-            completed_at: Vec::new(),
-        })
-    }
-
-    #[test]
-    fn typed_fcfs_serializes_like_boxed() {
-        let mut engine = typed_engine();
-        for _ in 0..4 {
-            Fcfs::submit_event(&mut engine, tdisk, 0.25, Ev::DiskDone, Ev::DiskFired);
-        }
-        engine.run();
-        assert_eq!(engine.world().completed_at, vec![0.25, 0.5, 0.75, 1.0]);
-    }
-
-    #[test]
-    fn typed_ps_shares_like_boxed() {
-        let mut engine = typed_engine();
-        Ps::submit_event(&mut engine, tcpu, 1.0, Ev::CpuDone, || Ev::CpuFired);
-        Ps::submit_event(&mut engine, tcpu, 0.2, Ev::CpuDone, || Ev::CpuFired);
-        engine.run();
-        let done = &engine.world().completed_at;
-        assert!((done[0] - 0.4).abs() < 1e-9, "first {}", done[0]);
-        assert!((done[1] - 1.2).abs() < 1e-9, "second {}", done[1]);
-    }
-
-    #[test]
-    fn typed_multi_server_tokens_route_out_of_order_completions() {
-        // Two servers, first job longer than the second: completions come
-        // back out of submission order and the tokens must route each
-        // `done` to the right job.
-        struct W {
-            disk: Fcfs<W, E2>,
-            order: Vec<u32>,
-        }
-        enum E2 {
-            Done(u32),
-            Fired(ServiceToken),
-        }
-        fn lens(w: &mut W) -> &mut Fcfs<W, E2> {
-            &mut w.disk
-        }
-        impl Event<W> for E2 {
-            fn fire(self, engine: &mut Engine<W, E2>) {
-                match self {
-                    E2::Done(tag) => engine.world_mut().order.push(tag),
-                    E2::Fired(token) => Fcfs::on_fired(engine, lens, token, E2::Fired),
-                }
-            }
-        }
-        let mut engine: Engine<W, E2> = Engine::new(W {
-            disk: Fcfs::new(2),
-            order: Vec::new(),
-        });
-        Fcfs::submit_event(&mut engine, lens, 2.0, E2::Done(1), E2::Fired);
-        Fcfs::submit_event(&mut engine, lens, 1.0, E2::Done(2), E2::Fired);
-        Fcfs::submit_event(&mut engine, lens, 5.0, E2::Done(3), E2::Fired);
-        engine.run();
-        assert_eq!(engine.world().order, vec![2, 1, 3]);
     }
 }

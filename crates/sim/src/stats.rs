@@ -152,93 +152,6 @@ impl TimeWeighted {
     }
 }
 
-/// Fixed-bucket histogram for latency percentiles.
-///
-/// Buckets are uniform in `[0, limit)` plus an overflow bucket; percentile
-/// queries return the bucket upper edge (conservative).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    limit: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram covering `[0, limit)` seconds with `buckets`
-    /// uniform buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive limit or zero bucket count.
-    pub fn new(limit: f64, buckets: usize) -> Self {
-        assert!(limit > 0.0 && buckets > 0, "invalid histogram shape");
-        Histogram {
-            limit,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            count: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Records one observation (negative values clamp to bucket 0).
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        if x >= self.limit {
-            self.overflow += 1;
-            return;
-        }
-        let idx = ((x.max(0.0) / self.limit) * self.buckets.len() as f64) as usize;
-        let idx = idx.min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all observations; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Value at or below which fraction `q` (in `[0,1]`) of observations
-    /// fall. Returns `None` when empty. Overflowed observations report the
-    /// histogram limit.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                let edge = (i + 1) as f64 / self.buckets.len() as f64 * self.limit;
-                return Some(edge);
-            }
-        }
-        Some(self.limit)
-    }
-
-    /// Discards all observations.
-    pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.overflow = 0;
-        self.count = 0;
-        self.sum = 0.0;
-    }
-}
-
 /// Two-sided 95% Student-t critical value for `df` degrees of freedom
 /// (tabulated through 30, the asymptotic normal value 1.96 beyond).
 fn t_critical_95(df: usize) -> f64 {
@@ -512,33 +425,6 @@ mod tests {
     fn time_weighted_rejects_time_reversal() {
         let mut tw = TimeWeighted::new(5.0, 0.0);
         tw.set(4.0, 1.0);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_conservative() {
-        let mut h = Histogram::new(1.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 / 100.0);
-        }
-        let p50 = h.quantile(0.5).unwrap();
-        assert!((0.49..=0.52).contains(&p50), "p50={p50}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 >= 0.98, "p99={p99}");
-    }
-
-    #[test]
-    fn histogram_overflow_reports_limit() {
-        let mut h = Histogram::new(1.0, 10);
-        h.record(5.0);
-        assert_eq!(h.quantile(1.0), Some(1.0));
-        assert_eq!(h.count(), 1);
-        assert!((h.mean() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_empty_quantile_is_none() {
-        let h = Histogram::new(1.0, 10);
-        assert_eq!(h.quantile(0.5), None);
     }
 
     #[test]

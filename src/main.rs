@@ -25,12 +25,11 @@ use std::process::ExitCode;
 
 use replipred::figures::{self, ARTIFACTS};
 use replipred::model::planner::{plan_designs, Plan, Slo};
-use replipred::model::{Design, SystemConfig, WorkloadProfile};
+use replipred::model::{Design, WorkloadProfile};
 use replipred::profiler::Profiler;
 use replipred::repl::{DurabilityConfig, Schedule, TransientReport};
 use replipred::scenario::{
-    parse_workload, ReplicationSummary, Scenario, ScenarioReport, DEFAULT_CLIENTS, DEFAULT_SEED,
-    PAPER_CLUSTER,
+    parse_workload, ReplicationSummary, Scenario, ScenarioReport, DEFAULT_SEED, PAPER_CLUSTER,
 };
 use replipred::validate::{doubling_points, split_workloads, ValidationGrid, ValidationReport};
 
@@ -472,22 +471,6 @@ fn workload_scenario(w: &str) -> Result<Scenario, String> {
     }
 }
 
-/// The profile alone (for `plan`, which drives the planner directly):
-/// `@file`, a published profile, or a `synth:` description measured live
-/// through the Section-4 pipeline.
-fn load_profile(w: &str, seed: u64) -> Result<WorkloadProfile, String> {
-    match w.strip_prefix('@') {
-        Some(path) => read_profile_file(path),
-        None => {
-            if let Some(profile) = replipred::scenario::published_profile(w) {
-                return Ok(profile);
-            }
-            let spec = parse_workload(w).map_err(|e| e.to_string())?;
-            Ok(Profiler::new(spec).seed(seed).profile().profile)
-        }
-    }
-}
-
 fn run(argv: &[String]) -> Result<(), String> {
     let name = argv.first().ok_or("missing subcommand")?.as_str();
     if matches!(name, "--help" | "-h" | "help") {
@@ -860,26 +843,21 @@ fn print_validation(report: &ValidationReport) {
 }
 
 fn plan_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
-    let profile = load_profile(args.req("--workload")?, opts.seed)?;
+    // The planner searches the system `sweep` would predict: same
+    // profile, client count and think time.
+    let (profile, system, _) = opts
+        .common(workload_scenario(args.req("--workload")?)?)
+        .resolve();
     let designs = opts.designs(&[Design::MultiMaster, Design::SingleMaster]);
     let max_resp_ms: Option<f64> = args.parsed("--max-response-ms")?;
     let max_abort_pct: Option<f64> = args.parsed("--max-abort-pct")?;
-    let clients = opts.clients.unwrap_or_else(|| {
-        parse_workload(&profile.name).map_or(DEFAULT_CLIENTS, |s| s.clients_per_replica)
-    });
     let slo = Slo {
         min_throughput_tps: args.parsed("--tps")?.ok_or("missing --tps")?,
         max_response_time: max_resp_ms.map(|r| r / 1e3),
         max_abort_rate: max_abort_pct.map(|a| a / 1e2),
     };
-    let plans: Vec<Plan> = plan_designs(
-        &profile,
-        &SystemConfig::lan_cluster(clients),
-        &designs,
-        &slo,
-        PAPER_CLUSTER,
-    )
-    .map_err(|e| e.to_string())?;
+    let plans: Vec<Plan> = plan_designs(&profile, &system, &designs, &slo, PAPER_CLUSTER)
+        .map_err(|e| e.to_string())?;
     if opts.json {
         print_json(&plans);
         return Ok(());

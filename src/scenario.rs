@@ -388,27 +388,14 @@ impl Scenario {
         }
     }
 
-    /// Runs the scenario: predictor curves and/or simulator measurements
-    /// for every design, over the replica points.
-    ///
-    /// Predictor curves run inline (microseconds; model errors surface
-    /// before any simulation time is spent), then the independent
-    /// simulation cells execute on up to [`Scenario::jobs`] threads;
-    /// results are reassembled in grid order, so the report does not
-    /// depend on the job count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::EmptyScenario`] for empty design/replica
-    /// sets, [`ScenarioError::SimulationUnavailable`] when simulation is
-    /// requested on a profile-only scenario, and propagates model errors.
-    pub fn run(&self) -> Result<ScenarioReport, ScenarioError> {
-        if self.designs.is_empty() {
-            return Err(ScenarioError::EmptyScenario("designs"));
-        }
-        if self.replicas.is_empty() {
-            return Err(ScenarioError::EmptyScenario("replica points"));
-        }
+    /// Resolves what the scenario predicts and simulates: the workload
+    /// profile (published, given, or measured now by the Section-4
+    /// pipeline at the scenario's seed), the system configuration both
+    /// sides share, and the mechanistic workload timed to that
+    /// configuration (`None` for a profile-only scenario).
+    /// [`Scenario::run`] is this plus the grid; callers that drive the
+    /// model directly (the planner) use it to describe the same system.
+    pub fn resolve(&self) -> (WorkloadProfile, SystemConfig, Option<WorkloadSpec>) {
         let (profile, spec) = match &self.source {
             Source::Published { profile, spec } => (profile.clone(), Some(spec.clone())),
             Source::Profile(profile) => (profile.clone(), None),
@@ -417,9 +404,6 @@ impl Scenario {
                 (measured.profile, Some(spec.clone()))
             }
         };
-        if self.simulate && spec.is_none() {
-            return Err(ScenarioError::SimulationUnavailable(profile.name.clone()));
-        }
         // Reference spec for deployment parameters: the scenario's own
         // spec, else whatever the registry resolves under the profile's
         // name — so an `@profile.json` of a published *or* synthetic
@@ -454,6 +438,34 @@ impl Scenario {
             s.think_time = config.think_time;
             s
         });
+        (profile, config, spec)
+    }
+
+    /// Runs the scenario: predictor curves and/or simulator measurements
+    /// for every design, over the replica points.
+    ///
+    /// Predictor curves run inline (microseconds; model errors surface
+    /// before any simulation time is spent), then the independent
+    /// simulation cells execute on up to [`Scenario::jobs`] threads;
+    /// results are reassembled in grid order, so the report does not
+    /// depend on the job count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::EmptyScenario`] for empty design/replica
+    /// sets, [`ScenarioError::SimulationUnavailable`] when simulation is
+    /// requested on a profile-only scenario, and propagates model errors.
+    pub fn run(&self) -> Result<ScenarioReport, ScenarioError> {
+        if self.designs.is_empty() {
+            return Err(ScenarioError::EmptyScenario("designs"));
+        }
+        if self.replicas.is_empty() {
+            return Err(ScenarioError::EmptyScenario("replica points"));
+        }
+        let (profile, config, spec) = self.resolve();
+        if self.simulate && spec.is_none() {
+            return Err(ScenarioError::SimulationUnavailable(profile.name.clone()));
+        }
 
         // Predictor curves run inline first: they cost microseconds, and
         // any model error must surface *before* simulation time is spent.

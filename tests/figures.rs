@@ -7,6 +7,8 @@
 //! renderers byte for byte. Regenerate after an *intentional* change
 //! with `REPLIPRED_BLESS=1 cargo test --test figures`.
 
+mod common;
+
 use replipred::figures::{find, Kind, Options, Session, ARTIFACTS};
 
 /// The artifacts cheap enough for a debug-build test: no simulation
@@ -70,24 +72,11 @@ fn the_table_covers_the_papers_figures_and_tables_exactly_once() {
 
 #[test]
 fn cheap_artifacts_match_their_text_goldens() {
-    let bless = std::env::var("REPLIPRED_BLESS").is_ok_and(|v| v == "1");
     // The goldens were captured at two workers: one worker here also
     // shows the output does not depend on the job count.
     let mut session = Session::new(Options::default());
     for key in PINNED {
-        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/golden")
-            .join(format!("figures_{key}.txt"));
         let text = mask_wall_clock(&session.render(find(key).expect("pinned key")));
-        if bless {
-            std::fs::write(&path, &text).expect("write blessed golden");
-        }
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        assert!(
-            text == golden,
-            "`figures {key}` drifted from {}.\n--- got ---\n{text}--- want ---\n{golden}",
-            path.display()
-        );
+        common::check_golden(&format!("figures_{key}.txt"), &text);
     }
 }

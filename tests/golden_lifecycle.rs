@@ -15,7 +15,7 @@
 //!
 //! and review the JSON diff like any other code change.
 
-use std::path::PathBuf;
+mod common;
 
 use replipred::model::Design;
 use replipred::repl::standalone::TxnFilter;
@@ -184,47 +184,10 @@ fn cases() -> Vec<(&'static str, String)> {
     ]
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join(format!("lifecycle_{name}.json"))
-}
-
 /// One sequential test so blessing never races a parallel reader.
 #[test]
 fn lifecycle_reports_match_the_checked_in_golden_snapshots() {
-    let bless = std::env::var("REPLIPRED_BLESS")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let mut drifted = Vec::new();
     for (name, json) in cases() {
-        let path = golden_path(name);
-        if bless {
-            let tmp = path.with_extension("json.tmp");
-            std::fs::write(&tmp, &json).expect("write blessed snapshot");
-            std::fs::rename(&tmp, &path).expect("publish blessed snapshot");
-        }
-        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "cannot read golden snapshot {}: {e}\n(run with REPLIPRED_BLESS=1 to create it)",
-                path.display()
-            )
-        });
-        if json != golden {
-            drifted.push(format!(
-                "{}\n--- got ---\n{}\n--- want ---\n{}",
-                path.display(),
-                &json[..json.len().min(1500)],
-                &golden[..golden.len().min(1500)],
-            ));
-        }
+        common::check_golden(&format!("lifecycle_{name}.json"), &json);
     }
-    assert!(
-        drifted.is_empty(),
-        "lifecycle reports drifted from their golden snapshots. If this \
-         change is intentional, regenerate with REPLIPRED_BLESS=1 and \
-         review the JSON diff.\n{}",
-        drifted.join("\n")
-    );
 }

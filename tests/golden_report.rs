@@ -16,17 +16,10 @@
 //!
 //! and review the JSON diff like any other code change.
 
-use std::path::PathBuf;
+mod common;
 
 use replipred::repl::SimConfig;
 use replipred::scenario::Scenario;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("rubis_bidding_sweep_seed2009.json")
-}
 
 /// The pinned sweep: rubis-bidding × all designs × n ∈ {1, 4}, seed 2009
 /// (the paper's year, the repo-wide default seed).
@@ -45,44 +38,19 @@ fn golden_scenario() -> Scenario {
 }
 
 /// One sequential test so blessing never races a parallel reader: run,
-/// (optionally) bless, byte-compare, then structurally check the file.
+/// (optionally) bless, byte-compare, then structurally check the snapshot.
 #[test]
 fn scenario_report_matches_the_checked_in_golden_snapshot() {
     let report = golden_scenario().run().expect("golden scenario runs");
     let mut json = serde_json::to_string_pretty(&report).expect("report serializes");
     json.push('\n');
-    let path = golden_path();
-    if std::env::var("REPLIPRED_BLESS")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        // Write-then-rename so a concurrent reader never sees a
-        // truncated snapshot.
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, &json).expect("write blessed snapshot");
-        std::fs::rename(&tmp, &path).expect("publish blessed snapshot");
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden snapshot {}: {e}\n(run with REPLIPRED_BLESS=1 to create it)",
-            path.display()
-        )
-    });
-    assert!(
-        json == golden,
-        "ScenarioReport drifted from the golden snapshot {}.\n\
-         If this change is intentional, regenerate with REPLIPRED_BLESS=1 \
-         and review the JSON diff.\n--- got ---\n{}\n--- want ---\n{}",
-        path.display(),
-        &json[..json.len().min(2000)],
-        &golden[..golden.len().min(2000)],
-    );
+    common::check_golden("rubis_bidding_sweep_seed2009.json", &json);
 
     // The snapshot is not just bytes: it must stay a loadable report with
     // the shape the sweep promises (guards against blessing a truncated
     // or hand-mangled file).
     let report: replipred::scenario::ScenarioReport =
-        serde_json::from_str(&golden).expect("snapshot deserializes");
+        serde_json::from_str(&json).expect("snapshot deserializes");
     assert_eq!(report.workload, "rubis-bidding");
     assert_eq!(report.seed, 2009);
     assert_eq!(report.replicas, vec![1, 4]);

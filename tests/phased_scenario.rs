@@ -11,7 +11,7 @@
 //! - one golden snapshot pins the absolute phased output across commits
 //!   (`REPLIPRED_BLESS=1` regenerates, as with the steady-state golden).
 
-use std::path::PathBuf;
+mod common;
 
 use replipred::model::Design;
 use replipred::repl::{Schedule, SimConfig};
@@ -104,13 +104,6 @@ fn phased_reports_are_jobs_invariant() {
     assert_eq!(a, b, "phased reports must not depend on worker count");
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("rubis_bidding_phases_seed2009.json")
-}
-
 /// A smaller pinned phased run for the snapshot: n = 2, crash + rejoin,
 /// 2-second windows over a 16 s measurement.
 fn golden_phases_scenario() -> Scenario {
@@ -134,35 +127,12 @@ fn phased_report_matches_the_checked_in_golden_snapshot() {
     let report = golden_phases_scenario().run().expect("golden phased run");
     let mut json = serde_json::to_string_pretty(&report).expect("report serializes");
     json.push('\n');
-    let path = golden_path();
-    if std::env::var("REPLIPRED_BLESS")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, &json).expect("write blessed snapshot");
-        std::fs::rename(&tmp, &path).expect("publish blessed snapshot");
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden snapshot {}: {e}\n(run with REPLIPRED_BLESS=1 to create it)",
-            path.display()
-        )
-    });
-    assert!(
-        json == golden,
-        "phased report drifted from the golden snapshot {}.\n\
-         If this change is intentional, regenerate with REPLIPRED_BLESS=1 \
-         and review the JSON diff.\n--- got ---\n{}\n--- want ---\n{}",
-        path.display(),
-        &json[..json.len().min(2000)],
-        &golden[..golden.len().min(2000)],
-    );
+    common::check_golden("rubis_bidding_phases_seed2009.json", &json);
 
     // The snapshot must stay a loadable report whose transient section
     // has the promised shape.
     let report: replipred::scenario::ScenarioReport =
-        serde_json::from_str(&golden).expect("snapshot deserializes");
+        serde_json::from_str(&json).expect("snapshot deserializes");
     let run = &report.designs[0].measured[0];
     let t = run.transient.as_ref().expect("transient section present");
     assert_eq!(t.windows.len(), 8, "2 s windows over [2, 18]");

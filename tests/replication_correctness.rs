@@ -170,11 +170,8 @@ fn stale_replica_catches_up_in_order() {
     }
     // Catch-up: replica 1 pulls the missing suffix.
     let behind = replicas[1].version() - offset;
-    for ws in certifier
-        .writesets_between(behind, certifier.version())
-        .to_vec()
-    {
-        replicas[1].apply_writeset(&ws).unwrap();
+    for ws in certifier.writesets_between(behind, certifier.version()) {
+        replicas[1].apply_writeset(ws).unwrap();
         applied_on_1 += 1;
     }
     assert_eq!(applied_on_1, 20);
