@@ -17,8 +17,10 @@
 //! - [`sm`] — the single-master model (Sections 3.2.2, 3.3.3) with the
 //!   Figure-3 load-balancing algorithm on top of multiclass MVA.
 //! - [`abort`] — the abort-probability algebra shared by both models.
-//! - [`predictor`] — the design-polymorphic [`Predictor`] trait and the
-//!   [`Design`] registry (`design.predictor(profile, config)`).
+//! - [`predictor`] — the design axis: one [`Predictor`] struct built by
+//!   the [`Design`] registry (`design.predictor(profile, config)`, which
+//!   validates both inputs once) whose `predict(n)` is a `match` onto
+//!   the three modules above.
 //! - [`planner`] — capacity planning built on the predictors (the paper's
 //!   stated application), comparing arbitrary design sets.
 //! - [`schedule`] — time-phased scenario schedules (replica crashes,
@@ -28,8 +30,7 @@
 //!
 //! # Examples
 //!
-//! Callers address designs through the registry rather than naming
-//! concrete model types:
+//! Callers address designs through the registry:
 //!
 //! ```
 //! use replipred_core::{Design, SystemConfig, WorkloadProfile};
@@ -63,10 +64,7 @@ pub mod standalone;
 pub use abort::AbortModel;
 pub use config::SystemConfig;
 pub use error::ModelError;
-pub use mm::MultiMasterModel;
 pub use predictor::Predictor;
 pub use profile::{ResourceDemands, WorkloadProfile};
 pub use report::{Design, Prediction, ScalabilityCurve};
 pub use schedule::{Phase, Schedule, ScheduleEvent, TimedEvent};
-pub use sm::SingleMasterModel;
-pub use standalone::StandaloneModel;

@@ -20,214 +20,118 @@
 //! queue lengths plus the certification delay (Section 4.1.1), and the
 //! demands are refreshed with the resulting `A_N`.
 
-use replipred_mva::exact::{solve_with_hook, MvaSolution};
+use replipred_mva::exact::{self, solve_with_hook, MvaSolution};
 use replipred_mva::ClosedNetwork;
 
 use crate::abort::AbortModel;
-use crate::config::SystemConfig;
 use crate::error::ModelError;
-use crate::profile::WorkloadProfile;
-use crate::report::{Design, Prediction, ScalabilityCurve};
+use crate::predictor::Predictor;
+use crate::profile::{ResourceDemands, WorkloadProfile};
+use crate::report::{Design, Prediction};
 
-/// Predictor for the multi-master (certifier-based) replicated design.
-#[derive(Debug, Clone)]
-pub struct MultiMasterModel {
-    profile: WorkloadProfile,
-    config: SystemConfig,
+/// `D_MM(N)` at one resource for a given abort probability.
+fn demand(p: &WorkloadProfile, d: &ResourceDemands, n: usize, a_n: f64) -> f64 {
+    p.pr * d.read + p.pw * d.write / (1.0 - a_n) + (n as f64 - 1.0) * p.pw * d.writeset
 }
 
-/// Internal: per-N solve result with abort-model state.
-struct MmSolve {
-    solution: MvaSolution,
-    abort_rate: f64,
-    conflict_window: f64,
+/// Per-replica demands for `n` replicas at abort rate `a_n`, in solver
+/// order (cpu, disk, lb, certifier). The certifier is visited only by
+/// update transactions, so its average per-transaction delay is
+/// Pw-weighted (read-only transactions commit locally without
+/// certification).
+fn demands(m: &Predictor, n: usize, a_n: f64) -> [f64; 4] {
+    let p = &m.profile;
+    [
+        demand(p, &p.cpu, n, a_n),
+        demand(p, &p.disk, n, a_n),
+        m.config.lb_delay,
+        p.pw * m.config.certifier_delay,
+    ]
 }
 
-impl MultiMasterModel {
-    /// Creates the model.
-    ///
-    /// # Panics
-    ///
-    /// Never panics on valid inputs; invalid profiles/configs are rejected
-    /// lazily at [`MultiMasterModel::predict`] time as well.
-    pub fn new(profile: WorkloadProfile, config: SystemConfig) -> Self {
-        MultiMasterModel { profile, config }
-    }
+/// Builds the per-replica network for `n` replicas at abort rate `a_n`.
+fn network(m: &Predictor, n: usize, a_n: f64) -> Result<ClosedNetwork, ModelError> {
+    let [cpu, disk, lb, certifier] = demands(m, n, a_n);
+    Ok(ClosedNetwork::builder()
+        .queueing("cpu", cpu)
+        .queueing("disk", disk)
+        .delay("lb", lb)
+        .delay("certifier", certifier)
+        .think_time(m.config.think_time)
+        .build()?)
+}
 
-    /// The workload profile in use.
-    pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
-    }
-
-    /// The system configuration in use.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    /// `D_MM(N)` at one resource for a given abort probability.
-    fn demand(&self, d: &crate::profile::ResourceDemands, n: usize, a_n: f64) -> f64 {
-        let p = &self.profile;
-        p.pr * d.read + p.pw * d.write / (1.0 - a_n) + (n as f64 - 1.0) * p.pw * d.writeset
-    }
-
-    /// Builds the per-replica network for `n` replicas at abort rate `a_n`.
-    fn network(&self, n: usize, a_n: f64) -> Result<ClosedNetwork, ModelError> {
-        // The certifier is visited only by update transactions, so its
-        // average per-transaction delay is Pw-weighted (read-only
-        // transactions commit locally without certification).
-        Ok(ClosedNetwork::builder()
-            .queueing("cpu", self.demand(&self.profile.cpu, n, a_n))
-            .queueing("disk", self.demand(&self.profile.disk, n, a_n))
-            .delay("lb", self.config.lb_delay)
-            .delay("certifier", self.profile.pw * self.config.certifier_delay)
-            .think_time(self.config.think_time)
-            .build()?)
-    }
-
-    fn solve(&self, n: usize) -> Result<MmSolve, ModelError> {
-        self.profile.validate()?;
-        self.config.validate()?;
-        if n == 0 {
-            return Err(ModelError::InvalidReplicaCount {
-                n,
-                reason: "multi-master needs at least one replica".into(),
-            });
-        }
-        let p = self.profile.clone();
-        // Read-only workloads never abort and have no conflict window.
-        if p.pw == 0.0 {
-            let network = self.network(n, 0.0)?;
-            let solution = replipred_mva::exact::solve(&network, self.config.clients_per_replica)?;
-            return Ok(MmSolve {
-                solution,
-                abort_rate: 0.0,
-                conflict_window: 0.0,
-            });
-        }
+/// Predicts system performance with `n` replicas serving `n*C` clients.
+pub(crate) fn predict(m: &Predictor, n: usize) -> Result<Prediction, ModelError> {
+    let (p, clients) = (&m.profile, m.config.clients_per_replica);
+    let certifier_delay = m.config.certifier_delay;
+    // Read-only workloads never abort and have no conflict window.
+    let (solution, a_n, cw) = if p.pw == 0.0 {
+        (exact::solve(&network(m, n, 0.0)?, clients)?, 0.0, 0.0)
+    } else {
         let abort = AbortModel::new(p.a1, p.l1);
-        let certifier_delay = self.config.certifier_delay;
-        let wc_cpu = p.cpu.write;
-        let wc_disk = p.disk.write;
         // Interleaved CW/A_N fixed point: state carried across MVA client
         // iterations.
+        let mut cw = p.l1 + certifier_delay;
         let mut a_n = if n == 1 {
             p.a1
         } else {
-            abort.replicated(p.l1 + certifier_delay, n)
+            abort.replicated(cw, n)
         };
-        let mut cw = p.l1 + certifier_delay;
-        let network = self.network(n, a_n)?;
-        let this = self.clone();
-        let a_cell = std::rc::Rc::new(std::cell::Cell::new(a_n));
-        let cw_cell = std::rc::Rc::new(std::cell::Cell::new(cw));
-        let a_hook = std::rc::Rc::clone(&a_cell);
-        let cw_hook = std::rc::Rc::clone(&cw_cell);
-        let solution = solve_with_hook(
-            &network,
-            self.config.clients_per_replica,
-            move |_, prev: Option<&MvaSolution>| {
-                let prev = prev?;
-                // CW(i+1) = update-transaction CPU residence + disk
-                // residence + certification time, from iteration i
-                // (Section 4.1.1). One *attempt*'s residence uses the raw
-                // wc, not the retry-inflated demand.
-                let q_cpu = prev.centers[0].queue_length;
-                let q_disk = prev.centers[1].queue_length;
-                let new_cw = wc_cpu * (1.0 + q_cpu) + wc_disk * (1.0 + q_disk) + certifier_delay;
-                let new_a = abort.replicated(new_cw, n);
-                a_hook.set(new_a);
-                cw_hook.set(new_cw);
-                Some(vec![
-                    this.demand(&this.profile.cpu, n, new_a),
-                    this.demand(&this.profile.disk, n, new_a),
-                    this.config.lb_delay,
-                    this.profile.pw * certifier_delay,
-                ])
-            },
-        )?;
-        a_n = a_cell.get();
-        cw = cw_cell.get();
-        Ok(MmSolve {
-            solution,
-            abort_rate: a_n,
-            conflict_window: cw,
-        })
-    }
-
-    /// Predicts system performance with `n` replicas serving `n*C` clients.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidReplicaCount`] for `n == 0` and
-    /// propagates profile/config/solver errors.
-    pub fn predict(&self, n: usize) -> Result<Prediction, ModelError> {
-        let MmSolve {
-            solution,
-            abort_rate,
-            conflict_window,
-        } = self.solve(n)?;
-        let mut bottleneck = solution
-            .centers
-            .iter()
-            .filter(|c| c.name == "cpu" || c.name == "disk")
-            .max_by(|a, b| a.utilization.total_cmp(&b.utilization))
-            .expect("network has queueing centers")
-            .clone();
-        // The demand-rewrite hook pairs the final demand with queue state
-        // from earlier iterations; clamp the reported utilization.
-        bottleneck.utilization = bottleneck.utilization.min(1.0);
-        Ok(Prediction {
-            design: Design::MultiMaster,
-            replicas: n,
-            clients: n * self.config.clients_per_replica,
-            throughput_tps: solution.throughput * n as f64,
-            response_time: solution.response_time,
-            abort_rate,
-            conflict_window,
-            bottleneck_utilization: bottleneck.utilization,
-            bottleneck: bottleneck.name,
-        })
-    }
-
-    /// Predicts the abort probability `A_N` alone (Figure 14's y-axis).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MultiMasterModel::predict`].
-    pub fn predict_abort_rate(&self, n: usize) -> Result<f64, ModelError> {
-        Ok(self.solve(n)?.abort_rate)
-    }
-
-    /// Predicts the whole scalability curve for `1..=max_replicas`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MultiMasterModel::predict`].
-    pub fn predict_curve(&self, max_replicas: usize) -> Result<ScalabilityCurve, ModelError> {
-        let points = (1..=max_replicas)
-            .map(|n| self.predict(n))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ScalabilityCurve {
-            workload: self.profile.name.clone(),
-            design: Design::MultiMaster,
-            points,
-        })
-    }
+        let network = network(m, n, a_n)?;
+        let solution = solve_with_hook(&network, clients, |_, prev: Option<&MvaSolution>| {
+            let prev = prev?;
+            // CW(i+1) = update-transaction CPU residence + disk
+            // residence + certification time, from iteration i
+            // (Section 4.1.1). One *attempt*'s residence uses the raw
+            // wc, not the retry-inflated demand.
+            let q_cpu = prev.centers[0].queue_length;
+            let q_disk = prev.centers[1].queue_length;
+            cw = p.cpu.write * (1.0 + q_cpu) + p.disk.write * (1.0 + q_disk) + certifier_delay;
+            a_n = abort.replicated(cw, n);
+            Some(demands(m, n, a_n).to_vec())
+        })?;
+        (solution, a_n, cw)
+    };
+    let mut bottleneck = solution
+        .centers
+        .iter()
+        .filter(|c| c.name == "cpu" || c.name == "disk")
+        .max_by(|a, b| a.utilization.total_cmp(&b.utilization))
+        .expect("network has queueing centers")
+        .clone();
+    // The demand-rewrite hook pairs the final demand with queue state
+    // from earlier iterations; clamp the reported utilization.
+    bottleneck.utilization = bottleneck.utilization.min(1.0);
+    Ok(Prediction {
+        design: Design::MultiMaster,
+        replicas: n,
+        clients: n * clients,
+        throughput_tps: solution.throughput * n as f64,
+        response_time: solution.response_time,
+        abort_rate: a_n,
+        conflict_window: cw,
+        bottleneck_utilization: bottleneck.utilization,
+        bottleneck: bottleneck.name,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SystemConfig;
 
-    fn model(profile: WorkloadProfile, c: usize) -> MultiMasterModel {
-        MultiMasterModel::new(profile, SystemConfig::lan_cluster(c))
+    fn model(profile: WorkloadProfile, c: usize) -> Predictor {
+        Design::MultiMaster
+            .predictor(profile, SystemConfig::lan_cluster(c))
+            .unwrap()
     }
 
     #[test]
     fn browsing_scales_nearly_linearly() {
         // Paper Figure 6: browsing speedup ~15.7x at 16 replicas.
         let m = model(WorkloadProfile::tpcw_browsing(), 30);
-        let curve = m.predict_curve(16).unwrap();
+        let curve = m.curve(16).unwrap();
         let speedup = curve.total_speedup().unwrap();
         assert!(
             (13.5..=16.0).contains(&speedup),
@@ -240,12 +144,12 @@ mod tests {
         // Paper Figure 6: ordering speedup ~6.7x at 16 replicas because
         // writeset processing grows with N.
         let m = model(WorkloadProfile::tpcw_ordering(), 50);
-        let curve = m.predict_curve(16).unwrap();
+        let curve = m.curve(16).unwrap();
         let speedup = curve.total_speedup().unwrap();
         assert!((4.5..=9.5).contains(&speedup), "ordering speedup {speedup}");
         // And it is clearly worse than browsing's.
         let browsing = model(WorkloadProfile::tpcw_browsing(), 30)
-            .predict_curve(16)
+            .curve(16)
             .unwrap()
             .total_speedup()
             .unwrap();
@@ -258,16 +162,11 @@ mod tests {
         // coincide with the standalone model up to the certifier delay.
         let p = WorkloadProfile::tpcw_shopping();
         let mm = model(p.clone(), 40).predict(1).unwrap();
-        let sa = crate::standalone::StandaloneModel::new(
-            p,
-            SystemConfig {
-                certifier_delay: 0.0,
-                ..SystemConfig::lan_cluster(40)
-            },
-        )
-        .unwrap()
-        .predict()
-        .unwrap();
+        let sa = Design::Standalone
+            .predictor(p, SystemConfig::lan_cluster(40))
+            .unwrap()
+            .predict(1)
+            .unwrap();
         let rel = (mm.throughput_tps - sa.throughput_tps).abs() / sa.throughput_tps;
         assert!(
             rel < 0.03,
@@ -280,7 +179,7 @@ mod tests {
     #[test]
     fn throughput_grows_with_replicas() {
         let m = model(WorkloadProfile::tpcw_shopping(), 40);
-        let curve = m.predict_curve(16).unwrap();
+        let curve = m.curve(16).unwrap();
         for w in curve.points.windows(2) {
             assert!(
                 w[1].throughput_tps > w[0].throughput_tps,
@@ -311,9 +210,9 @@ mod tests {
     #[test]
     fn abort_rate_grows_with_replicas() {
         let m = model(WorkloadProfile::tpcw_shopping().with_a1(0.009), 40);
-        let a2 = m.predict_abort_rate(2).unwrap();
-        let a8 = m.predict_abort_rate(8).unwrap();
-        let a16 = m.predict_abort_rate(16).unwrap();
+        let a2 = m.predict(2).unwrap().abort_rate;
+        let a8 = m.predict(8).unwrap().abort_rate;
+        let a16 = m.predict(16).unwrap().abort_rate;
         assert!(a2 < a8 && a8 < a16, "a2={a2} a8={a8} a16={a16}");
         // Paper Figure 14: A1=0.90% reaches roughly 17-29% (measured 29%,
         // model under-predicts). Accept the model-side band.
@@ -323,7 +222,7 @@ mod tests {
     #[test]
     fn read_only_workload_has_no_aborts_and_scales_linearly() {
         let m = model(WorkloadProfile::rubis_browsing(), 50);
-        let curve = m.predict_curve(8).unwrap();
+        let curve = m.curve(8).unwrap();
         for p in &curve.points {
             assert_eq!(p.abort_rate, 0.0);
         }
@@ -337,7 +236,7 @@ mod tests {
         // application on the disk is nearly as expensive as the original
         // update.
         let m = model(WorkloadProfile::rubis_bidding(), 50);
-        let curve = m.predict_curve(9).unwrap();
+        let curve = m.curve(9).unwrap();
         let x6 = curve.at(6).unwrap().throughput_tps;
         let x9 = curve.at(9).unwrap().throughput_tps;
         // Adding replicas beyond ~6 buys little (< 10% over three steps).
@@ -357,7 +256,7 @@ mod tests {
     fn writeset_demand_term_matches_formula() {
         let m = model(WorkloadProfile::tpcw_shopping(), 40);
         let p = m.profile();
-        let d4 = m.demand(&p.cpu, 4, p.a1);
+        let d4 = demand(p, &p.cpu, 4, p.a1);
         let expect =
             p.pr * p.cpu.read + p.pw * p.cpu.write / (1.0 - p.a1) + 3.0 * p.pw * p.cpu.writeset;
         assert!((d4 - expect).abs() < 1e-15);

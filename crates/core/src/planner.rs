@@ -11,7 +11,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::SystemConfig;
 use crate::error::ModelError;
-use crate::predictor::Predictor;
 use crate::profile::WorkloadProfile;
 use crate::report::{Design, Prediction};
 
@@ -52,44 +51,13 @@ pub struct Plan {
     pub prediction: Prediction,
 }
 
-/// Finds the minimum number of replicas (up to `max_replicas`) meeting the
-/// SLO for each predictor, and returns the recommendations sorted by
-/// replica count (cheapest first).
+/// Finds, for each of `designs`, the minimum number of replicas (up to
+/// its [`Predictor::max_deployment`](crate::Predictor::max_deployment)
+/// of `max_replicas`) meeting the SLO, and returns the recommendations
+/// sorted by replica count (cheapest first).
 ///
-/// Design-polymorphic: any set of [`Predictor`]s can compete — the two
-/// replicated designs, the standalone baseline, or future designs
-/// registered behind the trait.
-///
-/// Predictors that cannot meet the SLO within `max_replicas` are omitted;
+/// Designs that cannot meet the SLO within `max_replicas` are omitted;
 /// an empty vector means the SLO is infeasible at this scale.
-///
-/// # Errors
-///
-/// Propagates model evaluation errors.
-pub fn plan_with(
-    predictors: &[&dyn Predictor],
-    slo: &Slo,
-    max_replicas: usize,
-) -> Result<Vec<Plan>, ModelError> {
-    let mut plans = Vec::new();
-    for predictor in predictors {
-        for n in 1..=predictor.max_deployment(max_replicas) {
-            let p = predictor.predict(n)?;
-            if slo.satisfied_by(&p) {
-                plans.push(Plan {
-                    design: predictor.design(),
-                    replicas: n,
-                    prediction: p,
-                });
-                break;
-            }
-        }
-    }
-    plans.sort_by_key(|p| p.replicas);
-    Ok(plans)
-}
-
-/// [`plan_with`] over the given designs, instantiated from the registry.
 ///
 /// # Errors
 ///
@@ -101,12 +69,23 @@ pub fn plan_designs(
     slo: &Slo,
     max_replicas: usize,
 ) -> Result<Vec<Plan>, ModelError> {
-    let predictors = designs
-        .iter()
-        .map(|d| d.predictor(profile.clone(), config.clone()))
-        .collect::<Result<Vec<_>, _>>()?;
-    let refs: Vec<&dyn Predictor> = predictors.iter().map(|p| p.as_ref()).collect();
-    plan_with(&refs, slo, max_replicas)
+    let mut plans = Vec::new();
+    for &design in designs {
+        let predictor = design.predictor(profile.clone(), config.clone())?;
+        for n in 1..=predictor.max_deployment(max_replicas) {
+            let p = predictor.predict(n)?;
+            if slo.satisfied_by(&p) {
+                plans.push(Plan {
+                    design,
+                    replicas: n,
+                    prediction: p,
+                });
+                break;
+            }
+        }
+    }
+    plans.sort_by_key(|p| p.replicas);
+    Ok(plans)
 }
 
 /// [`plan_designs`] over the paper's two replicated designs — the

@@ -1,10 +1,10 @@
-//! Design-polymorphic prediction: the [`Predictor`] trait and the
-//! [`Design`] registry.
+//! Design-polymorphic prediction: the [`Predictor`] and the [`Design`]
+//! registry.
 //!
 //! The paper's whole point is comparing designs under one workload
 //! profile, so callers — the planner, the CLI, the experiment harness —
-//! should never have to name a concrete model type. They ask the
-//! registry for a boxed predictor and drive it through this trait:
+//! pick a [`Design`] and get a predictor back. [`Design`] is a closed
+//! enum, so the predictor is one struct that `match`es on it:
 //!
 //! ```
 //! use replipred_core::{Design, SystemConfig, WorkloadProfile};
@@ -20,44 +20,87 @@
 
 use crate::config::SystemConfig;
 use crate::error::ModelError;
-use crate::mm::MultiMasterModel;
 use crate::profile::WorkloadProfile;
 use crate::report::{Design, Prediction, ScalabilityCurve};
-use crate::sm::SingleMasterModel;
-use crate::standalone::StandaloneModel;
+use crate::{mm, sm, standalone};
 
-/// An analytical scalability predictor for one replication design.
+/// An analytical scalability predictor for one replication design, over
+/// inputs validated once by [`Design::predictor`].
 ///
 /// `predict(n)` evaluates the design at *scale point* `n`: `n*C` clients
 /// offered to the deployment the design prescribes at that scale (`n`
 /// replicas for the replicated designs; one node absorbing the whole
 /// load for [`Design::Standalone`] — the paper's baseline that shows why
 /// replication is needed at all).
-///
-/// The trait is object-safe; the registry ([`Design::predictor`]) hands
-/// out `Box<dyn Predictor>`.
-pub trait Predictor {
+#[derive(Debug)]
+pub struct Predictor {
+    design: Design,
+    pub(crate) profile: WorkloadProfile,
+    pub(crate) config: SystemConfig,
+}
+
+impl Design {
+    /// The registry: builds the analytical predictor for this design.
+    ///
+    /// # Errors
+    ///
+    /// Propagates profile/config validation errors.
+    pub fn predictor(
+        self,
+        profile: WorkloadProfile,
+        config: SystemConfig,
+    ) -> Result<Predictor, ModelError> {
+        profile.validate()?;
+        config.validate()?;
+        Ok(Predictor {
+            design: self,
+            profile,
+            config,
+        })
+    }
+}
+
+impl Predictor {
     /// The design this predictor models.
-    fn design(&self) -> Design;
+    pub fn design(&self) -> Design {
+        self.design
+    }
 
     /// The workload profile driving the predictions.
-    fn profile(&self) -> &WorkloadProfile;
+    pub fn profile(&self) -> &WorkloadProfile {
+        &self.profile
+    }
 
     /// Predicts the operating point at scale `n`.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidReplicaCount`] for `n == 0` and
-    /// propagates profile/config/solver errors.
-    fn predict(&self, n: usize) -> Result<Prediction, ModelError>;
+    /// propagates solver errors.
+    pub fn predict(&self, n: usize) -> Result<Prediction, ModelError> {
+        if n == 0 {
+            return Err(ModelError::InvalidReplicaCount {
+                n,
+                reason: "a scale point needs at least one replica".into(),
+            });
+        }
+        match self.design {
+            Design::Standalone => standalone::predict(self, n),
+            Design::MultiMaster => mm::predict(self, n),
+            Design::SingleMaster => sm::predict(self, n),
+        }
+    }
 
     /// The largest *deployment size* a capacity planner should consider
     /// when searching up to `max_replicas` scale points. Replicated
     /// designs can buy up to `max_replicas` machines; the standalone
-    /// baseline overrides this to 1 — its scale points beyond 1 model
-    /// offered load, not purchasable hardware.
-    fn max_deployment(&self, max_replicas: usize) -> usize {
-        max_replicas
+    /// baseline is one — its scale points beyond 1 model offered load,
+    /// not purchasable hardware.
+    pub fn max_deployment(&self, max_replicas: usize) -> usize {
+        match self.design {
+            Design::Standalone => 1,
+            Design::MultiMaster | Design::SingleMaster => max_replicas,
+        }
     }
 
     /// Predicts a curve at the given scale points (ascending).
@@ -65,14 +108,14 @@ pub trait Predictor {
     /// # Errors
     ///
     /// Same as [`Predictor::predict`].
-    fn curve_at(&self, points: &[usize]) -> Result<ScalabilityCurve, ModelError> {
+    pub fn curve_at(&self, points: &[usize]) -> Result<ScalabilityCurve, ModelError> {
         let points = points
             .iter()
             .map(|&n| self.predict(n))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ScalabilityCurve {
-            workload: self.profile().name.clone(),
-            design: self.design(),
+            workload: self.profile.name.clone(),
+            design: self.design,
             points,
         })
     }
@@ -82,77 +125,9 @@ pub trait Predictor {
     /// # Errors
     ///
     /// Same as [`Predictor::predict`].
-    fn curve(&self, max_n: usize) -> Result<ScalabilityCurve, ModelError> {
+    pub fn curve(&self, max_n: usize) -> Result<ScalabilityCurve, ModelError> {
         let points: Vec<usize> = (1..=max_n).collect();
         self.curve_at(&points)
-    }
-}
-
-impl Predictor for MultiMasterModel {
-    fn design(&self) -> Design {
-        Design::MultiMaster
-    }
-
-    fn profile(&self) -> &WorkloadProfile {
-        MultiMasterModel::profile(self)
-    }
-
-    fn predict(&self, n: usize) -> Result<Prediction, ModelError> {
-        MultiMasterModel::predict(self, n)
-    }
-}
-
-impl Predictor for SingleMasterModel {
-    fn design(&self) -> Design {
-        Design::SingleMaster
-    }
-
-    fn profile(&self) -> &WorkloadProfile {
-        SingleMasterModel::profile(self)
-    }
-
-    fn predict(&self, n: usize) -> Result<Prediction, ModelError> {
-        SingleMasterModel::predict(self, n)
-    }
-}
-
-impl Predictor for StandaloneModel {
-    fn design(&self) -> Design {
-        Design::Standalone
-    }
-
-    fn profile(&self) -> &WorkloadProfile {
-        StandaloneModel::profile(self)
-    }
-
-    fn predict(&self, n: usize) -> Result<Prediction, ModelError> {
-        self.predict_scaled(n)
-    }
-
-    fn max_deployment(&self, _max_replicas: usize) -> usize {
-        1
-    }
-}
-
-impl Design {
-    /// The registry: builds the analytical predictor for this design
-    /// without the caller naming a concrete model type.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profile/config validation errors.
-    pub fn predictor(
-        self,
-        profile: WorkloadProfile,
-        config: SystemConfig,
-    ) -> Result<Box<dyn Predictor>, ModelError> {
-        profile.validate()?;
-        config.validate()?;
-        Ok(match self {
-            Design::Standalone => Box::new(StandaloneModel::new(profile, config)?),
-            Design::MultiMaster => Box::new(MultiMasterModel::new(profile, config)),
-            Design::SingleMaster => Box::new(SingleMasterModel::new(profile, config)),
-        })
     }
 }
 
@@ -173,6 +148,10 @@ mod tests {
             let point = p.predict(4).expect("solves");
             assert_eq!(point.design, design);
             assert!(point.throughput_tps > 0.0);
+            assert!(matches!(
+                p.predict(0),
+                Err(ModelError::InvalidReplicaCount { .. })
+            ));
         }
     }
 
@@ -185,16 +164,6 @@ mod tests {
                 .predictor(profile.clone(), SystemConfig::lan_cluster(40))
                 .is_err());
         }
-    }
-
-    #[test]
-    fn trait_curve_matches_inherent_curve() {
-        let profile = WorkloadProfile::tpcw_shopping();
-        let config = SystemConfig::lan_cluster(40);
-        let model = MultiMasterModel::new(profile, config);
-        let via_trait = Predictor::curve(&model, 4).unwrap();
-        let inherent = model.predict_curve(4).unwrap();
-        assert_eq!(via_trait, inherent);
     }
 
     #[test]

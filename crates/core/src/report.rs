@@ -107,15 +107,6 @@ impl ScalabilityCurve {
             _ => None,
         }
     }
-
-    /// The smallest replica count whose predicted throughput reaches
-    /// `target_tps`, if any point does.
-    pub fn replicas_for_throughput(&self, target_tps: f64) -> Option<usize> {
-        self.points
-            .iter()
-            .find(|p| p.throughput_tps >= target_tps)
-            .map(|p| p.replicas)
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +144,5 @@ mod tests {
         assert_eq!(curve.at(3).unwrap().throughput_tps, 60.0);
         assert!(curve.at(9).is_none());
         assert!((curve.total_speedup().unwrap() - 4.0).abs() < 1e-12);
-        assert_eq!(curve.replicas_for_throughput(55.0), Some(3));
-        assert_eq!(curve.replicas_for_throughput(500.0), None);
     }
 }

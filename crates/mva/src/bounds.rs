@@ -71,20 +71,6 @@ pub fn asymptotic(network: &ClosedNetwork, population: usize) -> AsymptoticBound
     }
 }
 
-/// The population `n*` where the light-load and saturation asymptotes cross:
-/// `n* = (D + Z) / Dmax`.
-///
-/// Below `n*` the network is think-time limited; above it the bottleneck
-/// center limits throughput. Returns `f64::INFINITY` when the network has no
-/// queueing centers.
-pub fn knee_population(network: &ClosedNetwork) -> f64 {
-    let dmax = network.max_queueing_demand();
-    if dmax <= 0.0 {
-        return f64::INFINITY;
-    }
-    (network.total_demand() + network.think_time()) / dmax
-}
-
 /// Balanced-system throughput bounds (tighter than asymptotic when all
 /// queueing demands are similar).
 ///
@@ -194,23 +180,12 @@ mod tests {
     }
 
     #[test]
-    fn knee_is_where_asymptotes_cross() {
-        let net = net();
-        let knee = knee_population(&net);
-        // At the knee, n/(D+Z) == 1/Dmax.
-        let d = net.total_demand();
-        let z = net.think_time();
-        assert!((knee / (d + z) - 1.0 / net.max_queueing_demand()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delay_only_network_has_infinite_knee() {
+    fn delay_only_network_keeps_the_light_load_bound() {
         let net = ClosedNetwork::builder()
             .delay("lan", 0.001)
             .think_time(1.0)
             .build()
             .unwrap();
-        assert!(knee_population(&net).is_infinite());
         let b = asymptotic(&net, 10);
         assert!(b.throughput_upper.is_finite()); // light-load bound still applies
     }

@@ -141,40 +141,11 @@ impl ClosedNetwork {
             .fold(0.0, f64::max)
     }
 
-    /// Returns a copy of the network with demands replaced by `demands`
-    /// (same order as [`ClosedNetwork::centers`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MvaError::DimensionMismatch`] when the slice length differs
-    /// from the number of centers, or [`MvaError::InvalidDemand`] when a new
-    /// demand is invalid.
-    pub fn with_demands(&self, demands: &[f64]) -> Result<Self, MvaError> {
-        if demands.len() != self.centers.len() {
-            return Err(MvaError::DimensionMismatch {
-                got: demands.len(),
-                expected: self.centers.len(),
-            });
-        }
-        let centers = self
-            .centers
-            .iter()
-            .zip(demands)
-            .map(|(c, &d)| Center {
-                name: c.name.clone(),
-                kind: c.kind,
-                demand: d,
-            })
-            .collect();
-        ClosedNetwork::new(centers, self.think_time)
-    }
-
     /// Replaces the demands in place (same order as
     /// [`ClosedNetwork::centers`]), keeping names and kinds.
     ///
-    /// The allocation-free counterpart of [`ClosedNetwork::with_demands`],
-    /// for solvers that re-evaluate one network shape at many demand
-    /// vectors inside a fixed-point loop.
+    /// Allocation-free, for solvers that re-evaluate one network shape at
+    /// many demand vectors inside a fixed-point loop.
     ///
     /// # Errors
     ///
@@ -200,11 +171,6 @@ impl ClosedNetwork {
             c.demand = d;
         }
         Ok(())
-    }
-
-    /// Index of the center named `name`, if present.
-    pub fn center_index(&self, name: &str) -> Option<usize> {
-        self.centers.iter().position(|c| c.name == name)
     }
 }
 
@@ -318,20 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn with_demands_replaces_values() {
-        let net = ClosedNetwork::builder()
-            .queueing("cpu", 0.02)
-            .queueing("disk", 0.03)
-            .build()
-            .unwrap();
-        let net2 = net.with_demands(&[0.05, 0.06]).unwrap();
-        assert_eq!(net2.centers()[0].demand, 0.05);
-        assert_eq!(net2.centers()[1].demand, 0.06);
-        // Original untouched.
-        assert_eq!(net.centers()[0].demand, 0.02);
-    }
-
-    #[test]
     fn set_demands_replaces_values_in_place() {
         let mut net = ClosedNetwork::builder()
             .queueing("cpu", 0.02)
@@ -346,29 +298,6 @@ mod tests {
         assert!(net.set_demands(&[0.1]).is_err());
         assert!(net.set_demands(&[f64::NAN, 0.1]).is_err());
         assert_eq!(net.centers()[0].demand, 0.05);
-    }
-
-    #[test]
-    fn with_demands_rejects_wrong_len() {
-        let net = ClosedNetwork::builder()
-            .queueing("cpu", 0.02)
-            .build()
-            .unwrap();
-        assert!(matches!(
-            net.with_demands(&[0.1, 0.2]),
-            Err(MvaError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn center_index_lookup() {
-        let net = ClosedNetwork::builder()
-            .queueing("cpu", 0.02)
-            .delay("cert", 0.012)
-            .build()
-            .unwrap();
-        assert_eq!(net.center_index("cert"), Some(1));
-        assert_eq!(net.center_index("gpu"), None);
     }
 
     #[test]

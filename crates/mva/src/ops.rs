@@ -5,18 +5,6 @@
 //! paper: "The average service demand at a resource is the resource
 //! utilization divided by the throughput") and the model solvers rely on.
 
-/// Little's law: average population `N = X * R`.
-///
-/// # Examples
-///
-/// ```
-/// let n = replipred_mva::ops::littles_law_population(100.0, 0.25);
-/// assert_eq!(n, 25.0);
-/// ```
-pub fn littles_law_population(throughput: f64, response_time: f64) -> f64 {
-    throughput * response_time
-}
-
 /// Little's law solved for response time: `R = N / X`.
 ///
 /// Returns `f64::INFINITY` when throughput is zero and the population is
@@ -63,33 +51,6 @@ pub fn utilization(throughput: f64, demand: f64) -> f64 {
     throughput * demand
 }
 
-/// Forced-flow law: device throughput `X_k = V_k * X` given the visit count.
-pub fn forced_flow(system_throughput: f64, visit_count: f64) -> f64 {
-    system_throughput * visit_count
-}
-
-/// Service-demand law: `D_k = V_k * S_k`.
-pub fn service_demand(visit_count: f64, service_time_per_visit: f64) -> f64 {
-    visit_count * service_time_per_visit
-}
-
-/// Weighted average of per-class values, used to fold a transaction mix
-/// into a single per-transaction quantity (e.g. the paper's
-/// `D(1) = Pr*rc + Pw*wc/(1-A1)`).
-///
-/// # Panics
-///
-/// Panics if the two slices have different lengths (programming error, not
-/// a data error).
-pub fn mix_average(fractions: &[f64], values: &[f64]) -> f64 {
-    assert_eq!(
-        fractions.len(),
-        values.len(),
-        "mix_average: fractions and values must align"
-    );
-    fractions.iter().zip(values).map(|(f, v)| f * v).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +59,7 @@ mod tests {
     fn littles_law_roundtrip() {
         let x = 123.4;
         let r = 0.321;
-        let n = littles_law_population(x, r);
+        let n = x * r;
         assert!((littles_law_response(n, x) - r).abs() < 1e-12);
     }
 
@@ -125,30 +86,5 @@ mod tests {
     #[test]
     fn idle_system_has_zero_demand_estimate() {
         assert_eq!(demand_from_utilization(0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn forced_flow_and_service_demand() {
-        // 10 tps with 3 disk visits of 5 ms each: X_disk = 30/s, D = 15 ms.
-        assert_eq!(forced_flow(10.0, 3.0), 30.0);
-        assert!((service_demand(3.0, 0.005) - 0.015).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mix_average_matches_paper_d1() {
-        // D(1) = Pr*rc + Pw*wc/(1-A1) for the shopping mix.
-        let pr = 0.8;
-        let pw = 0.2;
-        let rc = 0.04143;
-        let wc = 0.01251;
-        let a1 = 0.00023;
-        let d1 = mix_average(&[pr, pw], &[rc, wc / (1.0 - a1)]);
-        assert!((d1 - (pr * rc + pw * wc / (1.0 - a1))).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "must align")]
-    fn mix_average_rejects_misaligned_slices() {
-        mix_average(&[0.5], &[1.0, 2.0]);
     }
 }

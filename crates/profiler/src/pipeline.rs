@@ -202,12 +202,17 @@ mod tests {
         let outcome = Profiler::new(tpcw::mix(tpcw::Mix::Shopping))
             .seed(3)
             .profile();
+        use replipred_core::Design;
         let config = replipred_core::SystemConfig::lan_cluster(40);
-        let mm = replipred_core::MultiMasterModel::new(outcome.profile.clone(), config.clone());
+        let mm = Design::MultiMaster
+            .predictor(outcome.profile.clone(), config.clone())
+            .unwrap();
         let p1 = mm.predict(1).unwrap();
         let p8 = mm.predict(8).unwrap();
         assert!(p8.throughput_tps > 4.0 * p1.throughput_tps);
-        let sm = replipred_core::SingleMasterModel::new(outcome.profile, config);
+        let sm = Design::SingleMaster
+            .predictor(outcome.profile, config)
+            .unwrap();
         assert!(sm.predict(8).unwrap().throughput_tps > 0.0);
     }
 

@@ -1,10 +1,11 @@
-//! Design-polymorphic simulation: the [`Simulator`] trait and the
-//! simulator side of the design registry.
+//! Design-polymorphic simulation: the [`Simulator`] and the simulator
+//! side of the design registry.
 //!
-//! Mirrors `replipred_core`'s `Predictor` trait: callers pick a
-//! [`Design`], hand the registry a workload and a [`SimConfig`], and get
-//! a boxed simulator back — no concrete sim type is ever named outside
-//! this module.
+//! Mirrors `replipred_core`'s `Predictor`: callers pick a [`Design`],
+//! hand the registry a workload and a [`SimConfig`], and get a simulator
+//! back. [`Design`] is a closed enum, so the simulator is one struct
+//! whose `run` `match`es onto the replica kernel under that design's
+//! policy.
 //!
 //! ```
 //! use replipred_core::Design;
@@ -23,151 +24,68 @@ use replipred_workload::spec::WorkloadSpec;
 
 use crate::config::SimConfig;
 use crate::metrics::RunReport;
-use crate::mm::MultiMasterSim;
-use crate::sm::SingleMasterSim;
 use crate::standalone::StandaloneSim;
+use crate::{mm, sm};
 
-/// A mechanistic cluster simulation of one replication design.
-///
-/// A simulator is consumed by the run (the discrete-event engine owns its
-/// state), so `run` takes `Box<Self>` — which keeps the trait object-safe
-/// while preserving the by-value semantics of the concrete sims.
-pub trait Simulator {
+/// A mechanistic cluster simulation of one replication design running
+/// one workload at the scale point `cfg.replicas`.
+pub struct Simulator {
+    design: Design,
+    spec: WorkloadSpec,
+    cfg: SimConfig,
+}
+
+impl Simulator {
     /// The design this simulator measures.
-    fn design(&self) -> Design;
+    pub fn design(&self) -> Design {
+        self.design
+    }
 
     /// The workload being simulated.
-    fn workload(&self) -> &str;
+    pub fn workload(&self) -> &str {
+        &self.spec.name
+    }
 
     /// Runs warm-up plus the measurement window and reports.
-    fn run(self: Box<Self>) -> RunReport;
-}
-
-/// The three concrete simulators expose the same inherent surface; one
-/// definition lifts it into the trait.
-macro_rules! impl_simulator {
-    ($($sim:ty => $design:expr),* $(,)?) => {$(
-        impl Simulator for $sim {
-            fn design(&self) -> Design {
-                $design
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.replicas` is zero under a replicated design.
+    pub fn run(mut self) -> RunReport {
+        match self.design {
+            // Scale point `n` offers the whole n·C-client load to the one
+            // standalone node and reports `replicas = n`, so measured rows
+            // line up with the predictor side, which does the same; the
+            // deployment is still one machine, as `clients` shows.
+            Design::Standalone => {
+                let n = self.cfg.replicas.max(1);
+                self.spec.clients_per_replica *= n;
+                let mut report = StandaloneSim::new(self.spec, self.cfg).run();
+                report.replicas = n;
+                report
             }
-
-            fn workload(&self) -> &str {
-                self.spec_name()
-            }
-
-            fn run(self: Box<Self>) -> RunReport {
-                (*self).run()
-            }
-        }
-    )*};
-}
-
-impl_simulator! {
-    StandaloneSim => Design::Standalone,
-    MultiMasterSim => Design::MultiMaster,
-    SingleMasterSim => Design::SingleMaster,
-}
-
-/// A fully-specified simulated deployment: which design runs which
-/// workload. The registry key callers build instead of naming a concrete
-/// sim type.
-#[derive(Debug, Clone)]
-pub enum DesignSpec {
-    /// One standalone node — the profiling target and the baseline the
-    /// replicated designs are compared against. The deployment is always
-    /// one machine; `SimConfig::replicas = n` scales the *offered load*
-    /// to `n·C` clients, mirroring `StandaloneModel::predict_scaled`.
-    Standalone(WorkloadSpec),
-    /// The certifier-based multi-master cluster (paper Figure 4).
-    MultiMaster(WorkloadSpec),
-    /// The master/slaves single-master cluster (paper Figure 5).
-    SingleMaster(WorkloadSpec),
-}
-
-impl DesignSpec {
-    /// Pairs a design with the workload it should run.
-    pub fn new(design: Design, workload: WorkloadSpec) -> Self {
-        match design {
-            Design::Standalone => DesignSpec::Standalone(workload),
-            Design::MultiMaster => DesignSpec::MultiMaster(workload),
-            Design::SingleMaster => DesignSpec::SingleMaster(workload),
-        }
-    }
-
-    /// The design this spec instantiates.
-    pub fn design(&self) -> Design {
-        match self {
-            DesignSpec::Standalone(_) => Design::Standalone,
-            DesignSpec::MultiMaster(_) => Design::MultiMaster,
-            DesignSpec::SingleMaster(_) => Design::SingleMaster,
-        }
-    }
-
-    /// The workload to be simulated.
-    pub fn workload(&self) -> &WorkloadSpec {
-        match self {
-            DesignSpec::Standalone(w)
-            | DesignSpec::MultiMaster(w)
-            | DesignSpec::SingleMaster(w) => w,
-        }
-    }
-
-    /// The registry: builds the concrete simulator for this deployment.
-    pub fn simulator(self, cfg: SimConfig) -> Box<dyn Simulator> {
-        match self {
-            DesignSpec::Standalone(mut w) => {
-                // Scale point `n` offers the whole n·C-client load to the
-                // single node (the predictor side does the same in
-                // `predict_scaled`); the sim itself stays one machine.
-                let scale = cfg.replicas.max(1);
-                w.clients_per_replica *= scale;
-                Box::new(ScaledStandalone {
-                    sim: StandaloneSim::new(w, cfg),
-                    scale,
-                })
-            }
-            DesignSpec::MultiMaster(w) => Box::new(MultiMasterSim::new(w, cfg)),
-            DesignSpec::SingleMaster(w) => Box::new(SingleMasterSim::new(w, cfg)),
+            Design::MultiMaster => mm::run(&self.spec, &self.cfg).0,
+            Design::SingleMaster => sm::run(&self.spec, &self.cfg).0,
         }
     }
 }
 
-/// A standalone run at scale point `n`. The report's `replicas` field is
-/// rewritten to the scale point so measured rows line up with
-/// `StandaloneModel::predict_scaled` (which does the same); the
-/// deployment is still one machine, as the `clients` field shows.
-struct ScaledStandalone {
-    sim: StandaloneSim,
-    scale: usize,
-}
-
-impl Simulator for ScaledStandalone {
-    fn design(&self) -> Design {
-        Design::Standalone
-    }
-
-    fn workload(&self) -> &str {
-        self.sim.spec_name()
-    }
-
-    fn run(self: Box<Self>) -> RunReport {
-        let mut report = self.sim.run();
-        report.replicas = self.scale;
-        report
-    }
-}
-
-/// Registry sugar mirroring `Design::predictor(profile, config)`:
-/// `design.simulator(spec, sim_config)`.
+/// The simulator side of the design registry, mirroring
+/// `Design::predictor(profile, config)`: `design.simulator(spec, cfg)`.
+/// An extension trait because `replipred_core`, which owns [`Design`],
+/// cannot depend on this crate.
 pub trait SimulatorRegistry {
     /// Builds the simulator for this design over `workload`.
-    fn simulator(&self, workload: WorkloadSpec, cfg: SimConfig) -> Box<dyn Simulator>;
+    fn simulator(&self, workload: WorkloadSpec, cfg: SimConfig) -> Simulator;
 }
 
 impl SimulatorRegistry for Design {
-    fn simulator(&self, workload: WorkloadSpec, cfg: SimConfig) -> Box<dyn Simulator> {
-        DesignSpec::new(*self, workload).simulator(cfg)
+    fn simulator(&self, spec: WorkloadSpec, cfg: SimConfig) -> Simulator {
+        Simulator {
+            design: *self,
+            spec,
+            cfg,
+        }
     }
 }
 
@@ -257,14 +175,12 @@ mod tests {
     fn registry_covers_every_design() {
         let spec = tpcw::mix(tpcw::Mix::Shopping);
         for design in Design::ALL {
-            let ds = DesignSpec::new(design, spec.clone());
-            assert_eq!(ds.design(), design);
-            assert_eq!(ds.workload().name, "tpcw-shopping");
-            let sim = ds.simulator(SimConfig {
+            let cfg = SimConfig {
                 warmup: 2.0,
                 duration: 5.0,
                 ..SimConfig::quick(2, 7)
-            });
+            };
+            let sim = design.simulator(spec.clone(), cfg);
             assert_eq!(sim.design(), design);
             assert_eq!(sim.workload(), "tpcw-shopping");
             let report = sim.run();
@@ -283,27 +199,9 @@ mod tests {
             ..SimConfig::quick(3, 7)
         };
         let report = Design::Standalone.simulator(spec, cfg).run();
-        // `replicas` is the scale point (lining up with predict_scaled);
+        // `replicas` is the scale point (lining up with the predictor);
         // `clients` shows the whole load landed on the one machine.
         assert_eq!(report.replicas, 3);
         assert_eq!(report.clients, 120);
-    }
-
-    #[test]
-    fn design_sugar_matches_design_spec() {
-        let spec = tpcw::mix(tpcw::Mix::Browsing);
-        let cfg = SimConfig {
-            warmup: 2.0,
-            duration: 5.0,
-            ..SimConfig::quick(2, 11)
-        };
-        let a = Design::SingleMaster
-            .simulator(spec.clone(), cfg.clone())
-            .run();
-        let b = DesignSpec::new(Design::SingleMaster, spec)
-            .simulator(cfg)
-            .run();
-        // Same seed, same windows: bit-identical runs.
-        assert_eq!(a, b);
     }
 }

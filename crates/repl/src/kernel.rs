@@ -26,7 +26,9 @@
 //!
 //! # Adding a design = writing a policy
 //!
-//! A design supplies its own state (the `Policy` value lives in
+//! A design is a `Design` variant, a policy here, and one arm of
+//! `Simulator::run` (`design.rs`) that calls [`run`] under it. The
+//! policy supplies its own state (the `Policy` value lives in
 //! [`World::policy`]) and these hooks — nothing else:
 //!
 //! | hook | decides |

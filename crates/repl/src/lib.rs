@@ -21,9 +21,10 @@
 //!   measurement windows, delays).
 //! - [`metrics`] — the measured [`metrics::RunReport`]: throughput,
 //!   response times, abort rate, utilizations.
-//! - [`design`] — the design-polymorphic [`Simulator`] trait and the
+//! - [`design`] — the design axis: one [`Simulator`] struct built by the
 //!   simulator side of the design registry
-//!   (`design.simulator(spec, sim_config)`).
+//!   (`design.simulator(spec, sim_config)`) whose `run` is a `match` onto
+//!   the kernel under one of the three policies below.
 //! - [`certifier`] — the multi-master certification service: version-based
 //!   write-write conflict detection over the global writeset log.
 //! - `kernel` (private) — the replica kernel: the node (database, CPU,
@@ -34,11 +35,13 @@
 //!   log truncation, population ramps — written once, generic over a
 //!   narrow design `Policy` resolved at compile time. Its module docs
 //!   are the guide to adding a design.
-//! - [`standalone`], [`mm`], [`sm`] — the three policies and their public
-//!   simulators: one node committing locally (the profiling target and
-//!   the `N = 1` anchor of every measured curve); any-replica routing
-//!   with a certifier round trip; master-for-updates routing with a
-//!   relay log, election and promotion.
+//! - [`standalone`], `mm`, `sm` — the three policies: one node
+//!   committing locally (the profiling target and the `N = 1` anchor of
+//!   every measured curve — [`StandaloneSim`] is the profiler's handle
+//!   on it, with a transaction filter and the statement log);
+//!   any-replica routing with a certifier round trip;
+//!   master-for-updates routing with a relay log, election and
+//!   promotion.
 //! - [`wslog`] — the committed-writeset log, the one sequence a lagging
 //!   replica catches up from: the certifier's log under multi-master,
 //!   the master's relay log under single-master, truncated at vacuum
@@ -57,12 +60,12 @@
 //! # Examples
 //!
 //! ```
-//! use replipred_repl::{config::SimConfig, mm::MultiMasterSim};
+//! use replipred_repl::{Design, SimConfig, SimulatorRegistry};
 //! use replipred_workload::tpcw;
 //!
 //! let spec = tpcw::mix(tpcw::Mix::Shopping);
 //! let cfg = SimConfig::quick(4, 42); // 4 replicas, short windows
-//! let report = MultiMasterSim::new(spec, cfg).run();
+//! let report = Design::MultiMaster.simulator(spec, cfg).run();
 //! assert!(report.throughput_tps > 0.0);
 //! ```
 
@@ -72,20 +75,18 @@ pub mod design;
 pub mod durable;
 mod kernel;
 pub mod metrics;
-pub mod mm;
-pub mod sm;
+mod mm;
+mod sm;
 pub mod standalone;
 pub mod transient;
 pub mod wslog;
 
 pub use certifier::Certifier;
 pub use config::{DurabilityConfig, SimConfig};
-pub use design::{DesignSpec, Simulator, SimulatorRegistry};
+pub use design::{Simulator, SimulatorRegistry};
 pub use durable::NodeDurability;
 pub use metrics::RunReport;
-pub use mm::MultiMasterSim;
 pub use replipred_core::{Design, Phase, Schedule, ScheduleEvent};
-pub use sm::SingleMasterSim;
 pub use standalone::StandaloneSim;
 pub use transient::{TransientCollector, TransientReport};
 pub use wslog::WsLog;

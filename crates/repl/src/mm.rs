@@ -48,7 +48,7 @@ use crate::metrics::RunReport;
 use crate::wslog::WsLog;
 
 /// The certifier-based design's state.
-struct Mm {
+pub(crate) struct Mm {
     certifier: Certifier,
     certifier_delay: f64,
     /// False during an injected certifier outage.
@@ -61,7 +61,7 @@ struct Mm {
 /// An update whose writeset is on its way to the certification service.
 /// Its local transaction is already rolled back: local effects are
 /// installed through the certified writeset, in global order.
-struct CertRequest {
+pub(crate) struct CertRequest {
     attempt: Attempt,
     writeset: WriteSet,
 }
@@ -164,49 +164,33 @@ fn certify(engine: &mut Sim<Mm>, request: CertRequest) {
     }
 }
 
-/// The multi-master cluster simulator.
-pub struct MultiMasterSim {
-    spec: WorkloadSpec,
-    cfg: SimConfig,
-}
-
-impl MultiMasterSim {
-    /// Creates a simulator for `cfg.replicas` replicas.
-    pub fn new(spec: WorkloadSpec, cfg: SimConfig) -> Self {
-        MultiMasterSim { spec, cfg }
-    }
-
-    /// Name of the workload being simulated.
-    pub fn spec_name(&self) -> &str {
-        &self.spec.name
-    }
-
-    /// Runs the simulation and reports measured performance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.replicas` is zero.
-    pub fn run(self) -> RunReport {
-        self.run_world().0
-    }
-
-    fn run_world(self) -> (RunReport, World<Mm>) {
-        kernel::run(&self.spec, &self.cfg, self.cfg.replicas, |dbs| Mm {
-            // Anchor the certifier at the seeded database version:
-            // writesets certify with their local base_version as-is.
-            certifier: Certifier::new_at(dbs[0].version()),
-            certifier_delay: self.cfg.certifier_delay,
-            certifier_up: true,
-            cert_stalled: VecDeque::new(),
-        })
-    }
+/// Runs the multi-master cluster of `cfg.replicas` replicas.
+///
+/// # Panics
+///
+/// Panics if `cfg.replicas` is zero.
+pub(crate) fn run(spec: &WorkloadSpec, cfg: &SimConfig) -> (RunReport, World<Mm>) {
+    kernel::run(spec, cfg, cfg.replicas, |dbs| Mm {
+        // Anchor the certifier at the seeded database version:
+        // writesets certify with their local base_version as-is.
+        certifier: Certifier::new_at(dbs[0].version()),
+        certifier_delay: cfg.certifier_delay,
+        certifier_up: true,
+        cert_stalled: VecDeque::new(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::{Simulator, SimulatorRegistry};
+    use replipred_core::Design;
     use replipred_core::Schedule;
     use replipred_workload::{heap, rubis, tpcw};
+
+    fn sim(spec: WorkloadSpec, cfg: SimConfig) -> Simulator {
+        Design::MultiMaster.simulator(spec, cfg)
+    }
 
     fn quick(n: usize, seed: u64) -> SimConfig {
         SimConfig {
@@ -218,10 +202,10 @@ mod tests {
 
     #[test]
     fn browsing_scales_with_replicas() {
-        let x1 = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Browsing), quick(1, 1))
+        let x1 = sim(tpcw::mix(tpcw::Mix::Browsing), quick(1, 1))
             .run()
             .throughput_tps;
-        let x4 = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Browsing), quick(4, 1))
+        let x4 = sim(tpcw::mix(tpcw::Mix::Browsing), quick(4, 1))
             .run()
             .throughput_tps;
         assert!(
@@ -232,10 +216,10 @@ mod tests {
 
     #[test]
     fn ordering_scales_sublinearly() {
-        let x1 = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Ordering), quick(1, 2))
+        let x1 = sim(tpcw::mix(tpcw::Mix::Ordering), quick(1, 2))
             .run()
             .throughput_tps;
-        let x8 = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Ordering), quick(8, 2))
+        let x8 = sim(tpcw::mix(tpcw::Mix::Ordering), quick(8, 2))
             .run()
             .throughput_tps;
         let speedup = x8 / x1;
@@ -247,7 +231,7 @@ mod tests {
 
     #[test]
     fn writesets_propagate_to_all_replicas() {
-        let report = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(3, 3)).run();
+        let report = sim(tpcw::mix(tpcw::Mix::Shopping), quick(3, 3)).run();
         // Each committed update is applied on N-1 = 2 remote replicas.
         let expected = report.update_commits * 2;
         let ratio = report.writesets_applied as f64 / expected as f64;
@@ -269,16 +253,16 @@ mod tests {
         // Determinism + total order: all replicas apply the same writeset
         // sequence, so their versions advance identically. (Full state
         // equality is exercised in the integration tests.)
-        let report = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(2, 5)).run();
+        let report = sim(tpcw::mix(tpcw::Mix::Shopping), quick(2, 5)).run();
         assert!(report.update_commits > 0);
     }
 
     #[test]
     fn heap_stress_raises_abort_rate() {
-        let base = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(4, 7))
+        let base = sim(tpcw::mix(tpcw::Mix::Shopping), quick(4, 7))
             .run()
             .abort_rate;
-        let stressed = MultiMasterSim::new(
+        let stressed = sim(
             heap::with_heap_stress(&tpcw::mix(tpcw::Mix::Shopping), 48),
             quick(4, 7),
         )
@@ -292,7 +276,7 @@ mod tests {
 
     #[test]
     fn read_only_mix_never_contacts_certifier() {
-        let report = MultiMasterSim::new(rubis::mix(rubis::Mix::Browsing), quick(2, 9)).run();
+        let report = sim(rubis::mix(rubis::Mix::Browsing), quick(2, 9)).run();
         assert_eq!(report.conflict_aborts, 0);
         assert_eq!(report.writesets_applied, 0);
     }
@@ -302,7 +286,7 @@ mod tests {
         // With admission control, even a heavily loaded ordering cluster
         // keeps open-snapshot windows (hence abort rates) bounded — the
         // paper's assumption 5 in action.
-        let report = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Ordering), quick(8, 31)).run();
+        let report = sim(tpcw::mix(tpcw::Mix::Ordering), quick(8, 31)).run();
         assert!(
             report.abort_rate < 0.05,
             "A_8 should stay small for standard TPC-W: {}",
@@ -317,7 +301,7 @@ mod tests {
             schedule: Schedule::new().crash(20.0, 1).join(30.0, 1).window(2.0),
             ..quick(2, 31)
         };
-        let a = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg.clone()).run();
+        let a = sim(tpcw::mix(tpcw::Mix::Shopping), cfg.clone()).run();
         let t = a.transient.as_ref().expect("schedule enables transient");
         let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
         assert_eq!(echoed, ["crash replica 1", "rejoin replica 1"]);
@@ -326,7 +310,7 @@ mod tests {
             t.recovery_time.is_some(),
             "throughput should recover after the rejoin"
         );
-        let b = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
+        let b = sim(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
         assert_eq!(a, b, "phased runs must stay deterministic");
     }
 
@@ -337,8 +321,7 @@ mod tests {
         // keep the high-water mark well below the total. (`log_seq` is
         // offset by the seeded version here, so the window's own commit
         // count — a lower bound on the total — is the yardstick.)
-        let (report, world) =
-            MultiMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(3, 50)).run_world();
+        let (report, world) = run(&tpcw::mix(tpcw::Mix::Shopping), &quick(3, 50));
         let probe = world.probe();
         assert!(
             report.update_commits > 200,
@@ -364,7 +347,7 @@ mod tests {
             schedule: Schedule::new().crash(15.0, 1).join(40.0, 1).window(5.0),
             ..quick(2, 35)
         };
-        let (report, world) = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run_world();
+        let (report, world) = run(&tpcw::mix(tpcw::Mix::Shopping), &cfg);
         let probe = world.probe();
         assert!(
             probe.log_peak as u64 > report.update_commits / 3,
@@ -393,7 +376,7 @@ mod tests {
                 .window(2.0),
             ..quick(2, 32)
         };
-        let report = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Ordering), cfg).run();
+        let report = sim(tpcw::mix(tpcw::Mix::Ordering), cfg).run();
         let t = report.transient.as_ref().expect("transient present");
         assert_eq!(t.events.len(), 2);
         // Updates stall during the outage but the backlog drains: commits
@@ -427,7 +410,7 @@ mod tests {
             schedule: Schedule::new().crash(15.0, 0).join(25.0, 0).window(5.0),
             ..quick(1, 34)
         };
-        let report = MultiMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
+        let report = sim(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
         let t = report.transient.as_ref().expect("transient present");
         assert!(report.throughput_tps > 0.0, "work resumes after rejoin");
         assert!(

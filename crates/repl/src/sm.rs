@@ -32,7 +32,7 @@ use crate::metrics::RunReport;
 use crate::wslog::WsLog;
 
 /// The master/slaves design's state.
-struct Sm {
+pub(crate) struct Sm {
     /// Index of the current master (0 until a failover promotes a slave).
     master: usize,
     /// Slave under promotion: updates queue until it has applied the
@@ -179,48 +179,33 @@ fn try_complete_promotion(engine: &mut Sim<Sm>) {
     }
 }
 
-/// The single-master cluster simulator.
-pub struct SingleMasterSim {
-    spec: WorkloadSpec,
-    cfg: SimConfig,
-}
-
-impl SingleMasterSim {
-    /// Creates a simulator with 1 master and `cfg.replicas - 1` slaves.
-    pub fn new(spec: WorkloadSpec, cfg: SimConfig) -> Self {
-        SingleMasterSim { spec, cfg }
-    }
-
-    /// Name of the workload being simulated.
-    pub fn spec_name(&self) -> &str {
-        &self.spec.name
-    }
-
-    /// Runs the simulation and reports measured performance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.replicas` is zero.
-    pub fn run(self) -> RunReport {
-        self.run_world().0
-    }
-
-    fn run_world(self) -> (RunReport, World<Sm>) {
-        kernel::run(&self.spec, &self.cfg, self.cfg.replicas, |_| Sm {
-            master: 0,
-            promoting: None,
-            ws_log: WsLog::new(),
-            pending_updates: VecDeque::new(),
-        })
-    }
+/// Runs the single-master cluster: 1 master and `cfg.replicas - 1`
+/// slaves.
+///
+/// # Panics
+///
+/// Panics if `cfg.replicas` is zero.
+pub(crate) fn run(spec: &WorkloadSpec, cfg: &SimConfig) -> (RunReport, World<Sm>) {
+    kernel::run(spec, cfg, cfg.replicas, |_| Sm {
+        master: 0,
+        promoting: None,
+        ws_log: WsLog::new(),
+        pending_updates: VecDeque::new(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::DurabilityConfig;
+    use crate::design::{Simulator, SimulatorRegistry};
+    use replipred_core::Design;
     use replipred_core::Schedule;
     use replipred_workload::{rubis, tpcw};
+
+    fn sim(spec: WorkloadSpec, cfg: SimConfig) -> Simulator {
+        Design::SingleMaster.simulator(spec, cfg)
+    }
 
     fn quick(n: usize, seed: u64) -> SimConfig {
         SimConfig {
@@ -232,10 +217,10 @@ mod tests {
 
     #[test]
     fn browsing_scales_with_replicas() {
-        let x1 = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Browsing), quick(1, 1))
+        let x1 = sim(tpcw::mix(tpcw::Mix::Browsing), quick(1, 1))
             .run()
             .throughput_tps;
-        let x4 = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Browsing), quick(4, 1))
+        let x4 = sim(tpcw::mix(tpcw::Mix::Browsing), quick(4, 1))
             .run()
             .throughput_tps;
         assert!(x4 > 3.2 * x1, "x1={x1} x4={x4}");
@@ -244,10 +229,10 @@ mod tests {
     #[test]
     fn ordering_saturates_at_the_master() {
         // Paper Figure 8: ordering saturates around 4 replicas.
-        let x4 = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Ordering), quick(4, 2))
+        let x4 = sim(tpcw::mix(tpcw::Mix::Ordering), quick(4, 2))
             .run()
             .throughput_tps;
-        let x8 = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Ordering), quick(8, 2))
+        let x8 = sim(tpcw::mix(tpcw::Mix::Ordering), quick(8, 2))
             .run()
             .throughput_tps;
         assert!(x8 < 1.25 * x4, "ordering should saturate: x4={x4} x8={x8}");
@@ -255,7 +240,7 @@ mod tests {
 
     #[test]
     fn master_is_the_bottleneck_for_update_mixes() {
-        let report = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Ordering), quick(6, 3)).run();
+        let report = sim(tpcw::mix(tpcw::Mix::Ordering), quick(6, 3)).run();
         assert!(
             report.bottleneck.starts_with("master"),
             "bottleneck {}",
@@ -265,7 +250,7 @@ mod tests {
 
     #[test]
     fn slaves_apply_every_committed_writeset() {
-        let report = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(3, 4)).run();
+        let report = sim(tpcw::mix(tpcw::Mix::Shopping), quick(3, 4)).run();
         let expected = report.update_commits * 2; // two slaves
         let ratio = report.writesets_applied as f64 / expected as f64;
         assert!(
@@ -277,7 +262,7 @@ mod tests {
 
     #[test]
     fn read_only_mix_spreads_over_all_nodes() {
-        let report = SingleMasterSim::new(rubis::mix(rubis::Mix::Browsing), quick(4, 5)).run();
+        let report = sim(rubis::mix(rubis::Mix::Browsing), quick(4, 5)).run();
         assert_eq!(report.conflict_aborts, 0);
         // With perfect spreading all nodes are similarly utilized; the max
         // must not be wildly above the mean.
@@ -291,12 +276,12 @@ mod tests {
         // snapshots*, not the served load, as long as it exceeds the
         // concurrency knee of the node.
         let spec = tpcw::mix(tpcw::Mix::Shopping);
-        let wide = SingleMasterSim::new(spec.clone(), quick(2, 21)).run();
+        let wide = sim(spec.clone(), quick(2, 21)).run();
         let tight_cfg = SimConfig {
             mpl: 8,
             ..quick(2, 21)
         };
-        let tight = SingleMasterSim::new(spec, tight_cfg).run();
+        let tight = sim(spec, tight_cfg).run();
         let rel = (wide.throughput_tps - tight.throughput_tps).abs() / wide.throughput_tps;
         assert!(
             rel < 0.10,
@@ -311,12 +296,12 @@ mod tests {
         // MPL = 1 forces one transaction at a time per node: a real
         // throughput ceiling far below the default.
         let spec = tpcw::mix(tpcw::Mix::Shopping);
-        let wide = SingleMasterSim::new(spec.clone(), quick(2, 22)).run();
+        let wide = sim(spec.clone(), quick(2, 22)).run();
         let serial_cfg = SimConfig {
             mpl: 1,
             ..quick(2, 22)
         };
-        let serial = SingleMasterSim::new(spec, serial_cfg).run();
+        let serial = sim(spec, serial_cfg).run();
         assert!(
             serial.throughput_tps < 0.8 * wide.throughput_tps,
             "serial {} vs wide {}",
@@ -334,7 +319,7 @@ mod tests {
             schedule: Schedule::new().crash(20.0, 0).window(2.0),
             ..quick(3, 41)
         };
-        let a = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg.clone()).run();
+        let a = sim(tpcw::mix(tpcw::Mix::Shopping), cfg.clone()).run();
         let t = a.transient.as_ref().expect("transient present");
         assert_eq!(t.events[0].event, "crash replica 0");
         assert!(a.update_commits > 0, "promoted slave serves updates");
@@ -348,7 +333,7 @@ mod tests {
             tail_updates > 0,
             "updates must keep committing after the failover"
         );
-        let b = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
+        let b = sim(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
         assert_eq!(a, b, "failover runs must stay deterministic");
     }
 
@@ -358,7 +343,7 @@ mod tests {
             schedule: Schedule::new().crash(18.0, 0).join(28.0, 0).window(2.0),
             ..quick(2, 42)
         };
-        let report = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
+        let report = sim(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
         let t = report.transient.as_ref().expect("transient present");
         let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
         assert_eq!(echoed, ["crash replica 0", "rejoin replica 0"]);
@@ -375,7 +360,7 @@ mod tests {
                 .window(5.0),
             ..quick(2, 43)
         };
-        let report = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
+        let report = sim(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
         let t = report.transient.as_ref().expect("transient present");
         let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
         assert_eq!(
@@ -397,8 +382,7 @@ mod tests {
         // Pre-WsLog the relay log grew linearly with committed writesets;
         // vacuum-cadence truncation must keep the high-water mark well
         // below the total.
-        let (report, world) =
-            SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), quick(3, 50)).run_world();
+        let (report, world) = run(&tpcw::mix(tpcw::Mix::Shopping), &quick(3, 50));
         let probe = world.probe();
         assert!(report.update_commits > 0);
         assert!(
@@ -424,7 +408,7 @@ mod tests {
             schedule: Schedule::new().crash(18.0, 0).join(28.0, 0).window(2.0),
             ..durable(quick(2, 42))
         };
-        let (a, wa) = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg.clone()).run_world();
+        let (a, wa) = run(&tpcw::mix(tpcw::Mix::Shopping), &cfg);
         assert_eq!(
             wa.probe().state_transfers,
             0,
@@ -434,7 +418,7 @@ mod tests {
         let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
         assert_eq!(echoed, ["crash replica 0", "rejoin replica 0"]);
         assert!(a.update_commits > 0);
-        let b = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
+        let b = sim(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
         assert_eq!(a, b, "durable recovery must stay deterministic");
     }
 
@@ -461,7 +445,7 @@ mod tests {
             },
             ..SimConfig::quick(3, 2009)
         };
-        let (_, world) = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run_world();
+        let (_, world) = run(&tpcw::mix(tpcw::Mix::Shopping), &cfg);
         assert_eq!(world.probe().state_transfers, 0);
         // Quiescence: drain what each replica has not retired yet from
         // the relay log, then every live replica must hold the master's
@@ -501,7 +485,7 @@ mod tests {
             },
             ..quick(3, 51)
         };
-        let (report, world) = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run_world();
+        let (report, world) = run(&tpcw::mix(tpcw::Mix::Shopping), &cfg);
         assert!(
             world.probe().state_transfers >= 1,
             "capped log must force a state transfer"
@@ -515,7 +499,7 @@ mod tests {
         // An exaggerated fsync cost with no batching (group 1) must show
         // up as lost throughput on an update-heavy mix.
         let spec = tpcw::mix(tpcw::Mix::Ordering);
-        let base = SingleMasterSim::new(spec.clone(), quick(2, 52)).run();
+        let base = sim(spec.clone(), quick(2, 52)).run();
         let cfg = SimConfig {
             durability: DurabilityConfig {
                 enabled: true,
@@ -525,7 +509,7 @@ mod tests {
             },
             ..quick(2, 52)
         };
-        let taxed = SingleMasterSim::new(spec, cfg).run();
+        let taxed = sim(spec, cfg).run();
         assert!(
             taxed.throughput_tps < 0.9 * base.throughput_tps,
             "taxed {} vs base {}",
@@ -538,10 +522,11 @@ mod tests {
     fn sm_and_mm_similar_at_low_update_fractions() {
         // With few updates both designs are read-limited and should land
         // near each other.
-        let sm = SingleMasterSim::new(tpcw::mix(tpcw::Mix::Browsing), quick(4, 7))
+        let sm = sim(tpcw::mix(tpcw::Mix::Browsing), quick(4, 7))
             .run()
             .throughput_tps;
-        let mm = crate::mm::MultiMasterSim::new(tpcw::mix(tpcw::Mix::Browsing), quick(4, 7))
+        let mm = Design::MultiMaster
+            .simulator(tpcw::mix(tpcw::Mix::Browsing), quick(4, 7))
             .run()
             .throughput_tps;
         let rel = (sm - mm).abs() / mm;

@@ -24,7 +24,8 @@ use crate::kernel::{self, Attempt, Policy, Sim, World};
 use crate::metrics::RunReport;
 use crate::wslog::WsLog;
 
-/// One-node closed-loop simulation.
+/// One-node closed-loop simulation: what the design registry runs for
+/// [`replipred_core::Design::Standalone`], plus the profiler's controls.
 pub struct StandaloneSim {
     spec: WorkloadSpec,
     cfg: SimConfig,
@@ -130,11 +131,6 @@ impl StandaloneSim {
             filter: TxnFilter::All,
             log_statements: false,
         }
-    }
-
-    /// Name of the workload being simulated.
-    pub fn spec_name(&self) -> &str {
-        &self.spec.name
     }
 
     /// Turns on statement logging (the profiler's raw input). Seeding

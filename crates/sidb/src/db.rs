@@ -239,15 +239,6 @@ impl Database {
         id
     }
 
-    /// The snapshot version a transaction reads from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::TxnNotActive`] for unknown/finished transactions.
-    pub fn snapshot_of(&self, txn: TxnId) -> Result<u64, DbError> {
-        Ok(self.state(txn)?.snapshot)
-    }
-
     /// Reads a row as of the transaction's snapshot, seeing its own
     /// buffered writes first. Returns a reference — the hot read path
     /// allocates nothing.

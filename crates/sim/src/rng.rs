@@ -114,11 +114,6 @@ impl Rng {
         self.below(len as u64) as usize
     }
 
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.f64() < p.clamp(0.0, 1.0)
-    }
-
     /// Exponential variate with the given mean (inverse transform).
     ///
     /// Returns `0.0` for a zero or negative mean so degenerate
@@ -212,13 +207,6 @@ mod tests {
         for &c in &counts {
             assert!((9_000..11_000).contains(&c), "counts {counts:?}");
         }
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = Rng::seed_from_u64(17);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl Tally {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

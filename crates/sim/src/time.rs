@@ -42,11 +42,6 @@ impl SimTime {
         SimTime(self.0 + secs)
     }
 
-    /// Milliseconds since simulation start.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Elapsed seconds from `earlier` to `self`, clamped at zero.
     pub fn since(self, earlier: SimTime) -> f64 {
         (self.0 - earlier.0).max(0.0)
@@ -118,6 +113,5 @@ mod tests {
         assert_eq!(t.as_secs(), 2.0);
         assert_eq!(t - SimTime::from_secs(0.5), 1.5);
         assert_eq!(t.since(SimTime::from_secs(3.0)), 0.0);
-        assert_eq!(t.as_millis(), 2000.0);
     }
 }

@@ -54,9 +54,8 @@
 //! use replipred_sidb::Database;
 //! use replipred_workload::synth::SynthSpec;
 //!
-//! let spec = SynthSpec::preset("write-heavy")
+//! let spec = SynthSpec::parse("write-heavy,clients=20")
 //!     .unwrap()
-//!     .clients(20)
 //!     .build()
 //!     .unwrap();
 //! assert!((spec.pw() - 0.60).abs() < 1e-9);

@@ -40,14 +40,16 @@
 //!
 //! // A custom point in workload space: 40% updates, long transactions,
 //! // half of every update's shared writes aimed at a 256-row hot table.
-//! let spec = SynthSpec::new()
-//!     .update_fraction(0.4)
-//!     .reads_per_txn(10)
-//!     .writes_per_txn(4)
-//!     .hot_skew(0.5)
-//!     .hot_rows(256)
-//!     .build()
-//!     .unwrap();
+//! let spec = SynthSpec {
+//!     update_fraction: 0.4,
+//!     reads_per_txn: 10,
+//!     writes_per_txn: 4,
+//!     hot_skew: 0.5,
+//!     hot_rows: 256,
+//!     ..SynthSpec::new()
+//! }
+//! .build()
+//! .unwrap();
 //! assert!((spec.pw() - 0.4).abs() < 1e-9);
 //!
 //! // Every synthetic spec installs against a fresh database like the
@@ -96,14 +98,8 @@ impl std::fmt::Display for SynthError {
         match self {
             SynthError::Empty => write!(f, "empty synth workload description"),
             SynthError::UnknownPreset(p) => {
-                write!(f, "unknown synth preset `{p}` (known: ")?;
-                for (i, name) in PRESETS.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    f.write_str(name)?;
-                }
-                f.write_str(")")
+                let known = PRESETS.join(", ");
+                write!(f, "unknown synth preset `{p}` (known: {known})")
             }
             SynthError::UnknownKey(k) => write!(f, "unknown synth knob `{k}`"),
             SynthError::BadValue { key, value } => {
@@ -116,32 +112,65 @@ impl std::fmt::Display for SynthError {
 
 impl std::error::Error for SynthError {}
 
-/// Builder for one point of the synthetic workload family.
+/// One point of the synthetic workload family; the knobs are the fields.
 ///
-/// Construct with [`SynthSpec::new`] (the balanced default, a
-/// TPC-W-shopping-like 80/20 mix) or [`SynthSpec::preset`], adjust knobs
-/// fluently, then [`SynthSpec::build`] a [`WorkloadSpec`].
+/// Start from [`SynthSpec::new`] (the balanced default, a
+/// TPC-W-shopping-like 80/20 mix), [`SynthSpec::preset`] or
+/// [`SynthSpec::parse`], set fields, then [`SynthSpec::build`] a
+/// [`WorkloadSpec`], which validates every knob.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthSpec {
-    name: String,
-    update_fraction: f64,
-    read_classes: usize,
-    update_classes: usize,
-    read_cpu: (f64, f64),
-    read_disk: (f64, f64),
-    write_cpu: (f64, f64),
-    write_disk: (f64, f64),
-    ws_fraction: f64,
-    reads_per_txn: usize,
-    writes_per_txn: usize,
-    private_writes: usize,
-    hot_skew: f64,
-    hot_rows: u64,
-    think_time: f64,
-    clients_per_replica: usize,
-    tables: usize,
-    rows_per_table: u64,
-    update_rows: u64,
+    /// Workload name carried into the generated spec and its reports.
+    pub name: String,
+    /// Fraction of update transactions (`Pw`), in `[0, 1]`.
+    pub update_fraction: f64,
+    /// Number of read-only transaction classes (demands spread linearly
+    /// across the demand range).
+    pub read_classes: usize,
+    /// Number of update transaction classes.
+    pub update_classes: usize,
+    /// Per-class mean CPU demand range `(lo, hi)` for read classes,
+    /// seconds. The class mean over equal weights is `(lo + hi) / 2`.
+    pub read_cpu: (f64, f64),
+    /// Per-class mean disk demand range for read classes, seconds.
+    pub read_disk: (f64, f64),
+    /// Per-class mean CPU demand range for update classes, seconds.
+    pub write_cpu: (f64, f64),
+    /// Per-class mean disk demand range for update classes, seconds.
+    pub write_disk: (f64, f64),
+    /// Writeset-application cost as a fraction of the mean update demand
+    /// (the paper's `ws` is always cheaper than the original `wc`).
+    pub ws_fraction: f64,
+    /// Rows read per transaction — read-only *and* update classes alike
+    /// (the read half of the txn-length knob; under snapshot isolation
+    /// logical reads never conflict, so this only stretches the
+    /// transaction's footprint).
+    pub reads_per_txn: usize,
+    /// Shared rows written per update transaction (the conflict-prone
+    /// half of the txn-length knob; hotspot skew steers a fraction of
+    /// these into the hot table).
+    pub writes_per_txn: usize,
+    /// Private (practically collision-free) rows written per update
+    /// transaction — carts, freshly inserted rows.
+    pub private_writes: usize,
+    /// Fraction of each update's shared writes steered into the small hot
+    /// table, in `[0, 1]` (rounded to whole writes per transaction).
+    /// Generalizes the Figure-14 stressor: `0.0` is the paper's uniform
+    /// assumption 4, higher values concentrate conflicts.
+    pub hot_skew: f64,
+    /// Rows in the hot table; smaller → more conflicts.
+    pub hot_rows: u64,
+    /// Mean client think time, seconds (must be positive — the closed
+    /// loop needs a pacing delay).
+    pub think_time: f64,
+    /// Closed-loop clients per replica (`C`).
+    pub clients_per_replica: usize,
+    /// Number of read-target tables.
+    pub tables: usize,
+    /// Rows per read table at scale 1.0.
+    pub rows_per_table: u64,
+    /// Size of the shared updatable row space (`DbUpdateSize`).
+    pub update_rows: u64,
 }
 
 impl Default for SynthSpec {
@@ -180,81 +209,82 @@ impl SynthSpec {
     /// A named corner of the space (see [`PRESETS`]); `None` for unknown
     /// names.
     pub fn preset(name: &str) -> Option<Self> {
-        let base = SynthSpec::new().name(format!("synth:{name}"));
-        match name {
+        let base = SynthSpec {
+            name: format!("synth:{name}"),
+            ..SynthSpec::new()
+        };
+        // YCSB-like: single-record reads and updates, short think time,
+        // cheap operations; the two presets differ in the mix.
+        let ycsb = |update_fraction| SynthSpec {
+            update_fraction,
+            read_classes: 1,
+            update_classes: 1,
+            read_cpu: (0.004, 0.004),
+            read_disk: (0.006, 0.006),
+            write_cpu: (0.004, 0.004),
+            write_disk: (0.008, 0.008),
+            ws_fraction: 0.50,
+            reads_per_txn: 1,
+            writes_per_txn: 1,
+            private_writes: 0,
+            think_time: 0.25,
+            clients_per_replica: 50,
+            tables: 1,
+            ..base.clone()
+        };
+        Some(match name {
             // Pure reads: every replica serves its clients locally with no
             // writeset propagation, so multi-master scaling is near-linear
             // (the rubis-browsing corner, at higher load).
-            "read-only" => Some(base.update_fraction(0.0).clients(50)),
+            "read-only" => SynthSpec {
+                update_fraction: 0.0,
+                clients_per_replica: 50,
+                ..base
+            },
             // 60% updates with expensive writesets: replicas spend most of
             // their capacity applying remote writesets, the anti-corner of
             // linear scaling.
-            "write-heavy" => Some(
-                base.update_fraction(0.60)
-                    .write_cpu(0.012, 0.028)
-                    .write_disk(0.012, 0.028)
-                    .ws_fraction(0.60)
-                    .reads_per_txn(2)
-                    .writes_per_txn(3),
-            ),
+            "write-heavy" => SynthSpec {
+                update_fraction: 0.60,
+                write_cpu: (0.012, 0.028),
+                write_disk: (0.012, 0.028),
+                ws_fraction: 0.60,
+                reads_per_txn: 2,
+                writes_per_txn: 3,
+                ..base
+            },
             // Long transactions: many logical operations and large
             // demands stretch L(1), widening the conflict window that
             // drives the abort model.
-            "long-txn" => Some(
-                base.update_fraction(0.30)
-                    .read_cpu(0.06, 0.14)
-                    .read_disk(0.03, 0.07)
-                    .write_cpu(0.03, 0.07)
-                    .write_disk(0.02, 0.04)
-                    .ws_fraction(0.40)
-                    .reads_per_txn(16)
-                    .writes_per_txn(6)
-                    .private_writes(2)
-                    .update_rows(5_000)
-                    .think_time(2.0)
-                    .clients(30),
-            ),
+            "long-txn" => SynthSpec {
+                update_fraction: 0.30,
+                read_cpu: (0.06, 0.14),
+                read_disk: (0.03, 0.07),
+                write_cpu: (0.03, 0.07),
+                write_disk: (0.02, 0.04),
+                ws_fraction: 0.40,
+                reads_per_txn: 16,
+                writes_per_txn: 6,
+                private_writes: 2,
+                update_rows: 5_000,
+                think_time: 2.0,
+                clients_per_replica: 30,
+                ..base
+            },
             // Half of every update's shared writes land in a 128-row hot
             // table: the generalized Figure-14 stressor, with elevated
             // standalone aborts that amplify with the replica count.
-            "hot-spot" => Some(base.hot_skew(0.5).hot_rows(128)),
-            // YCSB-A-like: 50/50 single-record reads and updates, short
-            // think time, cheap operations.
-            "ycsb-a" => Some(
-                base.update_fraction(0.50)
-                    .read_classes(1)
-                    .update_classes(1)
-                    .read_cpu(0.004, 0.004)
-                    .read_disk(0.006, 0.006)
-                    .write_cpu(0.004, 0.004)
-                    .write_disk(0.008, 0.008)
-                    .ws_fraction(0.50)
-                    .reads_per_txn(1)
-                    .writes_per_txn(1)
-                    .private_writes(0)
-                    .think_time(0.25)
-                    .clients(50)
-                    .tables(1),
-            ),
-            // YCSB-B-like: the same shape at 95/5.
-            "ycsb-b" => Some(
-                base.update_fraction(0.05)
-                    .read_classes(1)
-                    .update_classes(1)
-                    .read_cpu(0.004, 0.004)
-                    .read_disk(0.006, 0.006)
-                    .write_cpu(0.004, 0.004)
-                    .write_disk(0.008, 0.008)
-                    .ws_fraction(0.50)
-                    .reads_per_txn(1)
-                    .writes_per_txn(1)
-                    .private_writes(0)
-                    .think_time(0.25)
-                    .clients(50)
-                    .tables(1),
-            ),
-            _ => None,
-        }
+            "hot-spot" => SynthSpec {
+                hot_skew: 0.5,
+                hot_rows: 128,
+                ..base
+            },
+            // 50/50, like YCSB-A.
+            "ycsb-a" => ycsb(0.50),
+            // 95/5, like YCSB-B.
+            "ycsb-b" => ycsb(0.05),
+            _ => return None,
+        })
     }
 
     /// Parses the `synth:` payload — a preset name, `key=value` pairs, or
@@ -296,13 +326,8 @@ impl SynthSpec {
             })
         }
         fn range(key: &str, value: &str) -> Result<(f64, f64), SynthError> {
-            match value.split_once("..") {
-                Some((lo, hi)) => Ok((num(key, lo)?, num(key, hi)?)),
-                None => {
-                    let v: f64 = num(key, value)?;
-                    Ok((v, v))
-                }
-            }
+            let (lo, hi) = value.split_once("..").unwrap_or((value, value));
+            Ok((num(key, lo)?, num(key, hi)?))
         }
         match key.replace('_', "-").as_str() {
             "pw" | "update-fraction" => self.update_fraction = num(key, value)?,
@@ -326,138 +351,6 @@ impl SynthSpec {
             _ => return Err(SynthError::UnknownKey(key.to_string())),
         }
         Ok(())
-    }
-
-    /// Workload name carried into the generated spec and its reports.
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Fraction of update transactions (`Pw`), in `[0, 1]`.
-    pub fn update_fraction(mut self, pw: f64) -> Self {
-        self.update_fraction = pw;
-        self
-    }
-
-    /// Number of read-only transaction classes (demands spread linearly
-    /// across the demand range).
-    pub fn read_classes(mut self, classes: usize) -> Self {
-        self.read_classes = classes;
-        self
-    }
-
-    /// Number of update transaction classes.
-    pub fn update_classes(mut self, classes: usize) -> Self {
-        self.update_classes = classes;
-        self
-    }
-
-    /// Per-class mean CPU demand range for read classes, seconds. The
-    /// class mean over equal weights is `(lo + hi) / 2`.
-    pub fn read_cpu(mut self, lo: f64, hi: f64) -> Self {
-        self.read_cpu = (lo, hi);
-        self
-    }
-
-    /// Per-class mean disk demand range for read classes, seconds.
-    pub fn read_disk(mut self, lo: f64, hi: f64) -> Self {
-        self.read_disk = (lo, hi);
-        self
-    }
-
-    /// Per-class mean CPU demand range for update classes, seconds.
-    pub fn write_cpu(mut self, lo: f64, hi: f64) -> Self {
-        self.write_cpu = (lo, hi);
-        self
-    }
-
-    /// Per-class mean disk demand range for update classes, seconds.
-    pub fn write_disk(mut self, lo: f64, hi: f64) -> Self {
-        self.write_disk = (lo, hi);
-        self
-    }
-
-    /// Writeset-application cost as a fraction of the mean update demand
-    /// (the paper's `ws` is always cheaper than the original `wc`).
-    pub fn ws_fraction(mut self, fraction: f64) -> Self {
-        self.ws_fraction = fraction;
-        self
-    }
-
-    /// Rows read per transaction — read-only *and* update classes alike
-    /// (the read half of the txn-length knob; under snapshot isolation
-    /// logical reads never conflict, so this only stretches the
-    /// transaction's footprint).
-    pub fn reads_per_txn(mut self, reads: usize) -> Self {
-        self.reads_per_txn = reads;
-        self
-    }
-
-    /// Shared rows written per update transaction (the conflict-prone
-    /// half of the txn-length knob; hotspot skew steers a fraction of
-    /// these into the hot table).
-    pub fn writes_per_txn(mut self, writes: usize) -> Self {
-        self.writes_per_txn = writes;
-        self
-    }
-
-    /// Private (practically collision-free) rows written per update
-    /// transaction — carts, freshly inserted rows.
-    pub fn private_writes(mut self, writes: usize) -> Self {
-        self.private_writes = writes;
-        self
-    }
-
-    /// Fraction of each update's shared writes steered into the small hot
-    /// table, in `[0, 1]` (rounded to whole writes per transaction).
-    /// Generalizes the Figure-14 stressor: `0.0` is the paper's uniform
-    /// assumption 4, higher values concentrate conflicts.
-    pub fn hot_skew(mut self, skew: f64) -> Self {
-        self.hot_skew = skew;
-        self
-    }
-
-    /// Rows in the hot table; smaller → more conflicts.
-    pub fn hot_rows(mut self, rows: u64) -> Self {
-        self.hot_rows = rows;
-        self
-    }
-
-    /// Mean client think time, seconds (must be positive — the closed
-    /// loop needs a pacing delay).
-    pub fn think_time(mut self, seconds: f64) -> Self {
-        self.think_time = seconds;
-        self
-    }
-
-    /// Closed-loop clients per replica (`C`).
-    pub fn clients(mut self, clients: usize) -> Self {
-        self.clients_per_replica = clients;
-        self
-    }
-
-    /// Number of read-target tables.
-    pub fn tables(mut self, tables: usize) -> Self {
-        self.tables = tables;
-        self
-    }
-
-    /// Rows per read table at scale 1.0.
-    pub fn rows_per_table(mut self, rows: u64) -> Self {
-        self.rows_per_table = rows;
-        self
-    }
-
-    /// Size of the shared updatable row space (`DbUpdateSize`).
-    pub fn update_rows(mut self, rows: u64) -> Self {
-        self.update_rows = rows;
-        self
-    }
-
-    /// Hot writes per update transaction implied by the skew knob.
-    fn hot_writes(&self) -> usize {
-        ((self.writes_per_txn as f64) * self.hot_skew).round() as usize
     }
 
     /// Builds the [`WorkloadSpec`], validating every knob.
@@ -531,7 +424,8 @@ impl SynthSpec {
                 return invalid("read classes need a positive CPU or disk demand".into());
             }
         }
-        let hot_writes = self.hot_writes();
+        // Hot writes per update transaction implied by the skew knob.
+        let hot_writes = ((self.writes_per_txn as f64) * self.hot_skew).round() as usize;
         if hot_writes > 0 && self.hot_rows == 0 {
             return invalid("hotspot skew needs a hot table with at least one row".into());
         }
@@ -649,40 +543,23 @@ mod tests {
 
     #[test]
     fn demand_means_hit_range_midpoints() {
-        let spec = SynthSpec::new()
-            .read_cpu(0.02, 0.06)
-            .write_disk(0.01, 0.03)
-            .build()
-            .unwrap();
+        let spec = parse("read-cpu=0.02..0.06,write-disk=0.01..0.03").unwrap();
         assert!((spec.mean_read_cpu() - 0.04).abs() < 1e-12);
         assert!((spec.mean_write_disk() - 0.02).abs() < 1e-12);
         // A single class collapses the range to its midpoint.
-        let one = SynthSpec::new()
-            .read_classes(1)
-            .read_cpu(0.02, 0.06)
-            .build()
-            .unwrap();
+        let one = parse("read-classes=1,read-cpu=0.02..0.06").unwrap();
         assert!((one.classes[0].cpu - 0.04).abs() < 1e-12);
     }
 
     #[test]
     fn reads_per_txn_applies_to_every_class() {
-        let spec = SynthSpec::new()
-            .update_fraction(0.5)
-            .reads_per_txn(12)
-            .build()
-            .unwrap();
+        let spec = parse("pw=0.5,reads=12").unwrap();
         assert!(spec.classes.iter().all(|c| c.reads == 12));
     }
 
     #[test]
     fn hot_skew_splits_writes_between_tables() {
-        let spec = SynthSpec::new()
-            .writes_per_txn(4)
-            .hot_skew(0.5)
-            .hot_rows(64)
-            .build()
-            .unwrap();
+        let spec = parse("writes=4,hot=0.5,hot-rows=64").unwrap();
         let heap = spec.heap.expect("skew > 0 compiles a hot table");
         assert_eq!(heap.rows, 64);
         assert_eq!(heap.writes, 2);
@@ -694,11 +571,7 @@ mod tests {
 
     #[test]
     fn full_skew_moves_every_write_to_the_hot_table() {
-        let spec = SynthSpec::new()
-            .writes_per_txn(3)
-            .hot_skew(1.0)
-            .build()
-            .unwrap();
+        let spec = parse("writes=3,hot=1.0").unwrap();
         assert_eq!(spec.heap.unwrap().writes, 3);
         assert!(spec.classes.iter().all(|c| c.writes == 0));
     }
@@ -782,21 +655,16 @@ mod tests {
 
     #[test]
     fn build_rejects_degenerate_ranges() {
-        assert!(matches!(
-            SynthSpec::new().read_cpu(0.05, 0.01).build(),
-            Err(SynthError::Invalid(_))
-        ));
-        assert!(matches!(
-            SynthSpec::new().read_cpu(-0.01, 0.01).build(),
-            Err(SynthError::Invalid(_))
-        ));
-        assert!(matches!(
-            SynthSpec::new().tables(0).build(),
-            Err(SynthError::Invalid(_))
-        ));
-        assert!(matches!(
-            SynthSpec::new().update_rows(0).build(),
-            Err(SynthError::Invalid(_))
-        ));
+        for degenerate in [
+            "read-cpu=0.05..0.01",
+            "read-cpu=-0.01..0.01",
+            "tables=0",
+            "update-rows=0",
+        ] {
+            assert!(
+                matches!(parse(degenerate), Err(SynthError::Invalid(_))),
+                "{degenerate}"
+            );
+        }
     }
 }

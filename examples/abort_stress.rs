@@ -10,9 +10,9 @@
 //! cargo run --release --example abort_stress
 //! ```
 
-use replipred::model::{MultiMasterModel, SystemConfig};
+use replipred::model::{Design, SystemConfig};
 use replipred::profiler::Profiler;
-use replipred::repl::{MultiMasterSim, SimConfig, StandaloneSim};
+use replipred::repl::{SimConfig, SimulatorRegistry};
 use replipred::workload::{heap, tpcw};
 
 fn main() {
@@ -20,26 +20,31 @@ fn main() {
     for heap_rows in [512u64, 128, 48] {
         let spec = heap::with_heap_stress(&base, heap_rows);
         // Measure the standalone abort probability with the stressor on.
-        let standalone = StandaloneSim::new(spec.clone(), SimConfig::quick(1, 7)).run();
+        let standalone = Design::Standalone
+            .simulator(spec.clone(), SimConfig::quick(1, 7))
+            .run();
         let profile = Profiler::new(spec.clone())
             .seed(7)
             .profile()
             .profile
             .with_a1(standalone.abort_rate.max(1e-6));
-        let model =
-            MultiMasterModel::new(profile, SystemConfig::lan_cluster(spec.clients_per_replica));
+        let model = Design::MultiMaster
+            .predictor(profile, SystemConfig::lan_cluster(spec.clients_per_replica))
+            .expect("profiled inputs valid");
         println!(
             "\nheap = {heap_rows} rows -> standalone A1 = {:.2}%",
             standalone.abort_rate * 1e2
         );
         println!("{:>3} {:>14} {:>14}", "N", "simulated A_N", "predicted A_N");
         for n in [2usize, 4, 8] {
-            let sim = MultiMasterSim::new(spec.clone(), SimConfig::quick(n, 7)).run();
-            let predicted = model.predict_abort_rate(n).expect("profiled inputs valid");
+            let sim = Design::MultiMaster
+                .simulator(spec.clone(), SimConfig::quick(n, 7))
+                .run();
+            let predicted = model.predict(n).expect("the model solves");
             println!(
                 "{n:>3} {:>13.2}% {:>13.2}%",
                 sim.abort_rate * 1e2,
-                predicted * 1e2
+                predicted.abort_rate * 1e2
             );
         }
     }

@@ -9,7 +9,7 @@
 //! cargo run --release --example mm_vs_sm
 //! ```
 
-use replipred::model::{MultiMasterModel, SingleMasterModel, SystemConfig, WorkloadProfile};
+use replipred::model::{Design, SystemConfig, WorkloadProfile};
 
 fn clients_for(profile: &WorkloadProfile) -> usize {
     match profile.name.as_str() {
@@ -22,10 +22,13 @@ fn clients_for(profile: &WorkloadProfile) -> usize {
 fn main() {
     for profile in WorkloadProfile::all_paper_profiles() {
         let config = SystemConfig::lan_cluster(clients_for(&profile));
-        let mm = MultiMasterModel::new(profile.clone(), config.clone());
-        let sm = SingleMasterModel::new(profile.clone(), config);
-        let mm_curve = mm.predict_curve(16).expect("published profile is valid");
-        let sm_curve = sm.predict_curve(16).expect("published profile is valid");
+        let curve = |design: Design| {
+            design
+                .predictor(profile.clone(), config.clone())
+                .and_then(|model| model.curve(16))
+                .expect("published profile is valid")
+        };
+        let (mm_curve, sm_curve) = (curve(Design::MultiMaster), curve(Design::SingleMaster));
         println!("\n== {} (Pw = {:.0}%) ==", profile.name, profile.pw * 100.0);
         println!(
             "{:>3} {:>12} {:>12} {:>10}",

@@ -11,9 +11,9 @@
 //! cargo run --release --example profile_and_predict
 //! ```
 
-use replipred::model::{MultiMasterModel, SystemConfig};
+use replipred::model::{Design, SystemConfig};
 use replipred::profiler::Profiler;
-use replipred::repl::{MultiMasterSim, SimConfig};
+use replipred::repl::{SimConfig, SimulatorRegistry};
 use replipred::workload::tpcw;
 
 fn main() {
@@ -42,7 +42,9 @@ fn main() {
 
     // Step 3: predict.
     let config = SystemConfig::lan_cluster(spec.clients_per_replica);
-    let model = MultiMasterModel::new(outcome.profile.clone(), config);
+    let model = Design::MultiMaster
+        .predictor(outcome.profile.clone(), config)
+        .expect("profiled inputs are valid");
 
     // Step 4: validate against the simulated cluster.
     println!("\nvalidating against the simulated multi-master cluster:");
@@ -51,8 +53,10 @@ fn main() {
         "N", "predicted", "simulated", "error"
     );
     for n in [1usize, 2, 4, 8] {
-        let predicted = model.predict(n).expect("profiled inputs are valid");
-        let simulated = MultiMasterSim::new(spec.clone(), SimConfig::quick(n, 2009)).run();
+        let predicted = model.predict(n).expect("the model solves");
+        let simulated = Design::MultiMaster
+            .simulator(spec.clone(), SimConfig::quick(n, 2009))
+            .run();
         let err =
             (predicted.throughput_tps - simulated.throughput_tps).abs() / simulated.throughput_tps;
         println!(

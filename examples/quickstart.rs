@@ -11,13 +11,17 @@
 //! time and abort rate of both replicated designs for 1..16 replicas —
 //! before deploying anything.
 
-use replipred::model::{MultiMasterModel, SingleMasterModel, SystemConfig, WorkloadProfile};
+use replipred::model::{Design, SystemConfig, WorkloadProfile};
 
 fn main() {
     let profile = WorkloadProfile::tpcw_shopping();
     let config = SystemConfig::lan_cluster(40);
-    let mm = MultiMasterModel::new(profile.clone(), config.clone());
-    let sm = SingleMasterModel::new(profile, config);
+    let mm = Design::MultiMaster
+        .predictor(profile.clone(), config.clone())
+        .expect("published profile is valid");
+    let sm = Design::SingleMaster
+        .predictor(profile, config)
+        .expect("published profile is valid");
 
     println!("TPC-W shopping mix (80% reads), 40 clients/replica, 1 s think time");
     println!(
@@ -25,8 +29,8 @@ fn main() {
         "N", "MM tps", "MM resp", "MM abort", "SM tps", "SM resp", "SM abort"
     );
     for n in 1..=16 {
-        let m = mm.predict(n).expect("published profile is valid");
-        let s = sm.predict(n).expect("published profile is valid");
+        let m = mm.predict(n).expect("the model solves");
+        let s = sm.predict(n).expect("the model solves");
         println!(
             "{n:>3} | {:>10.1} {:>7.1} ms {:>8.3}% | {:>10.1} {:>7.1} ms {:>8.3}%",
             m.throughput_tps,
@@ -37,8 +41,8 @@ fn main() {
             s.abort_rate * 100.0,
         );
     }
-    let mm16 = mm.predict(16).expect("valid");
-    let mm1 = mm.predict(1).expect("valid");
+    let mm16 = mm.predict(16).expect("the model solves");
+    let mm1 = mm.predict(1).expect("the model solves");
     println!(
         "\nMulti-master speedup at 16 replicas: {:.1}x (bottleneck: {})",
         mm16.speedup_over(&mm1),

@@ -35,12 +35,14 @@
 //! - [`validate`] — the prediction-vs-simulation error grid behind
 //!   `replipred validate`: sweep workloads × designs × replica points and
 //!   fold the relative errors into per-design mean/max summaries.
+//! - [`render`], [`recover`] — what the CLI prints, built as strings, and
+//!   the scripted durability round trip behind `replipred recover`.
 //!
 //! # Quickstart
 //!
-//! Designs are addressed through the registry — `model::Design` plus the
-//! `Predictor`/`Simulator` traits — so code is polymorphic over
-//! standalone, multi-master and single-master:
+//! Designs are addressed through the registry — a `model::Design` value
+//! builds its `Predictor` and its `Simulator` — so code is polymorphic
+//! over standalone, multi-master and single-master:
 //!
 //! ```
 //! use replipred::model::{Design, SystemConfig, WorkloadProfile};
@@ -70,6 +72,8 @@
 //! assert_eq!(report.designs.len(), 3);
 //! ```
 pub mod figures;
+pub mod recover;
+pub mod render;
 pub mod scenario;
 pub mod validate;
 

@@ -19,24 +19,28 @@
 //! end over [`replipred::scenario::Scenario`] (`validate` over
 //! [`replipred::validate::ValidationGrid`], `figures` over
 //! [`replipred::figures`]), with the flags they share typed once into
-//! [`RunOpts`].
+//! [`RunOpts`]; each returns its output as a string rendered by library
+//! code ([`replipred::render`]), and `main` prints it.
 
 use std::process::ExitCode;
 
 use replipred::figures::{self, ARTIFACTS};
-use replipred::model::planner::{plan_designs, Plan, Slo};
+use replipred::model::planner::{plan_designs, Slo};
 use replipred::model::{Design, WorkloadProfile};
 use replipred::profiler::Profiler;
-use replipred::repl::{DurabilityConfig, Schedule, TransientReport};
-use replipred::scenario::{
-    parse_workload, ReplicationSummary, Scenario, ScenarioReport, DEFAULT_SEED, PAPER_CLUSTER,
-};
-use replipred::validate::{doubling_points, split_workloads, ValidationGrid, ValidationReport};
+use replipred::repl::{DurabilityConfig, Schedule};
+use replipred::scenario::{parse_workload, Scenario, DEFAULT_SEED, PAPER_CLUSTER};
+use replipred::sim::pool::default_jobs;
+use replipred::validate::{doubling_points, split_workloads, ValidationGrid};
+use replipred::{recover, render};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(&argv) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(output) => {
+            print!("{output}");
+            ExitCode::SUCCESS
+        }
         Err(msg) => {
             // Only the failing subcommand's synopsis; `help` has the rest.
             let shown = match argv.first().and_then(|c| command(c)) {
@@ -49,7 +53,8 @@ fn main() -> ExitCode {
     }
 }
 
-type Run = fn(&Args, &RunOpts) -> Result<(), String>;
+/// What a subcommand body returns: everything it prints, or the error.
+type Output = Result<String, String>;
 
 /// One subcommand: its name, what it takes positionally, the flags it
 /// cannot run without (every other flag the table grants it is optional),
@@ -58,7 +63,7 @@ struct Command {
     name: &'static str,
     positional: &'static str,
     required: &'static [&'static str],
-    run: Run,
+    run: fn(&Args, &RunOpts) -> Output,
 }
 
 #[rustfmt::skip]
@@ -364,23 +369,16 @@ fn parse_durability(args: &Args) -> Result<Option<DurabilityConfig>, String> {
         }
         return Ok(None);
     }
-    let mut d = DurabilityConfig {
+    if let Some(ms) = fsync_ms.filter(|ms| !ms.is_finite() || *ms < 0.0) {
+        return Err(format!("--fsync-ms must be non-negative (got {ms})"));
+    }
+    let defaults = DurabilityConfig::default();
+    Ok(Some(DurabilityConfig {
         enabled: true,
-        ..DurabilityConfig::default()
-    };
-    if let Some(g) = group {
-        d.group_commit = g;
-    }
-    if let Some(ms) = fsync_ms {
-        if !ms.is_finite() || ms < 0.0 {
-            return Err(format!("--fsync-ms must be non-negative (got {ms})"));
-        }
-        d.fsync_disk = ms / 1e3;
-    }
-    if let Some(r) = retention {
-        d.log_retention = r;
-    }
-    Ok(Some(d))
+        group_commit: group.unwrap_or(defaults.group_commit),
+        fsync_disk: fsync_ms.map_or(defaults.fsync_disk, |ms| ms / 1e3),
+        log_retention: retention.unwrap_or(defaults.log_retention),
+    }))
 }
 
 impl RunOpts {
@@ -404,9 +402,7 @@ impl RunOpts {
             clients: args.parsed("--clients")?,
             seed: args.parsed("--seed")?.unwrap_or(DEFAULT_SEED),
             seeds: args.count("--seeds")?,
-            jobs: args
-                .count("--jobs")?
-                .unwrap_or_else(replipred_sim::pool::default_jobs),
+            jobs: args.count("--jobs")?.unwrap_or_else(default_jobs),
             json: args.has("--json"),
             schedule,
             durability: if cmd.name == "recover" {
@@ -415,6 +411,16 @@ impl RunOpts {
                 parse_durability(args)?
             },
         })
+    }
+
+    /// A subcommand's output: the serialized `report` under `--json`,
+    /// else its `text` form.
+    fn emit<T: serde::Serialize>(&self, report: &T, text: impl Fn(&T) -> String) -> String {
+        if self.json {
+            serde_json::to_string_pretty(report).expect("report serializes") + "\n"
+        } else {
+            text(report)
+        }
     }
 
     /// The design set, or `default` when `--design` was absent.
@@ -434,15 +440,12 @@ impl RunOpts {
         self.common(scenario.replicas([self.replicas.unwrap_or(default_replicas)]))
     }
 
-    fn common(&self, mut scenario: Scenario) -> Scenario {
+    fn common(&self, scenario: Scenario) -> Scenario {
+        let seeds = self.seeds.unwrap_or(1);
+        let mut scenario = scenario.seed(self.seed).seeds(seeds).jobs(self.jobs);
         if let Some(clients) = self.clients {
             scenario = scenario.clients(clients);
         }
-        scenario = scenario.seed(self.seed);
-        if let Some(seeds) = self.seeds {
-            scenario = scenario.seeds(seeds);
-        }
-        scenario = scenario.jobs(self.jobs);
         if let Some(schedule) = &self.schedule {
             scenario = scenario.schedule(schedule.clone());
         }
@@ -453,29 +456,24 @@ impl RunOpts {
     }
 }
 
-/// Reads and validates a serialized `WorkloadProfile` (the `@file` path).
-fn read_profile_file(path: &str) -> Result<WorkloadProfile, String> {
+/// Builds the scenario for a `--workload` value: a registered name
+/// (published or `synth:`), or `@file` holding a serialized
+/// `WorkloadProfile`, validated here.
+fn workload_scenario(w: &str) -> Result<Scenario, String> {
+    let Some(path) = w.strip_prefix('@') else {
+        return Scenario::workload(w).map_err(|e| e.to_string());
+    };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let profile: WorkloadProfile =
         serde_json::from_str(&text).map_err(|e| format!("bad profile JSON: {e}"))?;
     profile.validate().map_err(|e| e.to_string())?;
-    Ok(profile)
+    Ok(Scenario::from_profile(profile))
 }
 
-/// Builds the scenario for a `--workload` value: a registered name
-/// (published or `synth:`) or `@file`.
-fn workload_scenario(w: &str) -> Result<Scenario, String> {
-    match w.strip_prefix('@') {
-        Some(path) => Ok(Scenario::from_profile(read_profile_file(path)?)),
-        None => Scenario::workload(w).map_err(|e| e.to_string()),
-    }
-}
-
-fn run(argv: &[String]) -> Result<(), String> {
+fn run(argv: &[String]) -> Output {
     let name = argv.first().ok_or("missing subcommand")?.as_str();
     if matches!(name, "--help" | "-h" | "help") {
-        println!("{}", usage());
-        return Ok(());
+        return Ok(usage() + "\n");
     }
     let cmd = command(name).ok_or_else(|| format!("unknown subcommand `{name}`"))?;
     let args = Args::parse(cmd, &argv[1..])?;
@@ -483,161 +481,9 @@ fn run(argv: &[String]) -> Result<(), String> {
     (cmd.run)(&args, &opts)
 }
 
-fn print_json<T: serde::Serialize>(value: &T) {
-    println!(
-        "{}",
-        serde_json::to_string_pretty(value).expect("report serializes")
-    );
-}
-
-/// One printed row of a curve table: `(N, tput, resp, abort, bottleneck,
-/// utilization)`.
-type CurveRow<'a> = (usize, f64, f64, f64, &'a str, f64);
-
-fn print_table<'a>(title: String, rows: impl Iterator<Item = CurveRow<'a>>) {
-    println!("# {title}");
-    println!(
-        "{:>3} {:>12} {:>12} {:>10} {:>18}",
-        "N", "tput (tps)", "resp (ms)", "abort %", "bottleneck"
-    );
-    for (n, tput, resp, abort, bottleneck, util) in rows {
-        println!(
-            "{n:>3} {tput:>12.1} {:>12.1} {:>10.3} {bottleneck:>12} ({:.0}%)",
-            resp * 1e3,
-            abort * 1e2,
-            util * 1e2
-        );
-    }
-}
-
-fn emit(report: &ScenarioReport, json: bool) {
-    if json {
-        print_json(report);
-        return;
-    }
-    for d in &report.designs {
-        if let Some(curve) = &d.predicted {
-            print_table(
-                format!("design {} (model)", d.design),
-                curve.points.iter().map(|p| {
-                    (
-                        p.replicas,
-                        p.throughput_tps,
-                        p.response_time,
-                        p.abort_rate,
-                        p.bottleneck.as_str(),
-                        p.bottleneck_utilization,
-                    )
-                }),
-            );
-        }
-        if !d.measured.is_empty() {
-            print_table(
-                format!("design {} (simulated)", d.design),
-                d.measured.iter().map(|r| {
-                    (
-                        r.replicas,
-                        r.throughput_tps,
-                        r.response_time,
-                        r.abort_rate,
-                        r.bottleneck.as_str(),
-                        r.max_utilization,
-                    )
-                }),
-            );
-        }
-        if !d.replicated.is_empty() {
-            print_ci_table(
-                format!(
-                    "design {} (simulated, {} seeds, mean +- 95% CI)",
-                    d.design, report.seeds
-                ),
-                &d.replicated,
-            );
-        }
-        for r in &d.measured {
-            if let Some(t) = &r.transient {
-                print_transient(format!("design {} N={} transient", d.design, r.replicas), t);
-            }
-        }
-    }
-}
-
-fn print_ci_table(title: String, rows: &[ReplicationSummary]) {
-    println!("# {title}");
-    println!(
-        "{:>3} {:>12} {:>10} {:>12} {:>10} {:>9} {:>9}",
-        "N", "tput (tps)", "+-", "resp (ms)", "+-", "abort %", "+-"
-    );
-    for r in rows {
-        println!(
-            "{:>3} {:>12.1} {:>10.1} {:>12.1} {:>10.1} {:>9.3} {:>9.3}",
-            r.replicas,
-            r.throughput_tps,
-            r.throughput_ci95,
-            r.response_time * 1e3,
-            r.response_ci95 * 1e3,
-            r.abort_rate * 1e2,
-            r.abort_ci95 * 1e2
-        );
-    }
-}
-
-/// Prints one run's transient section: the windowed time series, the
-/// per-phase aggregates, the applied events, and the headline
-/// recovery/SLO/abort metrics.
-fn print_transient(title: String, t: &TransientReport) {
-    println!("# {title} ({:.0} s windows)", t.window);
-    println!(
-        "{:>7} {:>7} {:>12} {:>12} {:>10}",
-        "from", "to", "tput (tps)", "resp (ms)", "abort %"
-    );
-    for w in &t.windows {
-        println!(
-            "{:>7.0} {:>7.0} {:>12.1} {:>12.1} {:>10.3}",
-            w.start,
-            w.end,
-            w.throughput_tps,
-            w.response_time * 1e3,
-            w.abort_rate * 1e2
-        );
-    }
-    if !t.phases.is_empty() {
-        println!("# phases");
-        for p in &t.phases {
-            println!(
-                "{:>20} [{:>5.0} s, {:>5.0} s) {:>10.1} tps {:>9.1} ms {:>8.3}%",
-                p.name,
-                p.start,
-                p.end,
-                p.throughput_tps,
-                p.response_time * 1e3,
-                p.abort_rate * 1e2
-            );
-        }
-    }
-    for e in &t.events {
-        println!("event @ {:>6.1} s   {}", e.at, e.event);
-    }
-    println!(
-        "baseline        {:.1} tps (pre-event windows)",
-        t.baseline_tps
-    );
-    match t.recovery_time {
-        Some(r) => println!("recovery        {r:.1} s after the first event"),
-        None => println!("recovery        - (no event, or not recovered in-run)"),
-    }
-    println!(
-        "slo violation   {:.1} s above {:.0} ms",
-        t.slo_violation_secs,
-        t.slo_response * 1e3
-    );
-    println!("peak abort      {:.3}%", t.peak_abort_rate * 1e2);
-}
-
 /// `sweep`, and `predict` — the same curve with a longer default range,
 /// one default design, and neither `--simulate` nor `--profile-live`.
-fn sweep(replicas: usize, designs: &[Design], args: &Args, opts: &RunOpts) -> Result<(), String> {
+fn sweep(replicas: usize, designs: &[Design], args: &Args, opts: &RunOpts) -> Output {
     let w = args.req("--workload")?;
     let base = if args.has("--profile-live") {
         // Measure the profile on the standalone simulation (the paper's
@@ -663,14 +509,13 @@ fn sweep(replicas: usize, designs: &[Design], args: &Args, opts: &RunOpts) -> Re
         .designs(opts.designs(designs))
         .simulate(simulate);
     let report = scenario.run().map_err(|e| e.to_string())?;
-    emit(&report, opts.json);
-    Ok(())
+    Ok(opts.emit(&report, render::curves))
 }
 
 /// `simulate`, and `phases` — the same single-point simulation whose
 /// workload, design, schedule and (under `--recovery`) durability have
 /// defaults, and whose printed form is the transient report.
-fn simulate(phased: bool, args: &Args, opts: &RunOpts) -> Result<(), String> {
+fn simulate(phased: bool, args: &Args, opts: &RunOpts) -> Output {
     let mut design = Design::MultiMaster;
     let mut workload = "rubis-bidding";
     // The demo schedule: crash a replica mid-run, pile on a flash crowd
@@ -712,46 +557,15 @@ fn simulate(phased: bool, args: &Args, opts: &RunOpts) -> Result<(), String> {
         scenario = scenario.durability(durability);
     }
     let report = scenario.run().map_err(|e| e.to_string())?;
-    if opts.json {
-        print_json(&report);
-        return Ok(());
-    }
-    for d in &report.designs {
-        for r in &d.measured {
-            println!("design          {}", d.design);
-            println!("workload        {}", r.workload);
-            println!("replicas        {} ({} clients)", r.replicas, r.clients);
-            if phased {
-                println!(
-                    "throughput      {:.1} tps (whole-run mean)",
-                    r.throughput_tps
-                );
-            } else {
-                println!("throughput      {:.1} tps", r.throughput_tps);
-                println!("response        {:.1} ms", r.response_time * 1e3);
-                println!("abort rate      {:.3}%", r.abort_rate * 1e2);
-                println!(
-                    "bottleneck      {} ({:.0}%)",
-                    r.bottleneck,
-                    r.max_utilization * 1e2
-                );
-                println!(
-                    "writesets       {} applied, {:.0} B mean",
-                    r.writesets_applied, r.mean_writeset_bytes
-                );
-            }
-            match &r.transient {
-                Some(t) => print_transient("transient".to_string(), t),
-                None if phased => println!("(schedule disabled: no transient section)"),
-                None => {}
-            }
-        }
-    }
-    Ok(())
+    Ok(opts.emit(&report, |r| render::points(r, phased)))
 }
 
-fn validate_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
-    let mut grid = ValidationGrid::new().designs(opts.designs(&Design::ALL));
+fn validate_cmd(args: &Args, opts: &RunOpts) -> Output {
+    let mut grid = ValidationGrid::new()
+        .designs(opts.designs(&Design::ALL))
+        .seed(opts.seed)
+        .seeds(opts.seeds.unwrap_or(1))
+        .jobs(opts.jobs);
     match args.get("--workload") {
         None | Some("all") => {}
         Some(v) => {
@@ -765,309 +579,55 @@ fn validate_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
     if let Some(max) = opts.replicas {
         grid = grid.replicas(doubling_points(max));
     }
-    grid = grid.seed(opts.seed);
-    if let Some(seeds) = opts.seeds {
-        grid = grid.seeds(seeds);
-    }
-    grid = grid.jobs(opts.jobs);
     let report = grid.run().map_err(|e| e.to_string())?;
-    if opts.json {
-        print_json(&report);
-        return Ok(());
-    }
-    print_validation(&report);
-    Ok(())
+    Ok(opts.emit(&report, render::validation))
 }
 
-fn print_validation(report: &ValidationReport) {
-    println!(
-        "# validate: prediction vs simulation (seed {}, {} seed replication{})",
-        report.seed,
-        report.seeds,
-        if report.seeds == 1 { "" } else { "s" }
-    );
-    for w in &report.workloads {
-        println!("\n# {} (C = {})", w.workload, w.clients_per_replica);
-        println!(
-            "{:>10} {:>3} {:>11} {:>11} {:>7} {:>11} {:>11} {:>7} {:>8} {:>8} {:>7}",
-            "design",
-            "N",
-            "sim tps",
-            "model tps",
-            "err%",
-            "sim ms",
-            "model ms",
-            "err%",
-            "sim ab%",
-            "model%",
-            "err%"
-        );
-        for c in &w.cells {
-            println!(
-                "{:>10} {:>3} {:>11.1} {:>11.1} {:>6.1}% {:>11.1} {:>11.1} {:>6.1}% {:>8.3} {:>8.3} {:>6.1}%",
-                c.design.key(),
-                c.replicas,
-                c.measured_throughput_tps,
-                c.predicted_throughput_tps,
-                100.0 * c.throughput_error,
-                c.measured_response_time * 1e3,
-                c.predicted_response_time * 1e3,
-                100.0 * c.response_error,
-                c.measured_abort_rate * 1e2,
-                c.predicted_abort_rate * 1e2,
-                100.0 * c.abort_error,
-            );
-        }
-    }
-    println!(
-        "\n# per-design error summary (mean / max over each design's cells; {} workloads)",
-        report.workloads.len()
-    );
-    println!(
-        "{:>10} {:>6} {:>16} {:>16} {:>16}",
-        "design", "cells", "tput err", "resp err", "abort err"
-    );
-    for s in &report.summaries {
-        println!(
-            "{:>10} {:>6} {:>7.1}%/{:>6.1}% {:>7.1}%/{:>6.1}% {:>7.1}%/{:>6.1}%",
-            s.design.key(),
-            s.cells,
-            100.0 * s.mean_throughput_error,
-            100.0 * s.max_throughput_error,
-            100.0 * s.mean_response_error,
-            100.0 * s.max_response_error,
-            100.0 * s.mean_abort_error,
-            100.0 * s.max_abort_error,
-        );
-    }
-}
-
-fn plan_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
+fn plan_cmd(args: &Args, opts: &RunOpts) -> Output {
     // The planner searches the system `sweep` would predict: same
     // profile, client count and think time.
     let (profile, system, _) = opts
         .common(workload_scenario(args.req("--workload")?)?)
         .resolve();
     let designs = opts.designs(&[Design::MultiMaster, Design::SingleMaster]);
-    let max_resp_ms: Option<f64> = args.parsed("--max-response-ms")?;
-    let max_abort_pct: Option<f64> = args.parsed("--max-abort-pct")?;
     let slo = Slo {
+        max_response_time: args.parsed::<f64>("--max-response-ms")?.map(|r| r / 1e3),
+        max_abort_rate: args.parsed::<f64>("--max-abort-pct")?.map(|a| a / 1e2),
         min_throughput_tps: args.parsed("--tps")?.ok_or("missing --tps")?,
-        max_response_time: max_resp_ms.map(|r| r / 1e3),
-        max_abort_rate: max_abort_pct.map(|a| a / 1e2),
     };
-    let plans: Vec<Plan> = plan_designs(&profile, &system, &designs, &slo, PAPER_CLUSTER)
+    let plans = plan_designs(&profile, &system, &designs, &slo, PAPER_CLUSTER)
         .map_err(|e| e.to_string())?;
-    if opts.json {
-        print_json(&plans);
-        return Ok(());
-    }
-    if plans.is_empty() {
-        println!("SLO infeasible within {PAPER_CLUSTER} replicas");
-        return Ok(());
-    }
-    for p in plans {
-        println!(
-            "{}: {} replicas -> {:.1} tps, {:.1} ms, abort {:.3}%",
-            p.design,
-            p.replicas,
-            p.prediction.throughput_tps,
-            p.prediction.response_time * 1e3,
-            p.prediction.abort_rate * 1e2
-        );
-    }
-    Ok(())
+    Ok(opts.emit(&plans, |p| render::plans(p, PAPER_CLUSTER)))
 }
 
-fn profile_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
+fn profile_cmd(args: &Args, opts: &RunOpts) -> Output {
     let spec = parse_workload(args.req("--workload")?).map_err(|e| e.to_string())?;
     let outcome = Profiler::new(spec).seed(opts.seed).profile();
-    if opts.json {
-        print_json(&outcome.profile);
-        return Ok(());
-    }
-    let p = &outcome.profile;
-    println!("workload        {}", p.name);
-    println!("Pr / Pw         {:.1}% / {:.1}%", p.pr * 1e2, p.pw * 1e2);
-    println!("A1              {:.4}%", p.a1 * 1e2);
-    println!(
-        "rc (cpu/disk)   {:.2} / {:.2} ms",
-        p.cpu.read * 1e3,
-        p.disk.read * 1e3
-    );
-    println!(
-        "wc (cpu/disk)   {:.2} / {:.2} ms",
-        p.cpu.write * 1e3,
-        p.disk.write * 1e3
-    );
-    println!(
-        "ws (cpu/disk)   {:.2} / {:.2} ms",
-        p.cpu.writeset * 1e3,
-        p.disk.writeset * 1e3
-    );
-    println!("L(1)            {:.1} ms", p.l1 * 1e3);
-    println!("U               {:.2}", p.update_ops);
-    Ok(())
+    Ok(opts.emit(&outcome.profile, render::profile))
 }
 
-/// What `recover` did, serialized under `--json`.
-#[derive(serde::Serialize)]
-struct RecoverOutcome {
-    /// Update commits the scripted workload ran.
-    commits: usize,
-    /// Commits per WAL frame.
-    group_commit: usize,
-    /// Where the checkpoint + WAL files were written.
-    dir: String,
-    /// Serialized checkpoint size, bytes.
-    checkpoint_bytes: usize,
-    /// WAL size as recovered (after any `--truncate-at` cut), bytes.
-    wal_bytes: usize,
-    /// Bytes of the WAL that survived frame + crc validation.
-    wal_valid_bytes: usize,
-    /// Whether a torn tail (or the cut) was truncated during the scan.
-    wal_truncated: bool,
-    /// Commits replayed from the WAL on top of the checkpoint.
-    replayed: u64,
-    /// Database version the recovered engine ended at.
-    last_seq: u64,
-    /// Whether the rebuilt database byte-matched the live reference.
-    verified: bool,
-}
-
-/// Scripted durability round trip: deterministic workload → checkpoint +
-/// WAL on disk → cold-start recovery from the files alone → byte-level
-/// verification against states recorded from the live database.
-fn recover_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
-    use replipred::sidb::{Checkpoint, Database, RowId, Value, WalRecord, WalWriter};
-
+fn recover_cmd(args: &Args, opts: &RunOpts) -> Output {
     let commits = args.count("--commits")?.unwrap_or(64);
     let group = args.count("--group-commit")?.unwrap_or(8);
     let cut: Option<usize> = args.parsed("--truncate-at")?;
-    let seed = opts.seed;
     let dir = match args.get("--dir") {
         Some(d) => std::path::PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("replipred-recover-{seed}")),
+        None => std::env::temp_dir().join(format!("replipred-recover-{}", opts.seed)),
     };
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-
-    // The scripted workload: 16 seeded accounts, `commits` single-row
-    // updates drawn from a splitmix64 stream — same seed, same bytes.
-    const ROWS: u64 = 16;
-    let mut db = Database::new();
-    let t = db
-        .create_table("acct", &["balance"])
-        .expect("fresh database");
-    let seeding = db.begin();
-    for r in 0..ROWS {
-        db.insert(seeding, t, RowId(r), vec![Value::Int(0)])
-            .expect("seeding a fresh table");
+    let outcome = recover::round_trip(commits, group, cut, opts.seed, &dir)?;
+    let text = opts.emit(&outcome, recover::RecoverOutcome::render);
+    if !outcome.verified {
+        return Err(format!(
+            "recovered database does not match the live reference\n{text}"
+        ));
     }
-    db.commit(seeding).expect("seed commit");
-    let checkpoint = db.checkpoint();
-    let mut wal = WalWriter::new(group.max(1));
-    let mut states = vec![db.durable_state()];
-    let mut stream = seed;
-    let mut draw = move || {
-        stream = stream.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = stream;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    for _ in 0..commits {
-        let row = draw() % ROWS;
-        let amount = (draw() % 100_000) as i64;
-        let txn = db.begin();
-        db.update(txn, t, RowId(row), vec![Value::Int(amount)])
-            .expect("seeded row exists");
-        let info = db.commit(txn).expect("single writer never conflicts");
-        wal.append(&WalRecord::Commit {
-            seq: info.commit_seq,
-            writeset: info.writeset,
-        });
-        states.push(db.durable_state());
-    }
-
-    // Persist, then recover from the files alone: nothing below survives
-    // from the live objects.
-    let cp_path = dir.join("checkpoint.sidb");
-    let wal_path = dir.join("wal.sidb");
-    std::fs::write(&cp_path, checkpoint.to_bytes())
-        .map_err(|e| format!("cannot write {}: {e}", cp_path.display()))?;
-    let mut wal_bytes = wal.into_bytes();
-    if let Some(c) = cut {
-        wal_bytes.truncate(c.min(wal_bytes.len()));
-    }
-    std::fs::write(&wal_path, &wal_bytes)
-        .map_err(|e| format!("cannot write {}: {e}", wal_path.display()))?;
-    drop((db, checkpoint));
-
-    let cp_image =
-        std::fs::read(&cp_path).map_err(|e| format!("cannot read {}: {e}", cp_path.display()))?;
-    let cp_loaded =
-        Checkpoint::from_bytes(&cp_image).map_err(|e| format!("bad checkpoint: {e}"))?;
-    let wal_loaded =
-        std::fs::read(&wal_path).map_err(|e| format!("cannot read {}: {e}", wal_path.display()))?;
-    let (recovered, report) = Database::recover(&cp_loaded, &wal_loaded, cp_loaded.seq);
-    let verified = recovered.durable_state() == states[report.replayed as usize];
-
-    let outcome = RecoverOutcome {
-        commits,
-        group_commit: group,
-        dir: dir.display().to_string(),
-        checkpoint_bytes: cp_image.len(),
-        wal_bytes: wal_loaded.len(),
-        wal_valid_bytes: report.wal_valid_len,
-        wal_truncated: report.wal_truncated,
-        replayed: report.replayed,
-        last_seq: report.last_seq,
-        verified,
-    };
-    if opts.json {
-        print_json(&outcome);
-    } else {
-        println!("dir             {}", outcome.dir);
-        println!(
-            "workload        {} commits over {ROWS} rows (group commit {})",
-            outcome.commits, outcome.group_commit
-        );
-        println!("checkpoint      {} B", outcome.checkpoint_bytes);
-        println!(
-            "wal             {} B ({} B valid{})",
-            outcome.wal_bytes,
-            outcome.wal_valid_bytes,
-            if outcome.wal_truncated {
-                ", tail truncated"
-            } else {
-                ""
-            }
-        );
-        println!(
-            "replayed        {} commits -> version {}",
-            outcome.replayed, outcome.last_seq
-        );
-        println!(
-            "verified        {}",
-            if verified {
-                "yes (byte-identical to the live reference)"
-            } else {
-                "NO"
-            }
-        );
-    }
-    if !verified {
-        return Err("recovered database does not match the live reference".to_string());
-    }
-    Ok(())
+    Ok(text)
 }
 
-fn figures_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
+fn figures_cmd(args: &Args, opts: &RunOpts) -> Output {
     if args.has("--list") {
-        for a in &ARTIFACTS {
-            println!("{:<30} {}", a.key, a.title);
-        }
-        return Ok(());
+        let line = |a: &figures::Artifact| format!("{:<30} {}\n", a.key, a.title);
+        return Ok(ARTIFACTS.iter().map(line).collect());
     }
     let (all, keys) = (args.has("--all"), &args.positional);
     if all != keys.is_empty() {
@@ -1083,10 +643,8 @@ fn figures_cmd(args: &Args, opts: &RunOpts) -> Result<(), String> {
         full: args.has("--full"),
     });
     // Table order, whatever the order of the keys.
-    for artifact in ARTIFACTS.iter().filter(|a| all || keys.contains(&a.key)) {
-        print!("{}", session.render(artifact));
-    }
-    Ok(())
+    let chosen = ARTIFACTS.iter().filter(|a| all || keys.contains(&a.key));
+    Ok(chosen.map(|a| session.render(a)).collect())
 }
 
 #[cfg(test)]

@@ -466,6 +466,8 @@ impl Scenario {
         if self.simulate && spec.is_none() {
             return Err(ScenarioError::SimulationUnavailable(profile.name.clone()));
         }
+        // Checked here because a simulate-only run builds no predictor.
+        config.validate()?;
 
         // Predictor curves run inline first: they cost microseconds, and
         // any model error must surface *before* simulation time is spent.

@@ -20,13 +20,14 @@
 //! # The standalone anchor
 //!
 //! The replicated designs (`mm`, `sm`) are validated at every replica
-//! point. The `standalone` design is different by construction: its
-//! predictor models `n·C` clients on *one* node (the scale-up baseline)
-//! while the mechanistic simulator always runs the physical one-node
-//! system at `C` clients, so the two sides only describe the same system
-//! at `n = 1`. The grid therefore pins standalone cells to the `n = 1`
-//! anchor; if the replica points exclude 1, standalone contributes no
-//! cells.
+//! point; the `standalone` design only at `n = 1`. That is a choice, not
+//! a limitation: its predictor and its simulator follow the same
+//! scale-point rule — `n·C` clients offered to *one* node, reported as
+//! `replicas = n` (`tests/design_axis.rs`) — so they describe the same
+//! system at every `n`. The grid keeps the anchor because its report is
+//! pinned (the benchmark's `validate_quick` digest, the cell counts in
+//! `tests/validate_grid.rs`); without 1 among the replica points,
+//! standalone contributes no cells.
 //!
 //! # Error metric
 //!
@@ -190,9 +191,8 @@ impl ValidationGrid {
         if self.replicas.is_empty() {
             return Err(ScenarioError::EmptyScenario("replica points"));
         }
-        // Standalone only has its n = 1 anchor (module docs), so it runs
-        // in a separate single-point sub-grid instead of being simulated
-        // at every replica point and discarded.
+        // Standalone is validated at its n = 1 anchor only (module docs),
+        // so it runs in a separate single-point sub-grid.
         let replicated: Vec<Design> = self
             .designs
             .iter()

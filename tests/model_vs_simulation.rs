@@ -3,30 +3,38 @@
 //! (replipred-repl) — the reproduction of the paper's Section 6
 //! validation, in miniature.
 
-use replipred::model::{MultiMasterModel, SingleMasterModel, SystemConfig};
+use replipred::model::Design::{self, MultiMaster as Mm, SingleMaster as Sm};
+use replipred::model::{Predictor, SystemConfig, WorkloadProfile};
 use replipred::profiler::Profiler;
-use replipred::repl::{MultiMasterSim, SimConfig, SingleMasterSim};
+use replipred::repl::{RunReport, SimConfig, SimulatorRegistry};
 use replipred::workload::synth::SynthSpec;
-use replipred::workload::{rubis, tpcw};
+use replipred::workload::{rubis, tpcw, WorkloadSpec};
 
-fn sim_cfg(n: usize) -> SimConfig {
-    SimConfig {
+/// The design's predictor over a measured profile at `c` clients a replica.
+fn predictor(design: Design, profile: WorkloadProfile, c: usize) -> Predictor {
+    design
+        .predictor(profile, SystemConfig::lan_cluster(c))
+        .unwrap()
+}
+
+/// One simulated point of the design: 15 s warm-up, 60 s measured.
+fn sim(design: Design, spec: &WorkloadSpec, n: usize) -> RunReport {
+    let cfg = SimConfig {
         warmup: 15.0,
         duration: 60.0,
         ..SimConfig::quick(n, 2009)
-    }
+    };
+    design.simulator(spec.clone(), cfg).run()
 }
 
 #[test]
 fn mm_shopping_prediction_tracks_simulation() {
     let spec = tpcw::mix(tpcw::Mix::Shopping);
     let profile = Profiler::new(spec.clone()).seed(2009).profile().profile;
-    let model = MultiMasterModel::new(profile, SystemConfig::lan_cluster(40));
+    let model = predictor(Mm, profile, 40);
     for n in [1usize, 4] {
         let predicted = model.predict(n).unwrap().throughput_tps;
-        let simulated = MultiMasterSim::new(spec.clone(), sim_cfg(n))
-            .run()
-            .throughput_tps;
+        let simulated = sim(Mm, &spec, n).throughput_tps;
         let err = (predicted - simulated).abs() / simulated;
         assert!(
             err < 0.20,
@@ -40,14 +48,12 @@ fn mm_shopping_prediction_tracks_simulation() {
 fn mm_browsing_scales_in_both_artifacts() {
     let spec = tpcw::mix(tpcw::Mix::Browsing);
     let profile = Profiler::new(spec.clone()).seed(1).profile().profile;
-    let model = MultiMasterModel::new(profile, SystemConfig::lan_cluster(30));
+    let model = predictor(Mm, profile, 30);
     let p1 = model.predict(1).unwrap().throughput_tps;
     let p6 = model.predict(6).unwrap().throughput_tps;
     assert!(p6 > 5.0 * p1, "model: {p1} -> {p6}");
-    let s1 = MultiMasterSim::new(spec.clone(), sim_cfg(1))
-        .run()
-        .throughput_tps;
-    let s6 = MultiMasterSim::new(spec, sim_cfg(6)).run().throughput_tps;
+    let s1 = sim(Mm, &spec, 1).throughput_tps;
+    let s6 = sim(Mm, &spec, 6).throughput_tps;
     assert!(s6 > 5.0 * s1, "sim: {s1} -> {s6}");
 }
 
@@ -57,14 +63,12 @@ fn sm_ordering_saturates_in_both_artifacts() {
     // replicas; model and simulation must both show the plateau.
     let spec = tpcw::mix(tpcw::Mix::Ordering);
     let profile = Profiler::new(spec.clone()).seed(3).profile().profile;
-    let model = SingleMasterModel::new(profile, SystemConfig::lan_cluster(50));
+    let model = predictor(Sm, profile, 50);
     let p4 = model.predict(4).unwrap().throughput_tps;
     let p8 = model.predict(8).unwrap().throughput_tps;
     assert!(p8 < 1.25 * p4, "model should plateau: {p4} -> {p8}");
-    let s4 = SingleMasterSim::new(spec.clone(), sim_cfg(4))
-        .run()
-        .throughput_tps;
-    let s8 = SingleMasterSim::new(spec, sim_cfg(8)).run().throughput_tps;
+    let s4 = sim(Sm, &spec, 4).throughput_tps;
+    let s8 = sim(Sm, &spec, 8).throughput_tps;
     assert!(s8 < 1.25 * s4, "sim should plateau: {s4} -> {s8}");
 }
 
@@ -73,20 +77,17 @@ fn mm_beats_sm_at_scale_on_ordering_in_both_artifacts() {
     // The paper's headline design comparison at an update-heavy mix.
     let spec = tpcw::mix(tpcw::Mix::Ordering);
     let profile = Profiler::new(spec.clone()).seed(5).profile().profile;
-    let config = SystemConfig::lan_cluster(50);
-    let mm_pred = MultiMasterModel::new(profile.clone(), config.clone())
+    let mm_pred = predictor(Mm, profile.clone(), 50)
         .predict(8)
         .unwrap()
         .throughput_tps;
-    let sm_pred = SingleMasterModel::new(profile, config)
+    let sm_pred = predictor(Sm, profile, 50)
         .predict(8)
         .unwrap()
         .throughput_tps;
     assert!(mm_pred > 1.2 * sm_pred, "model: mm {mm_pred} sm {sm_pred}");
-    let mm_sim = MultiMasterSim::new(spec.clone(), sim_cfg(8))
-        .run()
-        .throughput_tps;
-    let sm_sim = SingleMasterSim::new(spec, sim_cfg(8)).run().throughput_tps;
+    let mm_sim = sim(Mm, &spec, 8).throughput_tps;
+    let sm_sim = sim(Sm, &spec, 8).throughput_tps;
     assert!(mm_sim > 1.2 * sm_sim, "sim: mm {mm_sim} sm {sm_sim}");
 }
 
@@ -97,17 +98,11 @@ fn rubis_bidding_shapes_match_the_paper() {
     // system is pinned by the master's disk. At 6 replicas the two designs
     // are nearly tied; the distinguishing shape is the growth pattern.
     let spec = rubis::mix(rubis::Mix::Bidding);
-    let mm3 = MultiMasterSim::new(spec.clone(), sim_cfg(3))
-        .run()
-        .throughput_tps;
-    let mm6 = MultiMasterSim::new(spec.clone(), sim_cfg(6))
-        .run()
-        .throughput_tps;
+    let mm3 = sim(Mm, &spec, 3).throughput_tps;
+    let mm6 = sim(Mm, &spec, 6).throughput_tps;
     assert!(mm6 > 1.1 * mm3, "MM should still gain: {mm3} -> {mm6}");
-    let sm3 = SingleMasterSim::new(spec.clone(), sim_cfg(3))
-        .run()
-        .throughput_tps;
-    let sm6 = SingleMasterSim::new(spec, sim_cfg(6)).run().throughput_tps;
+    let sm3 = sim(Sm, &spec, 3).throughput_tps;
+    let sm6 = sim(Sm, &spec, 6).throughput_tps;
     assert!(
         sm6 < 1.35 * sm3,
         "SM should be near its master-disk ceiling: {sm3} -> {sm6}"
@@ -127,9 +122,9 @@ fn sm_shopping_prediction_tracks_simulation_at_n8() {
     // nested SM fixed point or the writeset-demand accounting regresses.
     let spec = tpcw::mix(tpcw::Mix::Shopping);
     let profile = Profiler::new(spec.clone()).seed(2009).profile().profile;
-    let model = SingleMasterModel::new(profile, SystemConfig::lan_cluster(40));
+    let model = predictor(Sm, profile, 40);
     let predicted = model.predict(8).unwrap().throughput_tps;
-    let simulated = SingleMasterSim::new(spec, sim_cfg(8)).run().throughput_tps;
+    let simulated = sim(Sm, &spec, 8).throughput_tps;
     let err = (predicted - simulated).abs() / simulated;
     assert!(
         err < 0.15,
@@ -151,14 +146,12 @@ fn synth_read_only_corner_scales_near_linearly_in_both_artifacts() {
     // lan_cluster config describes the same closed loop the sim runs.
     let spec = SynthSpec::preset("read-only").unwrap().build().unwrap();
     let profile = Profiler::new(spec.clone()).seed(11).profile().profile;
-    let model = MultiMasterModel::new(profile, SystemConfig::lan_cluster(50));
+    let model = predictor(Mm, profile, 50);
     let p1 = model.predict(1).unwrap().throughput_tps;
     let p6 = model.predict(6).unwrap().throughput_tps;
     assert!(p6 > 5.0 * p1, "model: {p1} -> {p6}");
-    let s1 = MultiMasterSim::new(spec.clone(), sim_cfg(1))
-        .run()
-        .throughput_tps;
-    let s6 = MultiMasterSim::new(spec, sim_cfg(6)).run().throughput_tps;
+    let s1 = sim(Mm, &spec, 1).throughput_tps;
+    let s6 = sim(Mm, &spec, 6).throughput_tps;
     assert!(s6 > 5.0 * s1, "sim: {s1} -> {s6}");
 }
 
@@ -172,14 +165,12 @@ fn synth_write_heavy_corner_does_not_scale_linearly() {
     // with slack because the exact plateau depends on the abort feedback.
     let spec = SynthSpec::preset("write-heavy").unwrap().build().unwrap();
     let profile = Profiler::new(spec.clone()).seed(13).profile().profile;
-    let model = MultiMasterModel::new(profile, SystemConfig::lan_cluster(40));
+    let model = predictor(Mm, profile, 40);
     let p1 = model.predict(1).unwrap().throughput_tps;
     let p6 = model.predict(6).unwrap().throughput_tps;
     assert!(p6 < 4.0 * p1, "model should saturate: {p1} -> {p6}");
-    let s1 = MultiMasterSim::new(spec.clone(), sim_cfg(1))
-        .run()
-        .throughput_tps;
-    let s6 = MultiMasterSim::new(spec, sim_cfg(6)).run().throughput_tps;
+    let s1 = sim(Mm, &spec, 1).throughput_tps;
+    let s6 = sim(Mm, &spec, 6).throughput_tps;
     assert!(s6 < 4.0 * s1, "sim should saturate: {s1} -> {s6}");
     // And the model must still track the saturated simulation: ~6%
     // observed error at N=6; 20% is the repo-wide published-mix band.
@@ -195,9 +186,9 @@ fn synth_write_heavy_corner_does_not_scale_linearly() {
 fn response_time_prediction_is_sane() {
     let spec = tpcw::mix(tpcw::Mix::Shopping);
     let profile = Profiler::new(spec.clone()).seed(7).profile().profile;
-    let model = MultiMasterModel::new(profile, SystemConfig::lan_cluster(40));
+    let model = predictor(Mm, profile, 40);
     let predicted = model.predict(4).unwrap().response_time;
-    let simulated = MultiMasterSim::new(spec, sim_cfg(4)).run().response_time;
+    let simulated = sim(Mm, &spec, 4).response_time;
     let err = (predicted - simulated).abs() / simulated;
     assert!(
         err < 0.35,

@@ -1,13 +1,10 @@
 //! Smoke tests for the published profiles, the `@profile.json` CLI
-//! ingestion path, trait-object dispatch parity, and the `sweep` /
-//! `--design all` / `--json` CLI paths.
+//! ingestion path, and the `sweep` / `--design all` / `--json` CLI paths.
 
 use std::process::Command;
 
-use replipred::model::{
-    Design, MultiMasterModel, SingleMasterModel, StandaloneModel, SystemConfig, WorkloadProfile,
-};
-use replipred::scenario::{workload_spec, ScenarioReport};
+use replipred::model::{Design, WorkloadProfile};
+use replipred::scenario::ScenarioReport;
 use replipred::validate::ValidationReport;
 
 /// All five profiles the paper publishes (Tables 2-5).
@@ -39,45 +36,6 @@ fn profile_json_roundtrips_through_pretty_form() {
         let json = serde_json::to_string_pretty(&p).unwrap();
         let back: WorkloadProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back, "pretty JSON round-trip changed {}", p.name);
-    }
-}
-
-#[test]
-fn dyn_predictor_dispatch_matches_concrete_calls() {
-    // The registry's `&dyn Predictor` must be a pure indirection: for
-    // every published profile and every design, trait-object dispatch
-    // returns bit-identical predictions to the concrete model types.
-    for profile in published() {
-        let clients = workload_spec(&profile.name)
-            .expect("published profiles have specs")
-            .clients_per_replica;
-        let config = SystemConfig::lan_cluster(clients);
-        for n in [1usize, 4] {
-            for design in Design::ALL {
-                let via_trait = design
-                    .predictor(profile.clone(), config.clone())
-                    .expect("published profiles are valid")
-                    .predict(n)
-                    .expect("solves");
-                let concrete = match design {
-                    Design::Standalone => StandaloneModel::new(profile.clone(), config.clone())
-                        .unwrap()
-                        .predict_scaled(n),
-                    Design::MultiMaster => {
-                        MultiMasterModel::new(profile.clone(), config.clone()).predict(n)
-                    }
-                    Design::SingleMaster => {
-                        SingleMasterModel::new(profile.clone(), config.clone()).predict(n)
-                    }
-                }
-                .expect("solves");
-                assert_eq!(
-                    via_trait, concrete,
-                    "{}: dyn dispatch diverged for {design} at n={n}",
-                    profile.name
-                );
-            }
-        }
     }
 }
 
@@ -369,6 +327,26 @@ fn cli_rejects_zero_jobs_and_seeds() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
             stderr.contains(&format!("{flag} must be at least 1")),
+            "stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn cli_rejects_zero_clients_whether_or_not_a_predictor_runs() {
+    // `simulate` skips the predictors, which used to be the only place
+    // the resolved configuration was validated: it ran an empty system
+    // and printed 0.0 tps.
+    for subcommand in ["predict", "simulate"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_replipred"))
+            .args([subcommand, "--workload", "tpcw-shopping", "--clients", "0"])
+            .output()
+            .expect("spawn replipred binary");
+        assert!(!output.status.success(), "{subcommand} --clients 0");
+        assert!(output.stdout.is_empty(), "{subcommand} printed a report");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("clients_per_replica must be at least 1"),
             "stderr: {stderr}"
         );
     }

@@ -2,7 +2,7 @@
 //! workload mix: the recovered parameters must be close to the workload's
 //! ground truth, and must feed the models without error.
 
-use replipred::model::{MultiMasterModel, SingleMasterModel, SystemConfig};
+use replipred::model::{Design, SystemConfig};
 use replipred::profiler::Profiler;
 use replipred::workload::spec::WorkloadSpec;
 use replipred::workload::{rubis, tpcw};
@@ -44,15 +44,11 @@ fn profiles_drive_both_models_across_the_sweep() {
     for spec in all_specs() {
         let profile = Profiler::new(spec.clone()).seed(13).profile().profile;
         let config = SystemConfig::lan_cluster(spec.clients_per_replica);
-        let mm = MultiMasterModel::new(profile.clone(), config.clone());
-        let sm = SingleMasterModel::new(profile, config);
-        let mm_curve = mm
-            .predict_curve(16)
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        let sm_curve = sm
-            .predict_curve(16)
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        for curve in [&mm_curve, &sm_curve] {
+        for design in [Design::MultiMaster, Design::SingleMaster] {
+            let curve = design
+                .predictor(profile.clone(), config.clone())
+                .and_then(|model| model.curve(16))
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             for p in &curve.points {
                 assert!(
                     p.throughput_tps.is_finite() && p.throughput_tps > 0.0,

@@ -2,7 +2,7 @@
 //! solver, the abort algebra and the storage engine.
 
 use proptest::prelude::*;
-use replipred::model::{AbortModel, MultiMasterModel, SystemConfig, WorkloadProfile};
+use replipred::model::{AbortModel, Design, SystemConfig, WorkloadProfile};
 use replipred::mva::{approx, bounds, exact, ClosedNetwork};
 use replipred::sidb::{Database, RowId, TableId, Value};
 use replipred::workload::synth::SynthSpec;
@@ -81,25 +81,27 @@ fn arb_synth() -> impl Strategy<Value = SynthSpec> {
                 (reads, writes, private, hot, hot_rows, think),
                 (clients, tables, rows, update_rows, wlo, wwidth),
             )| {
-                SynthSpec::new()
-                    .update_fraction(pw)
-                    .read_classes(read_classes)
-                    .update_classes(update_classes)
-                    .read_cpu(rlo, rlo + rwidth)
-                    .read_disk(rlo / 2.0, rlo / 2.0 + rwidth)
-                    .write_cpu(wlo, wlo + wwidth)
-                    .write_disk(wlo / 2.0, wlo / 2.0 + wwidth)
-                    .ws_fraction(ws)
-                    .reads_per_txn(reads)
-                    .writes_per_txn(writes)
-                    .private_writes(private)
-                    .hot_skew(hot)
-                    .hot_rows(hot_rows)
-                    .think_time(think)
-                    .clients(clients)
-                    .tables(tables)
-                    .rows_per_table(rows)
-                    .update_rows(update_rows)
+                SynthSpec {
+                    update_fraction: pw,
+                    read_classes,
+                    update_classes,
+                    read_cpu: (rlo, rlo + rwidth),
+                    read_disk: (rlo / 2.0, rlo / 2.0 + rwidth),
+                    write_cpu: (wlo, wlo + wwidth),
+                    write_disk: (wlo / 2.0, wlo / 2.0 + wwidth),
+                    ws_fraction: ws,
+                    reads_per_txn: reads,
+                    writes_per_txn: writes,
+                    private_writes: private,
+                    hot_skew: hot,
+                    hot_rows,
+                    think_time: think,
+                    clients_per_replica: clients,
+                    tables,
+                    rows_per_table: rows,
+                    update_rows,
+                    ..SynthSpec::new()
+                }
             },
         )
 }
@@ -184,7 +186,7 @@ proptest! {
             log_disk: 0.0,
         };
         profile.estimate_l1(40, 1.0).unwrap();
-        let model = MultiMasterModel::new(profile, SystemConfig::lan_cluster(40));
+        let model = Design::MultiMaster.predictor(profile, SystemConfig::lan_cluster(40)).unwrap();
         let mut last = 0.0;
         for n in [1usize, 2, 4, 8] {
             let p = model.predict(n).unwrap();

@@ -2,8 +2,8 @@
 //! predictions are meant to be stored (capacity-planning records) and
 //! shipped between services.
 
-use replipred::model::{MultiMasterModel, SystemConfig, WorkloadProfile};
-use replipred::repl::{SimConfig, StandaloneSim};
+use replipred::model::{Design, SystemConfig, WorkloadProfile};
+use replipred::repl::{SimConfig, SimulatorRegistry};
 use replipred::sidb::{RowId, TableId, Value, WriteItem, WriteOp, WriteSet};
 use replipred::workload::tpcw;
 
@@ -18,10 +18,12 @@ fn workload_profile_roundtrip() {
 
 #[test]
 fn prediction_roundtrip() {
-    let model = MultiMasterModel::new(
-        WorkloadProfile::tpcw_shopping(),
-        SystemConfig::lan_cluster(40),
-    );
+    let model = Design::MultiMaster
+        .predictor(
+            WorkloadProfile::tpcw_shopping(),
+            SystemConfig::lan_cluster(40),
+        )
+        .unwrap();
     let p = model.predict(8).unwrap();
     let json = serde_json::to_string(&p).unwrap();
     let back: replipred::model::Prediction = serde_json::from_str(&json).unwrap();
@@ -30,11 +32,13 @@ fn prediction_roundtrip() {
 
 #[test]
 fn scalability_curve_roundtrip() {
-    let model = MultiMasterModel::new(
-        WorkloadProfile::tpcw_browsing(),
-        SystemConfig::lan_cluster(30),
-    );
-    let curve = model.predict_curve(4).unwrap();
+    let model = Design::MultiMaster
+        .predictor(
+            WorkloadProfile::tpcw_browsing(),
+            SystemConfig::lan_cluster(30),
+        )
+        .unwrap();
+    let curve = model.curve(4).unwrap();
     let json = serde_json::to_string(&curve).unwrap();
     let back: replipred::model::report::ScalabilityCurve = serde_json::from_str(&json).unwrap();
     assert_eq!(curve, back);
@@ -42,15 +46,14 @@ fn scalability_curve_roundtrip() {
 
 #[test]
 fn run_report_roundtrip() {
-    let report = StandaloneSim::new(
-        tpcw::mix(tpcw::Mix::Shopping),
-        SimConfig {
-            warmup: 5.0,
-            duration: 10.0,
-            ..SimConfig::quick(1, 1)
-        },
-    )
-    .run();
+    let cfg = SimConfig {
+        warmup: 5.0,
+        duration: 10.0,
+        ..SimConfig::quick(1, 1)
+    };
+    let report = Design::Standalone
+        .simulator(tpcw::mix(tpcw::Mix::Shopping), cfg)
+        .run();
     let json = serde_json::to_string(&report).unwrap();
     let back: replipred::repl::RunReport = serde_json::from_str(&json).unwrap();
     assert_eq!(report, back);
