@@ -52,52 +52,7 @@ pub fn solve_single(network: &ClosedNetwork, population: usize) -> Result<MvaSol
             "population must be at least 1".into(),
         ));
     }
-    solve_single_real(network, population as f64)
-}
-
-/// Solves a single-class network at a *real-valued* population.
-///
-/// Schweitzer's fixed point is well defined for fractional populations
-/// (the arriving-customer correction `(n-1)/n` is clamped at zero below one
-/// client). The single-master balancing algorithm needs this: `Pr·C·N/(N-1)`
-/// clients per slave is rarely an integer.
-///
-/// The reported [`MvaSolution::population`] is the rounded population.
-///
-/// # Errors
-///
-/// Returns [`MvaError::InvalidPopulation`] for negative or non-finite
-/// populations and [`MvaError::NoConvergence`] if the fixed point fails.
-pub fn solve_single_real(
-    network: &ClosedNetwork,
-    population: f64,
-) -> Result<MvaSolution, MvaError> {
-    if !population.is_finite() || population < 0.0 {
-        return Err(MvaError::InvalidPopulation(format!(
-            "population must be finite and non-negative, got {population}"
-        )));
-    }
-    if population == 0.0 {
-        let centers = network
-            .centers()
-            .iter()
-            .map(|c| crate::exact::CenterMetrics {
-                name: c.name.clone(),
-                demand: c.demand,
-                residence: 0.0,
-                queue_length: 0.0,
-                utilization: 0.0,
-            })
-            .collect();
-        return Ok(MvaSolution {
-            population: 0,
-            throughput: 0.0,
-            response_time: 0.0,
-            think_time: network.think_time(),
-            centers,
-        });
-    }
-    let n = population;
+    let n = population as f64;
     let centers = network.centers();
     let k_count = centers.len();
     // Initial guess: clients spread evenly over queueing centers.
@@ -108,13 +63,11 @@ pub fn solve_single_real(
         .max(1);
     let mut q = vec![n / queueing_count as f64; k_count];
     let mut residence = vec![0.0f64; k_count];
+    let correction = (n - 1.0) / n;
 
     for _ in 0..MAX_ITERS {
         let mut r_total = 0.0;
         for (k, c) in centers.iter().enumerate() {
-            // The arriving-customer correction is clamped at zero for
-            // sub-unit (fractional) populations.
-            let correction = ((n - 1.0) / n).max(0.0);
             residence[k] = match c.kind {
                 CenterKind::Queueing => c.demand * (1.0 + q[k] * correction),
                 CenterKind::Delay => c.demand,
@@ -147,7 +100,7 @@ pub fn solve_single_real(
                 })
                 .collect();
             return Ok(MvaSolution {
-                population: population.round() as usize,
+                population,
                 throughput,
                 response_time: response,
                 think_time: network.think_time(),
@@ -163,7 +116,8 @@ pub fn solve_single_real(
 
 /// Solves a multiclass network with the Schweitzer approximation.
 ///
-/// Classes with zero population are carried through with zero throughput.
+/// Classes with zero population are carried through with zero throughput;
+/// their residence and response times are what a first client would see.
 ///
 /// # Errors
 ///
@@ -175,131 +129,153 @@ pub fn solve_multiclass(
     population: &[usize],
 ) -> Result<MulticlassSolution, MvaError> {
     let real: Vec<f64> = population.iter().map(|&p| p as f64).collect();
-    solve_multiclass_real(network, &real)
+    let mut ws = Schweitzer::default();
+    ws.solve(network, &real)?;
+    let (classes, centers) = (network.classes(), network.centers());
+    Ok(MulticlassSolution {
+        population: population.to_vec(),
+        queue_length: (0..centers)
+            .map(|k| ws.q.iter().skip(k).step_by(centers).sum())
+            .collect(),
+        utilization: (0..centers).map(|k| ws.utilization(network, k)).collect(),
+        residence: (0..classes)
+            .map(|c| ws.residence[c * centers..(c + 1) * centers].to_vec())
+            .collect(),
+        throughput: ws.throughput,
+        response_time: ws.response,
+    })
 }
 
-/// Solves a multiclass network at *real-valued* per-class populations.
+/// The multiclass Schweitzer fixed point on caller-held state, for
+/// solvers that evaluate one network shape at hundreds of nearby
+/// populations (the single-master model's root-finds).
 ///
-/// See [`solve_single_real`] for why fractional populations arise. The
-/// reported per-class populations are rounded.
-///
-/// # Errors
-///
-/// Returns [`MvaError::DimensionMismatch`] for a wrong-length population
-/// vector, [`MvaError::InvalidPopulation`] for negative or non-finite
-/// entries and [`MvaError::NoConvergence`] when the fixed point fails.
-pub fn solve_multiclass_real(
-    network: &MulticlassNetwork,
-    population: &[f64],
-) -> Result<MulticlassSolution, MvaError> {
-    let classes = network.classes();
-    let centers = network.centers();
-    if population.len() != classes {
-        return Err(MvaError::DimensionMismatch {
-            got: population.len(),
-            expected: classes,
-        });
-    }
-    for &p in population {
-        if !p.is_finite() || p < 0.0 {
-            return Err(MvaError::InvalidPopulation(format!(
-                "population must be finite and non-negative, got {p}"
-            )));
-        }
-    }
-    let rounded: Vec<usize> = population.iter().map(|&p| p.round() as usize).collect();
-    if population.iter().all(|&p| p == 0.0) {
-        return Ok(MulticlassSolution {
-            population: rounded,
-            throughput: vec![0.0; classes],
-            response_time: vec![0.0; classes],
-            queue_length: vec![0.0; centers],
-            utilization: vec![0.0; centers],
-            residence: vec![vec![0.0; centers]; classes],
-        });
-    }
+/// [`Schweitzer::solve`] allocates only when the network's shape differs
+/// from the previous call's, and starts from the queue lengths the
+/// previous call converged to instead of the uniform guess: the
+/// iteration converges linearly, so a start that is already close saves
+/// most of its rounds. Populations are real-valued — the arriving-customer
+/// correction `(n−1)/n` is clamped at zero below one client — because a
+/// balanced client split is rarely integral.
+#[derive(Debug, Clone, Default)]
+pub struct Schweitzer {
+    centers: usize,
+    /// `q[c·K + k]` — queue length of class `c` at center `k`.
+    q: Vec<f64>,
+    /// `residence[c·K + k]`, same layout.
+    residence: Vec<f64>,
+    throughput: Vec<f64>,
+    response: Vec<f64>,
+}
 
-    // Per-class per-center queue lengths, initialized uniformly.
-    let mut q = vec![vec![0.0f64; centers]; classes];
-    for (c, &pop) in population.iter().enumerate() {
-        if pop > 0.0 {
-            for qk in q[c].iter_mut() {
-                *qk = pop / centers as f64;
-            }
-        }
-    }
-    let mut residence = vec![vec![0.0f64; centers]; classes];
-    let mut throughput = vec![0.0f64; classes];
-    let mut response = vec![0.0f64; classes];
-
-    for _ in 0..MAX_ITERS {
-        let mut delta: f64 = 0.0;
-        for c in 0..classes {
-            let pop = population[c];
-            if pop == 0.0 {
-                continue;
-            }
-            let mut r_total = 0.0;
-            for k in 0..centers {
-                let d = network.demand(c, k);
-                let r = match network.center_kinds()[k] {
-                    CenterKind::Queueing => {
-                        // Estimated queue seen on arrival of a class-c client.
-                        let mut seen = 0.0;
-                        for (d_class, qd) in q.iter().enumerate() {
-                            if d_class == c {
-                                seen += qd[k] * ((pop - 1.0) / pop).max(0.0);
-                            } else {
-                                seen += qd[k];
-                            }
-                        }
-                        d * (1.0 + seen)
-                    }
-                    CenterKind::Delay => d,
-                };
-                residence[c][k] = r;
-                r_total += r;
-            }
-            let denom = network.think_time(c) + r_total;
-            throughput[c] = if denom > 0.0 {
-                pop / denom
-            } else {
-                f64::INFINITY
-            };
-            response[c] = r_total;
-        }
-        for c in 0..classes {
-            for k in 0..centers {
-                let new_q = throughput[c] * residence[c][k];
-                delta = delta.max((new_q - q[c][k]).abs());
-                q[c][k] = new_q;
-            }
-        }
-        if delta < EPSILON {
-            let queue_length = (0..centers)
-                .map(|k| (0..classes).map(|c| q[c][k]).sum())
-                .collect();
-            let utilization = (0..centers)
-                .map(|k| {
-                    (0..classes)
-                        .map(|c| throughput[c] * network.demand(c, k))
-                        .sum()
-                })
-                .collect();
-            return Ok(MulticlassSolution {
-                population: rounded,
-                throughput,
-                response_time: response,
-                queue_length,
-                utilization,
-                residence,
+impl Schweitzer {
+    /// Solves `network` at `population`, leaving the solution in `self`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvaError::DimensionMismatch`] for a wrong-length
+    /// population vector, [`MvaError::InvalidPopulation`] for negative or
+    /// non-finite entries and [`MvaError::NoConvergence`] when the fixed
+    /// point fails (the next call then starts cold).
+    pub fn solve(
+        &mut self,
+        network: &MulticlassNetwork,
+        population: &[f64],
+    ) -> Result<(), MvaError> {
+        let classes = network.classes();
+        let centers = network.centers();
+        if population.len() != classes {
+            return Err(MvaError::DimensionMismatch {
+                got: population.len(),
+                expected: classes,
             });
         }
+        for &p in population {
+            if !p.is_finite() || p < 0.0 {
+                return Err(MvaError::InvalidPopulation(format!(
+                    "population must be finite and non-negative, got {p}"
+                )));
+            }
+        }
+        if self.centers != centers || self.throughput.len() != classes {
+            // Cold start: each class spread uniformly over the centers.
+            self.centers = centers;
+            self.q.clear();
+            for &pop in population {
+                self.q
+                    .extend(std::iter::repeat(pop / centers as f64).take(centers));
+            }
+            self.residence = vec![0.0; classes * centers];
+            self.throughput = vec![0.0; classes];
+            self.response = vec![0.0; classes];
+        }
+        for _ in 0..MAX_ITERS {
+            for (c, &pop) in population.iter().enumerate() {
+                // Share of its own queue an arriving client sees; none
+                // below one client, so an empty class is its first arrival.
+                let own = ((pop - 1.0) / pop).max(0.0);
+                let mut r_total = 0.0;
+                for (k, kind) in network.center_kinds().iter().enumerate() {
+                    let d = network.demand(c, k);
+                    let r = match kind {
+                        CenterKind::Queueing => {
+                            // Estimated queue seen on arrival of a class-c client.
+                            let mut seen = 0.0;
+                            for d_class in 0..classes {
+                                let qd = self.q[d_class * centers + k];
+                                seen += if d_class == c { qd * own } else { qd };
+                            }
+                            d * (1.0 + seen)
+                        }
+                        CenterKind::Delay => d,
+                    };
+                    self.residence[c * centers + k] = r;
+                    r_total += r;
+                }
+                self.throughput[c] = if pop > 0.0 {
+                    pop / (network.think_time(c) + r_total)
+                } else {
+                    0.0
+                };
+                self.response[c] = r_total;
+            }
+            let mut delta: f64 = 0.0;
+            for c in 0..classes {
+                for k in 0..centers {
+                    let new_q = self.throughput[c] * self.residence[c * centers + k];
+                    delta = delta.max((new_q - self.q[c * centers + k]).abs());
+                    self.q[c * centers + k] = new_q;
+                }
+            }
+            if delta < EPSILON {
+                return Ok(());
+            }
+        }
+        // Whatever the iteration left behind is no starting point.
+        self.centers = 0;
+        Err(MvaError::NoConvergence {
+            iterations: MAX_ITERS,
+            residual: EPSILON,
+        })
     }
-    Err(MvaError::NoConvergence {
-        iterations: MAX_ITERS,
-        residual: EPSILON,
-    })
+
+    /// Throughput per class (transactions per second).
+    pub fn throughput(&self) -> &[f64] {
+        &self.throughput
+    }
+
+    /// Response time per class (seconds, excluding think time); for an
+    /// empty class, what its first client would see.
+    pub fn response_time(&self) -> &[f64] {
+        &self.response
+    }
+
+    /// Total utilization of center `k` (sum over classes).
+    pub fn utilization(&self, network: &MulticlassNetwork, k: usize) -> f64 {
+        (self.throughput.iter().enumerate())
+            .map(|(c, x)| x * network.demand(c, k))
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -383,6 +359,53 @@ mod tests {
         .unwrap();
         let sol = solve_multiclass(&net, &[0]).unwrap();
         assert_eq!(sol.total_throughput(), 0.0);
+    }
+
+    #[test]
+    fn a_reused_workspace_lands_on_the_cold_solution() {
+        let net = MulticlassNetwork::new(
+            vec![
+                ("cpu".into(), CenterKind::Queueing),
+                ("disk".into(), CenterKind::Queueing),
+                ("lb".into(), CenterKind::Delay),
+            ],
+            vec![vec![0.0414, 0.0151, 0.001], vec![0.0125, 0.0061, 0.001]],
+            vec![1.0, 1.0],
+        )
+        .unwrap();
+        let mut warm = Schweitzer::default();
+        // Fractional, sub-unit and emptied classes, each from the state
+        // the previous population left.
+        for pops in [
+            [80.0, 40.0],
+            [80.5, 39.5],
+            [0.4, 120.0],
+            [0.0, 17.25],
+            [33.0, 0.0],
+        ] {
+            warm.solve(&net, &pops).unwrap();
+            let mut cold = Schweitzer::default();
+            cold.solve(&net, &pops).unwrap();
+            for c in 0..2 {
+                let (w, k) = (warm.throughput()[c], cold.throughput()[c]);
+                assert!(
+                    (w - k).abs() <= 1e-8 * k.max(1.0),
+                    "{pops:?} class {c}: {w} vs {k}"
+                );
+                let (w, k) = (warm.response_time()[c], cold.response_time()[c]);
+                assert!((w - k).abs() <= 1e-8, "{pops:?} class {c}: {w} vs {k}");
+                // Little's law per class; an empty one answers for its
+                // first arrival.
+                let held = warm.throughput()[c] * (1.0 + w);
+                assert!(
+                    (held - pops[c]).abs() < 1e-8 && w > 0.0,
+                    "{pops:?} class {c}"
+                );
+            }
+            assert!(warm.utilization(&net, 0) <= 1.0 + 1e-6);
+        }
+        assert!(warm.solve(&net, &[1.0]).is_err());
+        assert!(warm.solve(&net, &[1.0, f64::NAN]).is_err());
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!   cross-checks on every solution.
 //! - [`ops`] — the operational laws (Little, Utilization, Forced Flow,
 //!   Service Demand) used both by the solver and the profiler.
+//! - [`roots`] — Brent's bracketed root-finder, under the single-master
+//!   model's balancing.
 //!
 //! # Examples
 //!
@@ -43,6 +45,7 @@ pub mod exact;
 pub mod multiclass;
 pub mod network;
 pub mod ops;
+pub mod roots;
 
 pub use error::MvaError;
 pub use exact::{solve, MvaSolution};

@@ -140,38 +140,6 @@ impl ClosedNetwork {
             .map(|c| c.demand)
             .fold(0.0, f64::max)
     }
-
-    /// Replaces the demands in place (same order as
-    /// [`ClosedNetwork::centers`]), keeping names and kinds.
-    ///
-    /// Allocation-free, for solvers that re-evaluate one network shape at
-    /// many demand vectors inside a fixed-point loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MvaError::DimensionMismatch`] when the slice length differs
-    /// from the number of centers, or [`MvaError::InvalidDemand`] when a new
-    /// demand is invalid. The network is unchanged on error.
-    pub fn set_demands(&mut self, demands: &[f64]) -> Result<(), MvaError> {
-        if demands.len() != self.centers.len() {
-            return Err(MvaError::DimensionMismatch {
-                got: demands.len(),
-                expected: self.centers.len(),
-            });
-        }
-        for (c, &d) in self.centers.iter().zip(demands) {
-            if !d.is_finite() || d < 0.0 {
-                return Err(MvaError::InvalidDemand {
-                    center: c.name.clone(),
-                    value: d,
-                });
-            }
-        }
-        for (c, &d) in self.centers.iter_mut().zip(demands) {
-            c.demand = d;
-        }
-        Ok(())
-    }
 }
 
 /// Fluent builder for [`ClosedNetwork`].
@@ -281,23 +249,6 @@ mod tests {
         assert!((net.total_demand() - 0.062).abs() < 1e-12);
         // The delay center is excluded from the saturation bound.
         assert_eq!(net.max_queueing_demand(), 0.03);
-    }
-
-    #[test]
-    fn set_demands_replaces_values_in_place() {
-        let mut net = ClosedNetwork::builder()
-            .queueing("cpu", 0.02)
-            .queueing("disk", 0.03)
-            .build()
-            .unwrap();
-        net.set_demands(&[0.05, 0.06]).unwrap();
-        assert_eq!(net.centers()[0].demand, 0.05);
-        assert_eq!(net.centers()[1].demand, 0.06);
-        assert_eq!(net.centers()[0].name, "cpu");
-        // Errors leave the network unchanged.
-        assert!(net.set_demands(&[0.1]).is_err());
-        assert!(net.set_demands(&[f64::NAN, 0.1]).is_err());
-        assert_eq!(net.centers()[0].demand, 0.05);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! solver, the abort algebra and the storage engine.
 
 use proptest::prelude::*;
-use replipred::model::{AbortModel, Design, SystemConfig, WorkloadProfile};
+use replipred::model::{
+    AbortModel, Design, ModelError, ResourceDemands, SystemConfig, WorkloadProfile,
+};
 use replipred::mva::{approx, bounds, exact, ClosedNetwork};
 use replipred::sidb::{Database, RowId, TableId, Value};
 use replipred::workload::synth::SynthSpec;
@@ -43,6 +45,37 @@ fn arb_network() -> impl Strategy<Value = ClosedNetwork> {
                 .build()
                 .expect("generated demands are valid")
         })
+}
+
+/// A valid profile around the given mix and `[read, write]` demands
+/// (writesets cost `ws_frac` of an update), with `L(1)` estimated for
+/// `clients` standalone clients as the published profiles do.
+fn model_profile(
+    pw: f64,
+    a1: f64,
+    [cpu, disk]: [[f64; 2]; 2],
+    ws_frac: f64,
+    clients: usize,
+) -> WorkloadProfile {
+    let demands = |[read, write]: [f64; 2]| ResourceDemands {
+        read,
+        write,
+        writeset: write * ws_frac,
+    };
+    let mut profile = WorkloadProfile {
+        name: "prop".into(),
+        pr: 1.0 - pw,
+        pw,
+        a1,
+        cpu: demands(cpu),
+        disk: demands(disk),
+        l1: cpu[1] + disk[1],
+        update_ops: 3.0,
+        db_update_size: 10_000.0,
+        log_disk: 0.0,
+    };
+    profile.estimate_l1(clients, 1.0).unwrap();
+    profile
 }
 
 /// An arbitrary point of the synthetic workload family, drawn from the
@@ -173,19 +206,7 @@ proptest! {
         ws_frac in 0.05f64..0.9,
         a1 in 0.0f64..0.01,
     ) {
-        let mut profile = WorkloadProfile {
-            name: "prop".into(),
-            pr,
-            pw: 1.0 - pr,
-            a1,
-            cpu: replipred::model::ResourceDemands { read: rc, write: wc, writeset: wc * ws_frac },
-            disk: replipred::model::ResourceDemands { read: rc / 2.0, write: wc / 2.0, writeset: wc * ws_frac / 2.0 },
-            l1: wc * 2.0,
-            update_ops: 3.0,
-            db_update_size: 10_000.0,
-            log_disk: 0.0,
-        };
-        profile.estimate_l1(40, 1.0).unwrap();
+        let profile = model_profile(1.0 - pr, a1, [[rc, wc], [rc / 2.0, wc / 2.0]], ws_frac, 40);
         let model = Design::MultiMaster.predictor(profile, SystemConfig::lan_cluster(40)).unwrap();
         let mut last = 0.0;
         for n in [1usize, 2, 4, 8] {
@@ -194,6 +215,42 @@ proptest! {
             prop_assert!(p.throughput_tps >= last * 0.999, "dip at N={n}");
             prop_assert!((0.0..1.0).contains(&p.abort_rate));
             last = p.throughput_tps;
+        }
+    }
+
+    /// The SM model is total on valid inputs: finite positive outputs or
+    /// a typed `NoConvergence` — never a panic, never an iterate that
+    /// failed its test — and the same bits when asked twice. Demands
+    /// span two decades, writesets cost up to a whole update, and one
+    /// case in four is the corner where writesets alone fill a slave
+    /// (`ws = wc`, a handful of clients): the slave's throughput
+    /// equation then has no positive root.
+    #[test]
+    fn sm_model_total_function(
+        (pw, a1, ws_frac) in (0.0f64..1.0, 0.0f64..0.05, 0.0f64..1.0),
+        (rc, rd, wc, wd) in (-3.0f64..-1.0, -3.0f64..-1.0, -3.0f64..-1.0, -3.0f64..-1.0),
+        (clients, n, corner) in (1usize..=100, 1usize..=16, 0u8..4),
+    ) {
+        let [rc, rd, wc, wd] = [rc, rd, wc, wd].map(|e| 10f64.powf(e));
+        let (ws_frac, clients) = if corner == 0 { (1.0, 1 + clients % 3) } else { (ws_frac, clients) };
+        let pw = 0.6 * (1.0 - pw); // (0, 0.6]
+        let profile = model_profile(pw, a1, [[rc, wc], [rd, wd]], ws_frac, clients);
+        let model = Design::SingleMaster.predictor(profile.clone(), SystemConfig::lan_cluster(clients)).unwrap();
+        let first = model.predict(n);
+        // `{:?}` prints the shortest digits that round-trip: equal text, equal bits.
+        prop_assert_eq!(format!("{first:?}"), format!("{:?}", model.predict(n)));
+        match first {
+            Ok(p) => {
+                for v in [p.throughput_tps, p.response_time, p.conflict_window, p.bottleneck_utilization] {
+                    prop_assert!(v.is_finite() && v > 0.0, "{p:?} from {profile:?} C={clients}");
+                }
+                prop_assert!((0.0..1.0).contains(&p.abort_rate), "{p:?}");
+                prop_assert!(p.bottleneck_utilization <= 1.0);
+            }
+            Err(e) => prop_assert!(
+                matches!(e, ModelError::NoConvergence(_)),
+                "{e} from {profile:?} C={clients} n={n}"
+            ),
         }
     }
 

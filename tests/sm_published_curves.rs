@@ -30,9 +30,7 @@ fn published_curves() -> String {
     );
     for name in PUBLISHED_WORKLOADS {
         let profile = published_profile(name).expect("published");
-        let clients = workload_spec(name)
-            .expect("published")
-            .clients_per_replica;
+        let clients = workload_spec(name).expect("published").clients_per_replica;
         let predictor = Design::SingleMaster
             .predictor(profile, SystemConfig::lan_cluster(clients))
             .expect("published inputs are valid");
