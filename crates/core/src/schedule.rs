@@ -49,6 +49,13 @@
 //! | `recovery=F`           | recovered when throughput ≥ `F`× pre-fault baseline |
 //!
 //! Example: `crash@120=1,join@300=1,flash-crowd@200=2.5x60,window=5`.
+//!
+//! The parser is where a schedule enters from outside the program, so it
+//! is where numbers are checked: every time and duration is finite and
+//! non-negative, every population factor positive and at most 100, `window`
+//! at least 1 ms, `slo` positive and `recovery` in (0, 1]. Anything else
+//! is a [`ScheduleError`] — not a panic or an unbounded allocation in the
+//! engine that runs the schedule.
 
 use std::fmt;
 
@@ -150,6 +157,12 @@ pub const DEFAULT_WINDOW: f64 = 5.0;
 pub const DEFAULT_SLO_RESPONSE: f64 = 0.5;
 /// Default recovery threshold (fraction of pre-fault baseline).
 pub const DEFAULT_RECOVERY_FRACTION: f64 = 0.9;
+/// Largest population factor [`Schedule::parse`] accepts: a run allocates
+/// its client pool for the largest factor up front.
+const MAX_CLIENTS_FACTOR: f64 = 100.0;
+/// Smallest transient window [`Schedule::parse`] accepts, seconds: a run
+/// allocates one window per `window` seconds of its horizon.
+const MIN_WINDOW: f64 = 1e-3;
 
 impl Schedule {
     /// An empty, disabled schedule (same as [`Schedule::default`]).
@@ -321,6 +334,9 @@ impl Schedule {
             token: token.to_owned(),
             message: msg.to_owned(),
         };
+        // A NaN fails every comparison, so each range check below
+        // rejects it too.
+        let check = |in_range: bool, msg: &str| in_range.then_some(()).ok_or_else(|| err(msg));
         // Config tokens: `key=value` with no `@`.
         if let Some((key, value)) = token.split_once('=') {
             if !key.contains('@') {
@@ -329,9 +345,21 @@ impl Schedule {
                     .parse()
                     .map_err(|_| err("expected a number after `=`"))?;
                 return match key.trim() {
-                    "window" => Ok(self.window(v)),
-                    "slo" => Ok(self.slo(v)),
-                    "recovery" => Ok(self.recovery(v)),
+                    "window" => {
+                        check(
+                            v >= MIN_WINDOW && v.is_finite(),
+                            "window must be finite and at least 0.001 s",
+                        )?;
+                        Ok(self.window(v))
+                    }
+                    "slo" => {
+                        check(v > 0.0 && v.is_finite(), "slo must be finite and positive")?;
+                        Ok(self.slo(v))
+                    }
+                    "recovery" => {
+                        check(v > 0.0 && v <= 1.0, "recovery must be in (0, 1]")?;
+                        Ok(self.recovery(v))
+                    }
                     _ => Err(err("unknown setting (expected window/slo/recovery)")),
                 };
             }
@@ -347,7 +375,22 @@ impl Schedule {
         let at: f64 = time_str
             .parse()
             .map_err(|_| err("expected a time in seconds after `@`"))?;
+        check(
+            at >= 0.0 && at.is_finite(),
+            "time must be finite and non-negative",
+        )?;
         let need = |what: &str| err(&format!("expected `={what}`"));
+        let factor = |text: &str| {
+            let f: f64 = text
+                .trim()
+                .parse()
+                .map_err(|_| err("population factor must be a number"))?;
+            check(
+                f > 0.0 && f <= MAX_CLIENTS_FACTOR,
+                "population factor must be positive and at most 100",
+            )?;
+            Ok(f)
+        };
         match head.trim() {
             "crash" => {
                 let i: usize = arg
@@ -365,26 +408,21 @@ impl Schedule {
             }
             "cert-down" => Ok(self.certifier_down(at)),
             "cert-up" => Ok(self.certifier_up(at)),
-            "clients" => {
-                let f: f64 = arg
-                    .ok_or_else(|| need("factor"))?
-                    .parse()
-                    .map_err(|_| err("population factor must be a number"))?;
-                Ok(self.clients(at, f))
-            }
+            "clients" => Ok(self.clients(at, factor(arg.ok_or_else(|| need("factor"))?)?)),
             "flash-crowd" => {
                 let spec = arg.ok_or_else(|| need("FACTORxDURATION"))?;
                 let (f_str, d_str) = spec
                     .split_once('x')
                     .ok_or_else(|| err("expected `FACTORxDURATION`, e.g. `2.5x60`"))?;
-                let f: f64 = f_str
-                    .trim()
-                    .parse()
-                    .map_err(|_| err("flash-crowd factor must be a number"))?;
+                let f = factor(f_str)?;
                 let d: f64 = d_str
                     .trim()
                     .parse()
                     .map_err(|_| err("flash-crowd duration must be a number"))?;
+                check(
+                    d >= 0.0 && (at + d).is_finite(),
+                    "flash-crowd duration must be non-negative and end at a finite time",
+                )?;
                 Ok(self.flash_crowd(at, f, d))
             }
             "phase" => {
@@ -498,6 +536,48 @@ mod tests {
         }
         assert_eq!(Schedule::parse("").unwrap(), Schedule::default());
         assert_eq!(Schedule::parse("  ,  ").unwrap(), Schedule::default());
+    }
+
+    #[test]
+    fn parse_rejects_numbers_the_engine_cannot_run() {
+        for (token, message) in [
+            ("crash@nan=1", "time must be finite"),
+            ("crash@-5=1", "time must be finite"),
+            ("join@inf=1", "time must be finite"),
+            ("cert-down@-0.5", "time must be finite"),
+            ("phase@nan=surge", "time must be finite"),
+            ("clients@10=inf", "population factor must be positive"),
+            ("clients@10=nan", "population factor must be positive"),
+            ("clients@10=0", "population factor must be positive"),
+            ("clients@10=-2", "population factor must be positive"),
+            ("clients@10=100.5", "at most 100"),
+            ("flash-crowd@10=1e9x5", "at most 100"),
+            ("flash-crowd@10=0x5", "population factor must be positive"),
+            ("flash-crowd@10=2x-1", "duration must be non-negative"),
+            ("flash-crowd@10=2xnan", "duration must be non-negative"),
+            ("flash-crowd@10=2xinf", "end at a finite time"),
+            ("flash-crowd@1e308=2x1e308", "end at a finite time"),
+            ("window=1e-7", "at least 0.001 s"),
+            ("window=0", "at least 0.001 s"),
+            ("window=-1", "at least 0.001 s"),
+            ("window=nan", "window must be finite"),
+            ("window=inf", "window must be finite"),
+            ("slo=0", "slo must be finite and positive"),
+            ("slo=inf", "slo must be finite and positive"),
+            ("slo=nan", "slo must be finite and positive"),
+            ("recovery=0", "recovery must be in (0, 1]"),
+            ("recovery=1.01", "recovery must be in (0, 1]"),
+            ("recovery=nan", "recovery must be in (0, 1]"),
+        ] {
+            // A bad token poisons the whole schedule, wherever it stands.
+            let e = Schedule::parse(&format!("crash@1=0, {token}")).unwrap_err();
+            assert_eq!(e.token, token);
+            assert!(e.message.contains(message), "{token}: {}", e.message);
+            assert!(e.to_string().starts_with("bad schedule token `"));
+        }
+        // The edges themselves are legal.
+        let edges = "crash@0=1,clients@0=100,flash-crowd@5=0.01x0,window=0.001,recovery=1";
+        assert!(Schedule::parse(edges).is_ok());
     }
 
     #[test]

@@ -1,57 +1,56 @@
-//! Per-replica durability harness: checkpoint + redo log + recovery.
+//! Per-replica durability harness: durable image + redo log + recovery.
 //!
 //! Each simulated node, when durability is enabled, mirrors every commit
-//! it applies into a [`WalWriter`] and periodically advances its
-//! [`Checkpoint`] (at vacuum cadence) by folding that log into the
-//! previous image — the log *is* the image's delta, so a tick costs what
-//! changed since the last one, not the database size. A crash drops the
-//! unsealed group and freezes the rest; a rejoin *actually rebuilds* the
-//! node's database from it — checkpoint load + log replay — instead of
-//! trusting the in-memory image to have survived, and then replays only
-//! the writesets past the durable point from the cluster relay log.
+//! it applies into a [`WalWriter`] on top of a durable *image* — a
+//! [`Database`] of its own, because an image that has to eat a log is a
+//! database. At vacuum cadence the image replays the log
+//! ([`Database::replay`], the interpreter crash recovery uses) and
+//! collapses to one version a row, so a tick costs what changed since
+//! the last one, not the database size. A crash drops the unsealed group
+//! and freezes the rest; a rejoin *actually rebuilds* the node's database
+//! from it — a copy of the image + replay of the sealed frames — instead
+//! of trusting the in-memory state to have survived, and then replays
+//! only the writesets past the durable point from the cluster relay log.
 //! Catch-up lag thereby becomes replay cost.
 //!
 //! Two sequence spaces meet here: WAL records carry the node's *local*
-//! database version (what [`Database::recover`] replays by), while the
-//! cluster addresses writesets by *relay* sequence. The harness tracks
-//! the relay sequence each sealed frame covers so rejoin knows where the
-//! relay-log replay must resume.
+//! database version (what [`Database::replay`] orders by), while the
+//! cluster addresses writesets by *relay* sequence. The node logs every
+//! relay sequence exactly once, in order, so the relay position of the
+//! log is the image's plus a record count the [`WalWriter`] already
+//! keeps.
 
-use replipred_sidb::{scan, Checkpoint, Database, WalWriter, WriteSet};
+use replipred_sidb::{scan, Database, WalWriter, WriteSet};
 
-/// Durable state of one node: the last checkpoint plus the redo log of
+/// Durable state of one node: the base image plus the redo log of
 /// commits applied since.
 #[derive(Debug, Clone)]
 pub struct NodeDurability {
-    checkpoint: Checkpoint,
+    /// The database as of the last tick: no sessions, one version a row.
+    image: Database,
     wal: WalWriter,
     group: usize,
-    /// Relay sequence the checkpoint covers.
-    cp_relay_seq: u64,
-    /// Relay sequence covered by sealed (durable) frames.
-    durable_relay_seq: u64,
-    /// Relay sequence of the last appended (possibly unsealed) record.
-    logged_relay_seq: u64,
+    /// Relay sequence the image reflects.
+    image_relay_seq: u64,
 }
 
 impl NodeDurability {
-    /// Captures the node's current state as the initial checkpoint.
-    /// `relay_seq` is the cluster writeset sequence that state reflects
-    /// (0 for a freshly seeded node).
+    /// Images the node's current state. `relay_seq` is the cluster
+    /// writeset sequence that state reflects (0 for a freshly seeded
+    /// node).
     pub fn new(db: &Database, relay_seq: u64, group_commit: usize) -> Self {
-        Self::at(db.checkpoint(), relay_seq, group_commit)
+        // Through a capture, not `db.clone()`: a clean copy without the
+        // node's open sessions, statistics or version history.
+        Self::at(Database::restore(&db.checkpoint()), relay_seq, group_commit)
     }
 
-    /// An empty redo log on top of `checkpoint`, which reflects
-    /// `relay_seq`.
-    fn at(checkpoint: Checkpoint, relay_seq: u64, group_commit: usize) -> Self {
+    /// An empty redo log on top of `image`, which reflects `relay_seq`.
+    fn at(image: Database, relay_seq: u64, group_commit: usize) -> Self {
         NodeDurability {
-            checkpoint,
+            image,
             wal: WalWriter::new(group_commit),
             group: group_commit,
-            cp_relay_seq: relay_seq,
-            durable_relay_seq: relay_seq,
-            logged_relay_seq: relay_seq,
+            image_relay_seq: relay_seq,
         }
     }
 
@@ -64,42 +63,40 @@ impl NodeDurability {
     pub fn log(&mut self, relay_seq: u64, local_version: u64, ws: &WriteSet) {
         debug_assert_eq!(
             relay_seq,
-            self.logged_relay_seq + 1,
+            self.durable_seq() + self.wal.pending_records() as u64 + 1,
             "relay sequences are logged in order, without gaps"
         );
         self.wal.append_commit(local_version, ws);
-        self.logged_relay_seq = relay_seq;
-        if self.wal.pending_records() == 0 {
-            self.durable_relay_seq = relay_seq;
-        }
     }
 
-    /// Advances the checkpoint (vacuum-cadence) and resets the log:
-    /// everything applied so far is now in the base image. `db` must be
-    /// the database whose every commit since the previous image went
-    /// through [`NodeDurability::log`]; the new image is the old one
-    /// with the whole redo log (sealed and pending) folded in, which
-    /// debug builds check against a full capture of `db`.
+    /// Advances the image (vacuum-cadence) and resets the log:
+    /// everything applied so far is now in the image. `db` must be the
+    /// database whose every commit since the previous tick went through
+    /// [`NodeDurability::log`]; the image replays the whole redo log
+    /// (sealed and pending) and drops the versions it superseded, which
+    /// debug builds check against `db`. A tick with nothing logged does
+    /// nothing.
     pub fn checkpoint(&mut self, db: &Database, relay_seq: u64) {
         let wal = std::mem::replace(&mut self.wal, WalWriter::new(self.group));
         // `into_bytes` seals the pending group, so the scan sees it too.
-        self.checkpoint
-            .fold(scan(&wal.into_bytes()).records)
-            .expect("a node logs only writesets its own database applied");
+        let records = scan(&wal.into_bytes()).records;
+        let (replayed, _) = self.image.replay(records, self.image.version());
+        if replayed > 0 {
+            self.image.vacuum();
+        }
         debug_assert_eq!(
-            self.checkpoint,
+            self.image.checkpoint(),
             db.checkpoint(),
             "image + redo log must equal the database at relay {relay_seq}"
         );
-        self.cp_relay_seq = relay_seq;
-        self.durable_relay_seq = relay_seq;
-        self.logged_relay_seq = relay_seq;
+        self.image_relay_seq = relay_seq;
     }
 
     /// Adopts `image` — a foreign node's state, shipped wholesale by a
-    /// state transfer — as the new durable baseline at `relay_seq`. The
-    /// redo log described the replaced database and is dropped.
-    pub fn rebase(&mut self, image: Checkpoint, relay_seq: u64) {
+    /// state transfer and restored — as the new durable baseline at
+    /// `relay_seq`. The redo log described the replaced database and is
+    /// dropped.
+    pub fn rebase(&mut self, image: Database, relay_seq: u64) {
         *self = Self::at(image, relay_seq, self.group);
     }
 
@@ -110,34 +107,37 @@ impl NodeDurability {
     /// sequences run backwards.
     pub fn crash(&mut self) {
         self.wal.discard_pending();
-        self.logged_relay_seq = self.durable_relay_seq;
     }
 
-    /// The relay sequence recoverable from durable state alone. The
-    /// relay log must retain sequences above this for the node to rejoin
-    /// without a state transfer.
+    /// The relay sequence recoverable from durable state alone: the
+    /// image's plus one per sealed record. The relay log must retain
+    /// sequences above this for the node to rejoin without a state
+    /// transfer.
     pub fn durable_seq(&self) -> u64 {
-        self.durable_relay_seq
+        self.image_relay_seq + self.wal.sealed_records() as u64
     }
 
-    /// Rebuilds the database from the checkpoint plus the sealed log
-    /// frames. Returns the database, the relay sequence it reflects, and
-    /// the number of log records replayed (the replay cost driver).
+    /// Rebuilds the database from the image plus the sealed log frames.
+    /// Returns the database, the relay sequence it reflects, and the
+    /// number of log records replayed (the replay cost driver).
     pub fn recover(&self) -> (Database, u64, u64) {
-        let (db, report) =
-            Database::recover(&self.checkpoint, self.wal.bytes(), self.checkpoint.seq);
+        let mut db = self.image.clone();
+        let (replayed, _) = db.replay(scan(self.wal.bytes()).records, db.version());
         debug_assert_eq!(
-            report.replayed,
-            self.durable_relay_seq - self.cp_relay_seq,
-            "sealed frames must cover exactly the durable relay window"
+            replayed,
+            self.wal.sealed_records() as u64,
+            "every sealed record replays"
         );
-        (db, self.durable_relay_seq, report.replayed)
+        (db, self.durable_seq(), replayed)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use proptest::prelude::*;
     use replipred_sidb::{RowId, Value};
 
     fn seeded() -> Database {
@@ -220,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_folds_the_sealed_and_the_pending_log() {
+    fn checkpoint_replays_the_sealed_and_the_pending_log() {
         let mut db = seeded();
         let mut d = NodeDurability::new(&db, 0, 4);
         for round in 0..3u64 {
@@ -252,7 +252,7 @@ mod tests {
         for i in 0..5u64 {
             commit_update(&mut donor, 3 - i % 4, -(i as i64));
         }
-        d.rebase(donor.checkpoint(), 40);
+        d.rebase(Database::restore(&donor.checkpoint()), 40);
         assert_eq!(d.durable_seq(), 40);
         let (recovered, relay, replayed) = d.recover();
         assert_eq!((relay, replayed), (40, 0));
@@ -278,5 +278,159 @@ mod tests {
         let (recovered, relay, replayed) = d.recover();
         assert_eq!((relay, replayed), (5, 0));
         assert_eq!(recovered.durable_state(), db.durable_state());
+    }
+
+    /// One committed transaction on `db`: key `key` of `t` is upserted,
+    /// or — with `delete` and the row live — deleted.
+    fn commit_put(db: &mut Database, key: u64, v: i64, delete: bool) -> WriteSet {
+        let t = db.table_id("t").unwrap();
+        let row = RowId(key);
+        let txn = db.begin();
+        let live = db.read(txn, t, row).unwrap().is_some();
+        match (live, delete) {
+            (true, true) => db.delete(txn, t, row).unwrap(),
+            (true, false) => db.update(txn, t, row, vec![Value::Int(v)]).unwrap(),
+            (false, _) => db.insert(txn, t, row, vec![Value::Int(v)]).unwrap(),
+        }
+        db.commit(txn).unwrap().writeset
+    }
+
+    /// A slave under test beside the cluster it replicates, with what an
+    /// observer outside [`NodeDurability`] knows its durable state must be.
+    struct Rig {
+        genesis: Database,
+        /// Commits every writeset first; `history[k]` is relay `k + 1`.
+        cluster: Database,
+        history: Vec<WriteSet>,
+        node: Database,
+        down: bool,
+        d: NodeDurability,
+        group: u64,
+        /// Relay sequence of the image, and records sealed / pending
+        /// on top of it.
+        image_relay: u64,
+        sealed: u64,
+        pending: u64,
+        /// Every key the image has ever held a version of.
+        held: BTreeSet<u64>,
+    }
+
+    impl Rig {
+        fn new(group: u64) -> Self {
+            let genesis = seeded();
+            Rig {
+                cluster: genesis.clone(),
+                history: Vec::new(),
+                node: genesis.clone(),
+                down: false,
+                d: NodeDurability::new(&genesis, 0, group as usize),
+                group,
+                image_relay: 0,
+                sealed: 0,
+                pending: 0,
+                held: (0..4).collect(),
+                genesis,
+            }
+        }
+
+        /// The node applies and logs relay `seq`.
+        fn apply(&mut self, seq: u64) {
+            let ws = &self.history[seq as usize - 1];
+            let version = self.node.apply_writeset(ws).unwrap();
+            self.d.log(seq, version, ws);
+            self.pending += 1;
+            if self.pending == self.group {
+                self.sealed += self.pending;
+                self.pending = 0;
+            }
+        }
+
+        /// A new durable baseline at the node's current position.
+        fn rebased(&mut self) {
+            self.image_relay = self.history.len() as u64;
+            (self.sealed, self.pending) = (0, 0);
+        }
+
+        fn oracle(&self, relay: u64) -> Database {
+            let mut db = self.genesis.clone();
+            for ws in &self.history[..relay as usize] {
+                db.apply_writeset(ws).unwrap();
+            }
+            db
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever a node lives through — commits, ticks, crashes,
+        /// recoveries, state transfers, in any order — its durable state
+        /// recovers to exactly the history prefix the sealed frames
+        /// cover, and a tick leaves the image one version a row.
+        #[test]
+        fn recovery_equals_the_history_prefix_under_any_interleaving(
+            group in 1u64..5,
+            ops in collection::vec((0u8..8, 0u64..12, -50i64..50), 1..80),
+        ) {
+            let mut rig = Rig::new(group);
+            for (op, key, v) in ops {
+                let mut ticked = false;
+                match op {
+                    // The cluster commits; a live node applies and logs.
+                    0..=3 => {
+                        let ws = commit_put(&mut rig.cluster, key, v, op == 3);
+                        rig.history.push(ws);
+                        if !rig.down {
+                            rig.apply(rig.history.len() as u64);
+                        }
+                    }
+                    // Vacuum tick of a live node.
+                    4 if !rig.down => {
+                        let logged = rig.image_relay + rig.sealed + rig.pending;
+                        for ws in &rig.history[rig.image_relay as usize..logged as usize] {
+                            rig.held.extend(ws.items.iter().map(|item| item.row.raw()));
+                        }
+                        ticked = logged > rig.image_relay;
+                        rig.d.checkpoint(&rig.node, logged);
+                        rig.rebased();
+                    }
+                    5 if !rig.down => {
+                        rig.d.crash();
+                        rig.pending = 0;
+                        rig.down = true;
+                    }
+                    // Rejoin: rebuild from durable state, then catch up
+                    // from the cluster's history, re-logging.
+                    6 if rig.down => {
+                        let (db, relay, _) = rig.d.recover();
+                        rig.node = db;
+                        rig.down = false;
+                        for seq in relay + 1..=rig.history.len() as u64 {
+                            rig.apply(seq);
+                        }
+                    }
+                    // State transfer from the cluster.
+                    7 => {
+                        let cp = rig.cluster.checkpoint();
+                        rig.held = cp.tables[0].rows.iter().map(|(key, _)| *key).collect();
+                        rig.node = Database::restore(&cp);
+                        rig.d.rebase(rig.node.clone(), rig.history.len() as u64);
+                        rig.rebased();
+                        rig.down = false;
+                    }
+                    _ => {}
+                }
+                let (recovered, relay, replayed) = rig.d.recover();
+                prop_assert_eq!((relay, replayed), (rig.image_relay + rig.sealed, rig.sealed));
+                prop_assert_eq!(rig.d.durable_seq(), relay);
+                let oracle = rig.oracle(relay);
+                prop_assert_eq!(recovered.durable_state(), oracle.durable_state());
+                prop_assert_eq!(recovered.version(), oracle.version());
+                if ticked {
+                    // Nothing sealed yet: what recovered is the image.
+                    prop_assert_eq!(recovered.version_count(), rig.held.len());
+                }
+            }
+        }
     }
 }

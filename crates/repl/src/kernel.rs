@@ -35,7 +35,7 @@
 //! |---|---|
 //! | [`Policy::LB_HOP`] | whether a load-balancer hop separates `Think` from dispatch |
 //! | [`Policy::WS_SALT`] | the salt of the writeset-demand RNG stream |
-//! | [`Policy::DURABLE_REJOIN`] | whether nodes keep checkpoint + redo log and rejoin by recovery, and the log honours the retention cap |
+//! | [`Policy::DURABLE_REJOIN`] | whether nodes keep a durable image + redo log and rejoin by recovery, and the log honours the retention cap |
 //! | [`Policy::label`] | the node's name in the utilisation report |
 //! | [`Policy::sample`] | which transaction a client submits (default: the mix) |
 //! | [`Policy::route`], [`Policy::park`] | where a transaction runs, and where it waits when nowhere |
@@ -217,8 +217,8 @@ pub(crate) struct Node<P: Policy> {
     executing: usize,
     /// Arrivals waiting for an admission slot (connection pool).
     admission: VecDeque<Waiter>,
-    /// Checkpoint + redo log when durability is enabled. A crash freezes
-    /// it; rejoin rebuilds `db` from it instead of trusting memory.
+    /// Durable image + redo log when durability is enabled. A crash
+    /// freezes it; rejoin rebuilds `db` from it instead of trusting memory.
     pub(crate) durable: Option<NodeDurability>,
 }
 
@@ -457,9 +457,9 @@ pub(crate) fn build<P: Policy>(
     let nodes = dbs
         .into_iter()
         .map(|db| Node {
-            // The initial checkpoint images the freshly seeded database:
-            // a node crashing before the first vacuum recovers from it
-            // plus its redo log.
+            // The initial image is the freshly seeded database: a node
+            // crashing before the first vacuum recovers from it plus its
+            // redo log.
             durable: durable
                 .then(|| NodeDurability::new(&db, log_seq, cfg.durability.group_commit.max(1))),
             db,
@@ -813,13 +813,15 @@ pub(crate) fn mark_ready<P: Policy>(
 }
 
 impl<P: Policy> Node<P> {
-    /// Applies the writeset at `apply_next` and mirrors it into the redo
-    /// log when the node is durable.
+    /// Applies the writeset at `apply_next`.
     fn replay(&mut self, ws: &WriteSet) {
-        let version = self
-            .db
-            .apply_writeset(ws)
-            .expect("writeset references seeded tables");
+        let version = self.db.apply_writeset(ws);
+        self.advanced(version.expect("writeset references seeded tables"), ws);
+    }
+
+    /// The database took the writeset at `apply_next` as `version` — applied
+    /// here, or committed here by a master: log it if durable, and move on.
+    pub(crate) fn advanced(&mut self, version: u64, ws: &WriteSet) {
         if let Some(d) = self.durable.as_mut() {
             d.log(self.apply_next, version, ws);
         }
@@ -829,14 +831,12 @@ impl<P: Policy> Node<P> {
 
 /// Vacuum-cadence work: version GC on every node that is not Down (a
 /// dead node's state is frozen as-is), a checkpoint of every live
-/// durable node (its redo log is folded into the previous image and
-/// restarts from the new one — cost ∝ the commits since the last tick,
-/// not the database), and log
-/// truncation below the minimum sequence any node can still need — a
-/// durable node's recovery horizon, otherwise its next unapplied
-/// sequence. The log stays bounded under steady load while never
-/// dropping an entry a rejoiner (even a currently-Down one) could ask
-/// for.
+/// durable node ([`NodeDurability::checkpoint`]: cost ∝ the commits
+/// since the last tick, not the database), and log truncation below the
+/// minimum sequence any node can still need — a durable node's recovery
+/// horizon, otherwise its next unapplied sequence. The log stays
+/// bounded under steady load while never dropping an entry a rejoiner
+/// (even a currently-Down one) could ask for.
 fn vacuum<P: Policy>(w: &mut World<P>) {
     for node in &mut w.nodes {
         if node.state != NodeState::Down {
@@ -928,10 +928,10 @@ fn crash<P: Policy>(engine: &mut Sim<P>, i: usize) -> bool {
 }
 
 /// Starts a dead node's rejoin. A durable node *rebuilds* its database
-/// from its frozen checkpoint + redo log — the in-memory image is gone
-/// with the crash — paying the WAL replay as lag before log catch-up
-/// starts. Otherwise the in-memory image is assumed to have survived
-/// (the pre-durability model) and catch-up starts immediately.
+/// from its frozen image + redo log — the in-memory state is gone with
+/// the crash — paying the WAL replay as lag before log catch-up starts.
+/// Otherwise the in-memory state is assumed to have survived (the
+/// pre-durability model) and catch-up starts immediately.
 fn join<P: Policy>(engine: &mut Sim<P>, i: usize) -> bool {
     let w = engine.world_mut();
     let per_ws = ws_demand(w);
@@ -996,10 +996,10 @@ fn catchup_step<P: Policy>(engine: &mut Sim<P>, i: usize) {
 }
 
 /// Checkpoint-based state transfer: the log no longer holds the
-/// sequences node `i` needs, so clone the most caught-up live node's
-/// state wholesale. Returns the transfer lag (per-row install cost ×
-/// rows). With no live source the rejoiner waits one mean ws demand and
-/// retries.
+/// sequences node `i` needs, so ship the most caught-up live node's
+/// checkpoint and restore it as the node's database and durable image.
+/// Returns the transfer lag (per-row install cost × rows). With no live
+/// source the rejoiner waits one mean ws demand and retries.
 fn state_transfer<P: Policy>(w: &mut World<P>, i: usize) -> f64 {
     let per_ws = ws_demand(w);
     let source = w
@@ -1019,8 +1019,8 @@ fn state_transfer<P: Policy>(w: &mut World<P>, i: usize) -> f64 {
     node.apply_next = apply_next;
     node.apply_ready.clear();
     if let Some(d) = node.durable.as_mut() {
-        // The transferred image is the node's new durable baseline.
-        d.rebase(cp, apply_next - 1);
+        // The transferred state is the node's new durable baseline.
+        d.rebase(node.db.clone(), apply_next - 1);
     }
     w.state_transfers += 1;
     rows as f64 * per_ws * STATE_TRANSFER_ROW_COST

@@ -46,7 +46,7 @@
 //!   replica catches up from: the certifier's log under multi-master,
 //!   the master's relay log under single-master, truncated at vacuum
 //!   cadence by the kernel.
-//! - [`durable`] — per-replica durability (checkpoint + redo log +
+//! - [`durable`] — per-replica durability (durable image + redo log +
 //!   recovery), backing the crash/rejoin paths when
 //!   [`config::DurabilityConfig`] is enabled.
 //! - [`transient`] — windowed time-series collection and the

@@ -89,8 +89,9 @@ impl Policy for Sm {
 
     /// Master-local SI certification, then relay: the writeset is logged
     /// and sent to every live slave, which retire strictly in master
-    /// commit order. The master's own `apply_next` tracks the log head —
-    /// its database holds everything it committed.
+    /// commit order. The master's own `apply_next` is the log head — its
+    /// database holds everything it committed — so a commit advances the
+    /// master the way an apply advances a slave ([`kernel::Node::advanced`]).
     fn commit_update(engine: &mut Sim<Self>, a: Attempt) {
         debug_assert_eq!(a.node, engine.world().policy.master);
         let Some((a, info)) = kernel::commit_local(engine, a) else {
@@ -99,10 +100,8 @@ impl Policy for Sm {
         let w = engine.world_mut();
         let seq = w.policy.ws_log.next_seq();
         let master = &mut w.nodes[a.node];
-        master.apply_next = seq + 1;
-        if let Some(d) = master.durable.as_mut() {
-            d.log(seq, info.commit_seq, &info.writeset);
-        }
+        debug_assert_eq!(master.apply_next, seq, "a master has applied the whole log");
+        master.advanced(info.commit_seq, &info.writeset);
         kernel::fan_out(engine, a.node, seq, &info.writeset);
         engine.world_mut().policy.ws_log.push(info.writeset);
         kernel::respond(engine, &a);

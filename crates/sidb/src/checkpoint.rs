@@ -1,18 +1,14 @@
-//! Watermark snapshot checkpoints: the durable base image the redo log
-//! replays on top of.
+//! Watermark snapshot checkpoints: the byte format of a durable base
+//! image, and the vehicle of a state transfer.
 //!
 //! A [`Checkpoint`] captures the committed state visible at one version
 //! — schema in table-id order, rows sorted by key — so restoring it and
-//! replaying the [`crate::wal`] records past its sequence reconstructs
-//! the database exactly. The byte form is a single crc-guarded frame
-//! behind a magic header; like the log, it is a pure function of the
-//! captured state, so equal databases produce equal checkpoint bytes.
-//!
-//! A checkpoint plus the log records past it *is* the later
-//! checkpoint: [`Checkpoint::fold`] replays records into the image
-//! directly, at a cost proportional to the records instead of the
-//! database — how a node that logs every commit it applies advances its
-//! base image without re-reading its tables.
+//! replaying the [`crate::wal`] records past its sequence
+//! ([`crate::Database::recover`]) reconstructs the database exactly. The
+//! byte form is a single crc-guarded frame behind a magic header; like
+//! the log, it is a pure function of the captured state, so equal
+//! databases produce equal checkpoint bytes. A checkpoint is a value to
+//! store or ship; what advances by replaying a log is a database.
 //!
 //! Capture ([`crate::Database::checkpoint`]) collapses history: the
 //! restored database holds one version per row, at the checkpoint
@@ -20,13 +16,11 @@
 //! construction, which is why [`crate::Database::restore`] pins the
 //! vacuum watermark (`min_snapshot`) to it.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::error::DbError;
 use crate::frame::{self, FrameError};
 use crate::value::Row;
-use crate::wal::{put_row, put_str, Reader, WalRecord, FRAME_HEADER};
+use crate::wal::{put_row, put_str, Reader, FRAME_HEADER};
 
 /// Magic prefix of a checkpoint image.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"SIDBCKP1";
@@ -99,67 +93,6 @@ impl Checkpoint {
         self.tables.iter().map(|t| t.rows.len()).sum()
     }
 
-    /// Folds logged records into the image, leaving it equal to a
-    /// capture of the database [`crate::Database::recover`] would build
-    /// from the same image and records: a `CreateTable` of an unknown
-    /// name appends an empty table (a known name replays as a no-op),
-    /// and a `Commit` replaces, inserts or removes its rows and advances
-    /// `seq`. Commits at or below `seq` are already in the image and are
-    /// skipped.
-    ///
-    /// The records' net effect is gathered per table first (last write
-    /// of a row wins) and merged into each touched table's sorted rows
-    /// in one pass, so a fold costs the records plus one move of every
-    /// row of a touched table — not a shift of the table's tail per
-    /// inserted or removed row, and not a clone of any row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::InvalidTable`] at the first commit naming a
-    /// table the image does not hold; every record before it is folded,
-    /// that commit and everything after it is not.
-    pub fn fold(&mut self, records: impl IntoIterator<Item = WalRecord>) -> Result<(), DbError> {
-        let mut deltas: Vec<BTreeMap<u64, Option<Row>>> = Vec::new();
-        let mut outcome = Ok(());
-        for rec in records {
-            match rec {
-                WalRecord::CreateTable { name, columns } => {
-                    if self.tables.iter().all(|t| t.name != name) {
-                        self.tables.push(TableCheckpoint {
-                            name,
-                            columns,
-                            rows: Vec::new(),
-                        });
-                    }
-                }
-                WalRecord::Commit { seq, writeset } => {
-                    if seq <= self.seq {
-                        continue;
-                    }
-                    if let Some(item) = writeset
-                        .items
-                        .iter()
-                        .find(|item| item.table.index() >= self.tables.len())
-                    {
-                        outcome = Err(DbError::InvalidTable(item.table));
-                        break;
-                    }
-                    deltas.resize_with(self.tables.len(), BTreeMap::new);
-                    for item in writeset.items {
-                        deltas[item.table.index()].insert(item.row.0, item.data);
-                    }
-                    self.seq = seq;
-                }
-            }
-        }
-        for (table, delta) in self.tables.iter_mut().zip(deltas) {
-            if !delta.is_empty() {
-                merge(&mut table.rows, delta);
-            }
-        }
-        outcome
-    }
-
     /// Serializes to the on-disk image: magic, payload length, crc,
     /// payload.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -203,25 +136,6 @@ impl Checkpoint {
         })?;
         decode_payload(payload).ok_or(CheckpointError::Malformed)
     }
-}
-
-/// Applies `delta` (row key → new image, `None` = deleted) to the
-/// key-sorted `rows` in one merge pass. Deleting a row the image never
-/// held is a no-op: the database keeps only a tombstone for it.
-fn merge(rows: &mut Vec<(u64, Row)>, delta: BTreeMap<u64, Option<Row>>) {
-    let mut old = std::mem::take(rows).into_iter().peekable();
-    rows.reserve(old.len() + delta.len());
-    for (key, image) in delta {
-        while let Some(row) = old.next_if(|(k, _)| *k < key) {
-            rows.push(row);
-        }
-        // The delta supersedes the row's old image, if it had one.
-        old.next_if(|(k, _)| *k == key);
-        if let Some(data) = image {
-            rows.push((key, data));
-        }
-    }
-    rows.extend(old);
 }
 
 fn decode_payload(payload: &[u8]) -> Option<Checkpoint> {

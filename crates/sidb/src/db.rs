@@ -426,9 +426,7 @@ impl Database {
         let mut items = Vec::with_capacity(writes.len());
         for w in writes {
             let op = Self::op_of(&w);
-            let t = &mut self.tables[w.table.index()];
-            let slot = t.slot_or_intern(w.row.0);
-            t.install(slot, seq, w.data.clone());
+            self.install_row(seq, w.table, w.row.0, w.data.clone());
             items.push(WriteItem {
                 table: w.table,
                 row: w.row,
@@ -504,18 +502,10 @@ impl Database {
     /// Returns [`DbError::InvalidTable`] when the writeset references a
     /// table id outside this schema.
     pub fn apply_writeset(&mut self, ws: &WriteSet) -> Result<u64, DbError> {
-        for item in &ws.items {
-            self.check_table(item.table)?;
-        }
-        self.commit_seq += 1;
-        let seq = self.commit_seq;
-        for item in &ws.items {
-            let t = &mut self.tables[item.table.index()];
-            let slot = t.slot_or_intern(item.row.0);
-            t.install(slot, seq, item.data.clone());
-        }
-        self.stats.writesets_applied += 1;
-        Ok(seq)
+        self.check_tables(ws)?;
+        let writes = ws.items.iter().map(|w| (w.table, w.row, w.data.clone()));
+        self.install_writeset_at(self.commit_seq + 1, writes);
+        Ok(self.commit_seq)
     }
 
     /// Watermark garbage collection: frees row versions no active
@@ -596,15 +586,11 @@ impl Database {
         let mut db = Database::new();
         for t in &cp.tables {
             let columns: Vec<&str> = t.columns.iter().map(String::as_str).collect();
-            db.create_table(&t.name, &columns)
-                .expect("checkpoint table names are unique by construction");
             let table = db
-                .tables
-                .last_mut()
-                .expect("table pushed by create_table above");
+                .create_table(&t.name, &columns)
+                .expect("checkpoint table names are unique by construction");
             for (key, row) in &t.rows {
-                let slot = table.slot_or_intern(*key);
-                table.install(slot, cp.seq, Some(row.clone()));
+                db.install_row(cp.seq, table, *key, Some(row.clone()));
             }
         }
         db.commit_seq = cp.seq;
@@ -613,51 +599,18 @@ impl Database {
     }
 
     /// Crash recovery: restores `cp`, then replays the valid prefix of
-    /// `wal_bytes` on top of it.
+    /// `wal_bytes` on top of it ([`Database::replay`]).
     ///
     /// `from_seq` is the sequence the checkpoint already covers (commits
     /// at or below it are skipped); pass `cp.seq` unless the log and the
-    /// checkpoint use different sequence spaces. Replayed commits must be
-    /// strictly increasing — the scan stops at the first non-increasing
-    /// sequence or unknown table, distrusting everything after it, the
-    /// same "truncate at first bad frame" posture [`wal::scan`] applies
-    /// to the byte layer.
+    /// checkpoint use different sequence spaces.
     ///
     /// Never panics on arbitrary log bytes: torn tails, corrupt frames,
     /// and malformed records all just shorten the replay.
     pub fn recover(cp: &Checkpoint, wal_bytes: &[u8], from_seq: u64) -> (Database, RecoveryReport) {
         let mut db = Database::restore(cp);
         let scanned = wal::scan(wal_bytes);
-        let mut last_seq = from_seq;
-        let mut replayed = 0u64;
-        for rec in &scanned.records {
-            match rec {
-                WalRecord::CreateTable { name, columns } => {
-                    // Tables the checkpoint already captured replay as
-                    // no-ops; later creations extend the schema in the
-                    // original creation (= id) order.
-                    if db.names.contains_key(name) {
-                        continue;
-                    }
-                    let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
-                    db.create_table(name, &columns)
-                        .expect("name was just checked to be unknown");
-                }
-                WalRecord::Commit { seq, writeset } => {
-                    if *seq <= from_seq {
-                        continue; // the checkpoint already covers this commit
-                    }
-                    if *seq <= last_seq {
-                        break; // out-of-order sequence: distrust the rest
-                    }
-                    if db.install_writeset_at(*seq, writeset).is_err() {
-                        break; // references a table the log never created
-                    }
-                    last_seq = *seq;
-                    replayed += 1;
-                }
-            }
-        }
+        let (replayed, last_seq) = db.replay(scanned.records, from_seq);
         let report = RecoveryReport {
             replayed,
             last_seq,
@@ -667,20 +620,86 @@ impl Database {
         (db, report)
     }
 
-    /// Installs a replayed writeset at an explicit sequence, honoring the
-    /// log's sequence space (which may skip read-only commits).
-    fn install_writeset_at(&mut self, seq: u64, ws: &WriteSet) -> Result<(), DbError> {
-        for item in &ws.items {
-            self.check_table(item.table)?;
+    /// Replays logged records on top of this database, moving their row
+    /// images into the tables — the one interpreter of [`WalRecord`]s,
+    /// under [`Database::recover`] and under any durable image that
+    /// advances by eating its own log.
+    ///
+    /// A `CreateTable` of a known name is a no-op; of a new name it
+    /// extends the schema in the original creation (= id) order. Commits
+    /// at or below `from_seq` are already in the database and are
+    /// skipped. Replayed commits must be strictly increasing — the
+    /// replay stops at the first non-increasing sequence or unknown
+    /// table, keeping what preceded it and distrusting everything after,
+    /// the same "truncate at first bad frame" posture [`wal::scan`]
+    /// applies to the byte layer.
+    ///
+    /// Returns the number of commits replayed and the sequence of the
+    /// last one (`from_seq` when none replayed).
+    pub fn replay(
+        &mut self,
+        records: impl IntoIterator<Item = WalRecord>,
+        from_seq: u64,
+    ) -> (u64, u64) {
+        let mut last_seq = from_seq;
+        let mut replayed = 0u64;
+        for rec in records {
+            match rec {
+                WalRecord::CreateTable { name, columns } => {
+                    if !self.names.contains_key(&name) {
+                        let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+                        self.create_table(&name, &columns)
+                            .expect("name was just checked to be unknown");
+                    }
+                }
+                WalRecord::Commit { seq, writeset } => {
+                    if seq <= from_seq {
+                        continue; // already covered
+                    }
+                    // Out of order, or a table the log never created:
+                    // distrust the rest.
+                    if seq <= last_seq || self.check_tables(&writeset).is_err() {
+                        break;
+                    }
+                    let writes = writeset.items.into_iter().map(|w| (w.table, w.row, w.data));
+                    self.install_writeset_at(seq, writes);
+                    last_seq = seq;
+                    replayed += 1;
+                }
+            }
         }
+        (replayed, last_seq)
+    }
+
+    /// Installs a certified writeset's rows, its tables checked, as the
+    /// commit at `seq`: the next version for [`Database::apply_writeset`]
+    /// (which clones the images it borrows), the logged one for
+    /// [`Database::replay`] (which owns them; a log may skip sequences).
+    fn install_writeset_at(
+        &mut self,
+        seq: u64,
+        writes: impl Iterator<Item = (TableId, RowId, Option<Row>)>,
+    ) {
         self.commit_seq = seq;
-        for item in &ws.items {
-            let t = &mut self.tables[item.table.index()];
-            let slot = t.slot_or_intern(item.row.0);
-            t.install(slot, seq, item.data.clone());
+        for (table, row, data) in writes {
+            self.install_row(seq, table, row.0, data);
         }
         self.stats.writesets_applied += 1;
-        Ok(())
+    }
+
+    /// Fails, before anything of `ws` is installed, on a table outside
+    /// this schema.
+    fn check_tables(&self, ws: &WriteSet) -> Result<(), DbError> {
+        ws.items.iter().try_for_each(|w| self.check_table(w.table))
+    }
+
+    /// Installs `data` (`None` = tombstone) as `row`'s version at `seq`:
+    /// the one step by which a committed write enters a table.
+    #[inline]
+    fn install_row(&mut self, seq: u64, table: TableId, row: u64, data: Option<Row>) {
+        let t = &mut self.tables[table.index()];
+        let slot = t.slot_or_intern(row);
+        t.install(slot, seq, data);
     }
 
     /// Deterministic serialization of the durable state: the version plus
@@ -1131,6 +1150,154 @@ mod tests {
             Database::restore(&reloaded).durable_state(),
             db.durable_state()
         );
+    }
+
+    /// One history, three ways in: committed here, applied as certified
+    /// writesets, replayed from the WAL records of those commits.
+    #[test]
+    fn commit_apply_and_replay_install_the_same_history() {
+        let (mut origin, items) = seeded();
+        let genesis = origin.clone();
+        let mut applied = genesis.clone();
+        let mut records = Vec::new();
+        for i in 0..12u64 {
+            let t = origin.begin();
+            let image = vec![Value::text("w"), Value::Int(i as i64)];
+            match i % 4 {
+                0 => origin.insert(t, items, RowId(100 + i), image).unwrap(),
+                1 => origin.update(t, items, RowId(i % 10), image).unwrap(),
+                2 => origin.delete(t, items, RowId(100 + i - 2)).unwrap(),
+                _ => {
+                    origin.update(t, items, RowId(0), image.clone()).unwrap();
+                    origin.delete(t, items, RowId(i % 10)).unwrap();
+                    origin.insert(t, items, RowId(200 + i), image).unwrap();
+                }
+            }
+            let info = origin.commit(t).unwrap();
+            assert_eq!(applied.apply_writeset(&info.writeset), Ok(info.commit_seq));
+            records.push(WalRecord::Commit {
+                seq: info.commit_seq,
+                writeset: info.writeset,
+            });
+        }
+        let mut replayed = genesis.clone();
+        assert_eq!(
+            replayed.replay(records, genesis.version()),
+            (12, origin.version())
+        );
+        for copy in [&applied, &replayed] {
+            assert_eq!(copy.durable_state(), origin.durable_state());
+            assert_eq!(copy.version(), origin.version());
+            assert_eq!(copy.version_count(), origin.version_count());
+        }
+    }
+
+    #[test]
+    fn replay_skips_what_is_covered_and_stops_at_the_first_bad_record() {
+        let create = |name: &str| WalRecord::CreateTable {
+            name: name.into(),
+            columns: vec!["v".into()],
+        };
+        // Commit `seq` inserts row `seq` into table `table`.
+        let commit = |seq: u64, table: u32| WalRecord::Commit {
+            seq,
+            writeset: WriteSet {
+                base_version: seq - 1,
+                items: vec![WriteItem {
+                    table: TableId(table),
+                    row: RowId(seq),
+                    op: WriteOp::Insert,
+                    data: Some(vec![Value::Int(seq as i64)]),
+                }],
+            },
+        };
+        // (what, records, from_seq) → (replayed, last_seq), tables, rows
+        // of table 0.
+        type Case<'a> = (
+            &'a str,
+            Vec<WalRecord>,
+            u64,
+            (u64, u64),
+            &'a [&'a str],
+            &'a [u64],
+        );
+        let cases: Vec<Case> = vec![
+            (
+                "commits at or below from_seq are skipped",
+                vec![create("a"), commit(1, 0), commit(2, 0), commit(3, 0)],
+                2,
+                (1, 3),
+                &["a"],
+                &[3],
+            ),
+            (
+                "nothing past from_seq: the floor comes back",
+                vec![create("a"), commit(1, 0)],
+                5,
+                (0, 5),
+                &["a"],
+                &[],
+            ),
+            (
+                "a sequence running backwards ends the replay",
+                vec![
+                    create("a"),
+                    commit(1, 0),
+                    commit(3, 0),
+                    commit(2, 0),
+                    commit(4, 0),
+                ],
+                0,
+                (2, 3),
+                &["a"],
+                &[1, 3],
+            ),
+            (
+                "so does a repeated one",
+                vec![create("a"), commit(1, 0), commit(1, 0), commit(2, 0)],
+                0,
+                (1, 1),
+                &["a"],
+                &[1],
+            ),
+            (
+                "and a commit on a table the log never created",
+                vec![create("a"), commit(1, 0), commit(2, 5), commit(3, 0)],
+                0,
+                (1, 1),
+                &["a"],
+                &[1],
+            ),
+            (
+                "a known CreateTable is a no-op, a new one extends the schema in order",
+                vec![
+                    create("a"),
+                    create("b"),
+                    create("a"),
+                    commit(1, 1),
+                    create("c"),
+                ],
+                0,
+                (1, 1),
+                &["a", "b", "c"],
+                &[],
+            ),
+        ];
+        for (what, records, from_seq, outcome, tables, rows) in cases {
+            let mut db = Database::new();
+            assert_eq!(db.replay(records, from_seq), outcome, "{what}");
+            assert_eq!(db.table_names(), tables, "{what}");
+            let mut keys: Vec<u64> = db.tables[0]
+                .entries()
+                .filter(|&(slot, _)| db.tables[0].is_visible(slot, db.version()))
+                .map(|(_, key)| key)
+                .collect();
+            keys.sort_unstable();
+            assert_eq!(keys, rows, "{what}");
+            if outcome.0 > 0 {
+                assert_eq!(db.version(), outcome.1, "{what}");
+            }
+        }
     }
 
     #[test]

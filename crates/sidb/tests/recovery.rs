@@ -8,16 +8,9 @@
 //! and replay exactly those into a fresh reference engine. Recovery
 //! (checkpoint load + scan + replay) must land on the same
 //! `durable_state()` string.
-//!
-//! The second half checks [`Checkpoint::fold`] the same way from the
-//! other side: a checkpoint with the log folded in must equal a fresh
-//! capture of the live engine that produced the log.
 
 use proptest::prelude::*;
-use replipred_sidb::{
-    Checkpoint, Database, DbError, RowId, TableId, Value, WalRecord, WalWriter, WriteItem, WriteOp,
-    WriteSet,
-};
+use replipred_sidb::{Checkpoint, Database, RowId, Value, WalRecord, WalWriter};
 
 /// A scripted history with everything the oracle needs.
 struct Script {
@@ -256,138 +249,8 @@ fn corrupt_crc_recovers_to_the_frame_before_the_corruption() {
     );
 }
 
-/// A random committed history with deletes, for the fold property: the
-/// full record log, the image captured after `cp_after` commits, and
-/// the live engine. Each op is one committed transaction over 24 keys
-/// of `acct` — an upsert, a delete-or-revive, or a three-row mix — and
-/// `late` commits in, a second table appears and takes every fourth
-/// commit from then on.
-fn fold_history(
-    ops: &[(u8, u64, i64)],
-    cp_after: usize,
-    late: usize,
-) -> (Vec<WalRecord>, Checkpoint, Database) {
-    let create = |db: &mut Database, records: &mut Vec<WalRecord>, name: &str| {
-        records.push(WalRecord::CreateTable {
-            name: name.into(),
-            columns: vec!["v".into()],
-        });
-        db.create_table(name, &["v"]).unwrap()
-    };
-    let mut db = Database::new();
-    let mut records = Vec::new();
-    let acct = create(&mut db, &mut records, "acct");
-    let mut audit = None;
-    let mut checkpoint = None;
-    for (i, &(kind, key, v)) in ops.iter().enumerate() {
-        if i == cp_after {
-            checkpoint = Some(db.checkpoint());
-        }
-        if i == late {
-            audit = Some(create(&mut db, &mut records, "audit"));
-        }
-        let table = match audit {
-            Some(audit) if i % 4 == 3 => audit,
-            _ => acct,
-        };
-        let t = db.begin();
-        let put = |db: &mut Database, key: u64, delete: bool| {
-            let row = RowId(key);
-            let live = db.read(t, table, row).unwrap().is_some();
-            match (live, delete) {
-                (true, true) => db.delete(t, table, row).unwrap(),
-                (true, false) => db.update(t, table, row, vec![Value::Int(v)]).unwrap(),
-                (false, _) => db.insert(t, table, row, vec![Value::Int(v)]).unwrap(),
-            }
-        };
-        match kind {
-            0 => put(&mut db, key, false),
-            1 => put(&mut db, key, true),
-            _ => {
-                put(&mut db, key, true);
-                put(&mut db, (key + 7) % 24, false);
-                put(&mut db, (key + 13) % 24, true);
-            }
-        }
-        let info = db.commit(t).unwrap();
-        records.push(WalRecord::Commit {
-            seq: info.commit_seq,
-            writeset: info.writeset,
-        });
-    }
-    let checkpoint = checkpoint.unwrap_or_else(|| db.checkpoint());
-    (records, checkpoint, db)
-}
-
-#[test]
-fn fold_rejects_a_commit_on_a_table_the_image_lacks() {
-    let ops = [(0, 1, 1), (0, 2, 2), (1, 1, 0)];
-    let (records, checkpoint, _) = fold_history(&ops, 1, usize::MAX);
-    let stray = |seq| WalRecord::Commit {
-        seq,
-        writeset: WriteSet {
-            base_version: seq - 1,
-            items: vec![WriteItem {
-                table: TableId(9),
-                row: RowId(0),
-                op: WriteOp::Insert,
-                data: Some(vec![Value::Int(0)]),
-            }],
-        },
-    };
-    // [create, commit 1, commit 2, stray 3, commit 3] onto the image at
-    // 1: commit 2 folds, the stray commit and everything after do not.
-    let mut log = records.clone();
-    log.insert(3, stray(3));
-    let mut image = checkpoint.clone();
-    assert_eq!(image.fold(log), Err(DbError::InvalidTable(TableId(9))));
-    assert_eq!(image.seq, 2);
-    assert_eq!(image.row_count(), 2);
-    // At or below the image's sequence it is history, not an error.
-    let before = image.clone();
-    assert_eq!(image.fold([stray(2)]), Ok(()));
-    assert_eq!(image, before);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// An image plus the log past it is the later image: folding the
-    /// records into a checkpoint taken anywhere in the history gives
-    /// exactly what capturing the live database gives — rows, order,
-    /// sequence, late-created tables and bytes — whether the fold is
-    /// handed the whole log (records the image already covers are
-    /// skipped) or only its tail, and recovery agrees.
-    #[test]
-    fn folding_the_log_equals_recapturing_the_database(
-        ops in collection::vec((0u8..3, 0u64..24, -50i64..50), 1..60),
-        cp_draw in 0usize..60,
-        late_draw in 0usize..60,
-        tail_only in 0u8..2,
-    ) {
-        let (cp_after, late) = (cp_draw % ops.len(), late_draw % (ops.len() + 1));
-        let (records, checkpoint, db) = fold_history(&ops, cp_after, late);
-        let mut image = checkpoint.clone();
-        let skip = if tail_only == 1 {
-            records
-                .iter()
-                .position(|r| matches!(r, WalRecord::Commit { seq, .. } if *seq > checkpoint.seq))
-                .unwrap_or(records.len())
-        } else {
-            0
-        };
-        // A tail must still carry the schema records, as a real log does.
-        let log = records[..skip]
-            .iter()
-            .filter(|r| matches!(r, WalRecord::CreateTable { .. }))
-            .chain(&records[skip..])
-            .cloned();
-        prop_assert_eq!(image.fold(log), Ok(()));
-        let captured = db.checkpoint();
-        prop_assert_eq!(&image, &captured);
-        prop_assert_eq!(image.to_bytes(), captured.to_bytes());
-        prop_assert_eq!(Database::restore(&image).durable_state(), db.durable_state());
-    }
 
     /// The tentpole guarantee: kill the log at an arbitrary byte offset
     /// — mid-frame, mid-header, anywhere — and recovery reconstructs

@@ -104,30 +104,13 @@ impl Ord for HeapEntry {
 /// schedule further events.
 pub struct Engine<W, E> {
     clock: SimTime,
-    /// Cached minimum: always earlier (by `(at, seq)`) than every entry in
-    /// `heap` when `Some`. The schedule→fire chain pattern — exactly one
-    /// event in flight, e.g. a PS server's pending completion or a client
-    /// think timer on an otherwise quiet engine — then never touches the
-    /// heap at all.
-    front: Option<HeapEntry>,
     heap: BinaryHeap<HeapEntry>,
     slots: Vec<Slot<E>>,
-    /// One-slot cache in front of `free`: the slot vacated by the last
-    /// fire/cancel, reused by the next schedule without touching the Vec.
-    hot_slot: Option<u32>,
+    /// Vacant slab slots, reused newest-first.
     free: Vec<u32>,
     next_seq: u64,
     executed: u64,
     world: W,
-}
-
-/// Strict `(at, seq)` order (distinct seq values make this total).
-fn earlier(a: &HeapEntry, b: &HeapEntry) -> bool {
-    match a.at.cmp(&b.at) {
-        Ordering::Less => true,
-        Ordering::Greater => false,
-        Ordering::Equal => a.seq < b.seq,
-    }
 }
 
 impl<W, E: Event<W>> Engine<W, E> {
@@ -135,10 +118,8 @@ impl<W, E: Event<W>> Engine<W, E> {
     pub fn new(world: W) -> Self {
         Engine {
             clock: SimTime::ZERO,
-            front: None,
             heap: BinaryHeap::new(),
             slots: Vec::new(),
-            hot_slot: None,
             free: Vec::new(),
             next_seq: 0,
             executed: 0,
@@ -175,15 +156,7 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// exactly the occupied slab slots, so cancellation bookkeeping can
     /// never drift.
     pub fn events_pending(&self) -> usize {
-        self.slots.len() - self.free.len() - usize::from(self.hot_slot.is_some())
-    }
-
-    /// Returns a vacant slab slot to the free pool.
-    #[inline]
-    fn release_slot(&mut self, slot: u32) {
-        if let Some(spill) = self.hot_slot.replace(slot) {
-            self.free.push(spill);
-        }
+        self.slots.len() - self.free.len()
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -207,7 +180,7 @@ impl<W, E: Event<W>> Engine<W, E> {
     fn schedule_validated(&mut self, at: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (slot, gen) = match self.hot_slot.take().or_else(|| self.free.pop()) {
+        let (slot, gen) = match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
                 s.event = Some(event);
@@ -222,19 +195,7 @@ impl<W, E: Event<W>> Engine<W, E> {
                 (slot, 0)
             }
         };
-        let entry = HeapEntry { at, seq, slot, gen };
-        // Keep `front` the global minimum; fall back to the heap.
-        match &self.front {
-            Some(f) if earlier(&entry, f) => {
-                let old = self.front.replace(entry).expect("front is Some");
-                self.heap.push(old);
-            }
-            Some(_) => self.heap.push(entry),
-            None => match self.heap.peek() {
-                Some(top) if earlier(top, &entry) => self.heap.push(entry),
-                _ => self.front = Some(entry),
-            },
-        }
+        self.heap.push(HeapEntry { at, seq, slot, gen });
         EventId { slot, gen }
     }
 
@@ -263,24 +224,20 @@ impl<W, E: Event<W>> Engine<W, E> {
             if slot.gen == id.gen && slot.event.is_some() {
                 slot.event = None;
                 slot.gen = slot.gen.wrapping_add(1);
-                self.release_slot(id.slot);
+                self.free.push(id.slot);
             }
         }
     }
 
     /// Discards stale entries (from cancellations) until the earliest
-    /// pending event is live, and returns its time. Afterwards that event
-    /// sits in `front`.
+    /// pending event is live, and returns its time.
     fn peek_live(&mut self) -> Option<SimTime> {
         loop {
-            if self.front.is_none() {
-                self.front = self.heap.pop();
-            }
-            let entry = self.front.as_ref()?;
+            let entry = self.heap.peek()?;
             if self.slots[entry.slot as usize].gen == entry.gen {
                 return Some(entry.at);
             }
-            self.front = None;
+            self.heap.pop();
         }
     }
 
@@ -288,17 +245,14 @@ impl<W, E: Event<W>> Engine<W, E> {
     #[inline]
     fn pop_live(&mut self) -> Option<E> {
         loop {
-            let entry = match self.front.take() {
-                Some(entry) => entry,
-                None => self.heap.pop()?,
-            };
+            let entry = self.heap.pop()?;
             let slot = &mut self.slots[entry.slot as usize];
             if slot.gen != entry.gen {
                 continue;
             }
             let event = slot.event.take().expect("live slot holds an event");
             slot.gen = slot.gen.wrapping_add(1);
-            self.release_slot(entry.slot);
+            self.free.push(entry.slot);
             debug_assert!(entry.at >= self.clock, "event heap yielded past event");
             self.clock = entry.at;
             self.executed += 1;

@@ -68,37 +68,26 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 use crate::engine::{Engine, Event, EventId};
-use crate::stats::{Tally, TimeWeighted};
+use crate::stats::TimeWeighted;
 
-/// Utilization / occupancy statistics shared by both disciplines.
+/// Utilization statistics shared by both disciplines.
 #[derive(Debug, Clone)]
 pub struct ResourceStats {
-    /// Time-weighted number of busy servers.
+    /// Time-weighted number of busy servers; its mean over a window is
+    /// the utilization (per server: divide by the server count).
     pub busy: TimeWeighted,
-    /// Time-weighted number of jobs waiting (FCFS) or resident (PS).
-    pub queue: TimeWeighted,
-    /// Per-job waiting time before service starts (FCFS) or zero (PS).
-    pub wait: Tally,
-    /// Completed jobs.
-    pub completions: u64,
 }
 
 impl ResourceStats {
     fn new() -> Self {
         ResourceStats {
             busy: TimeWeighted::new(0.0, 0.0),
-            queue: TimeWeighted::new(0.0, 0.0),
-            wait: Tally::new(),
-            completions: 0,
         }
     }
 
     /// Restarts the measurement window at time `t` (end of warm-up).
     pub fn reset(&mut self, t: f64) {
         self.busy.reset(t);
-        self.queue.reset(t);
-        self.wait.reset();
-        self.completions = 0;
     }
 }
 
@@ -109,7 +98,6 @@ pub type ServiceToken = u32;
 
 struct FcfsJob<E> {
     service: f64,
-    arrived: f64,
     done: E,
 }
 
@@ -146,21 +134,6 @@ impl<W, E> Fcfs<W, E> {
         }
     }
 
-    /// Number of servers.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
-    /// Jobs currently in service.
-    pub fn in_service(&self) -> usize {
-        self.busy
-    }
-
-    /// Jobs currently waiting.
-    pub fn waiting(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Stores an in-service continuation, reusing a free slot.
     fn store(&mut self, done: E) -> ServiceToken {
         match self.free_tokens.pop() {
@@ -175,11 +148,6 @@ impl<W, E> Fcfs<W, E> {
                 token
             }
         }
-    }
-
-    /// Average utilization per server over the window ending at `t`.
-    pub fn utilization_at(&self, t: f64) -> f64 {
-        self.stats.busy.mean_at(t) / self.servers as f64
     }
 }
 
@@ -206,16 +174,10 @@ impl<W: 'static, E: Event<W>> Fcfs<W, E> {
         if res.busy < res.servers {
             res.busy += 1;
             res.stats.busy.set(now, res.busy as f64);
-            res.stats.wait.record(0.0);
             let token = res.store(done);
             engine.schedule_event_in(service, fired(token));
         } else {
-            res.queue.push_back(FcfsJob {
-                service,
-                arrived: now,
-                done,
-            });
-            res.stats.queue.set(now, res.queue.len() as f64);
+            res.queue.push_back(FcfsJob { service, done });
         }
     }
 
@@ -229,15 +191,12 @@ impl<W: 'static, E: Event<W>> Fcfs<W, E> {
     {
         let now = engine.now().as_secs();
         let res = lens(engine.world_mut());
-        res.stats.completions += 1;
         let done = res.in_service[token as usize]
             .take()
             .expect("service token is live");
         res.free_tokens.push(token);
         if let Some(job) = res.queue.pop_front() {
             // Server stays busy; next job starts immediately.
-            res.stats.queue.set(now, res.queue.len() as f64);
-            res.stats.wait.record(now - job.arrived);
             let next = res.store(job.done);
             engine.schedule_event_in(job.service, fired(next));
         } else {
@@ -287,11 +246,6 @@ impl<W, E> Ps<W, E> {
         }
     }
 
-    /// Number of resident jobs.
-    pub fn resident(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Advances all resident jobs' remaining work to time `t`.
     fn advance_to(&mut self, t: f64) {
         let dt = t - self.last_advance;
@@ -303,12 +257,6 @@ impl<W, E> Ps<W, E> {
         for j in &mut self.jobs {
             j.remaining -= per_job;
         }
-    }
-
-    /// Fraction of the window ending at `t` during which the server was
-    /// busy (any job resident).
-    pub fn utilization_at(&self, t: f64) -> f64 {
-        self.stats.busy.mean_at(t)
     }
 }
 
@@ -337,9 +285,7 @@ impl<W: 'static, E: Event<W>> Ps<W, E> {
                 remaining: work,
                 done: Some(done),
             });
-            res.stats.queue.set(now, res.jobs.len() as f64);
             res.stats.busy.set(now, 1.0);
-            res.stats.wait.record(0.0);
         }
         Self::reschedule(engine, lens, fired);
     }
@@ -394,8 +340,6 @@ impl<W: 'static, E: Event<W>> Ps<W, E> {
             match idx {
                 Some(i) => {
                     let mut job = res.jobs.swap_remove(i);
-                    res.stats.completions += 1;
-                    res.stats.queue.set(now, res.jobs.len() as f64);
                     if res.jobs.is_empty() {
                         res.stats.busy.set(now, 0.0);
                     }
@@ -525,20 +469,8 @@ mod tests {
         engine.run();
         engine.run_until(SimTime::from_secs(4.0));
         // Busy 2 s of 4 s window.
-        let u = engine.world().disk.utilization_at(4.0);
+        let u = engine.world().disk.stats.busy.mean_at(4.0);
         assert!((u - 0.5).abs() < 1e-12, "u={u}");
-        assert_eq!(engine.world().disk.stats.completions, 1);
-    }
-
-    #[test]
-    fn fcfs_wait_times_are_recorded() {
-        let mut engine = station(1, 1.0);
-        for _ in 0..3 {
-            disk_job(&mut engine, 1.0, 0);
-        }
-        engine.run();
-        // Waits: 0, 1, 2 -> mean 1.
-        assert!((engine.world().disk.stats.wait.mean() - 1.0).abs() < 1e-12);
     }
 
     /// Closed-loop M-ish/M/1: utilization from simulation must match the
@@ -663,7 +595,7 @@ mod tests {
         cpu_job(&mut engine, 1.0);
         engine.run();
         engine.run_until(SimTime::from_secs(2.0));
-        let u = engine.world().cpu.utilization_at(2.0);
+        let u = engine.world().cpu.stats.busy.mean_at(2.0);
         assert!((u - 0.5).abs() < 1e-9, "u={u}");
     }
 }

@@ -391,9 +391,8 @@ impl RunOpts {
             Some(v) => Some(Schedule::parse(v).map_err(|e| e.to_string())?),
         };
         if let Some(w) = args.parsed::<f64>("--phase-window")? {
-            if !w.is_finite() || w <= 0.0 {
-                return Err(format!("--phase-window must be positive (got {w})"));
-            }
+            // The flag form of the `window=W` token, under its bounds.
+            Schedule::parse(&format!("window={w}")).map_err(|e| format!("--phase-window: {e}"))?;
             schedule = Some(schedule.unwrap_or_default().window(w));
         }
         Ok(RunOpts {
@@ -671,6 +670,9 @@ mod tests {
         assert!(parse("phases --jobs 0").is_err());
         assert!(parse("phases --phase-window 0").is_err());
         assert!(parse("phases --phase-window -2").is_err());
+        assert!(parse("phases --phase-window 1e-7").is_err());
+        assert!(parse("phases --phase-window 5,slo=1").is_err());
+        assert!(parse("phases --schedule crash@nan=1").is_err());
         assert!(parse("phases --schedule bogus@x").is_err());
         assert!(parse("phases --design mm,mm").is_err());
         let opts = parse("phases --schedule crash@30=1,join@60=1,window=5 --replicas 4").unwrap();

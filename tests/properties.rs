@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use replipred::model::{
-    AbortModel, Design, ModelError, ResourceDemands, SystemConfig, WorkloadProfile,
+    AbortModel, Design, ModelError, ResourceDemands, Schedule, ScheduleEvent, SystemConfig,
+    WorkloadProfile,
 };
 use replipred::mva::{approx, bounds, exact, ClosedNetwork};
 use replipred::sidb::{Database, RowId, TableId, Value};
@@ -137,6 +138,46 @@ fn arb_synth() -> impl Strategy<Value = SynthSpec> {
                 }
             },
         )
+}
+
+/// Strings around the `--schedule` grammar: comma lists of tokens in
+/// every shape the grammar has (and some it has not), over its words,
+/// numbers a float parser accepts but a simulation cannot run, and junk.
+fn arb_schedule_text() -> impl Strategy<Value = String> {
+    const WORDS: [&str; 14] = [
+        "crash",
+        "join",
+        "cert-down",
+        "cert-up",
+        "clients",
+        "flash-crowd",
+        "phase",
+        "window",
+        "slo",
+        "recovery",
+        "bogus",
+        "",
+        "é🦀",
+        "\0",
+    ];
+    const NUMBERS: [&str; 24] = [
+        "0", "1", "2", "30", "-5", "-0", "+3", ".5", "2.5", "0.001", "1e-7", "100", "100.5", "1e9",
+        "1e308", "1e999", "nan", "NaN", "inf", "-inf", "infinity", "x", "", " 7 ",
+    ];
+    let word = 0usize..WORDS.len();
+    let number = || 0usize..NUMBERS.len();
+    let token = (0u8..6, word, number(), number(), number()).prop_map(|(shape, w, a, b, c)| {
+        let (w, a, b, c) = (WORDS[w], NUMBERS[a], NUMBERS[b], NUMBERS[c]);
+        match shape {
+            0 => format!("{w}@{a}={b}"),
+            1 => format!("{w}@{a}"),
+            2 => format!("{w}@{a}={b}x{c}"),
+            3 => format!("{w}={a}"),
+            4 => format!("{w}@{a}={w}"),
+            _ => format!("{a}{w}={b}@{c}"),
+        }
+    });
+    collection::vec(token, 0..6).prop_map(|tokens| tokens.join(","))
 }
 
 proptest! {
@@ -451,5 +492,36 @@ proptest! {
             prop_assert!(run.is_ok(), "execute failed: {:?}", run.err());
             prop_assert!(db.commit(txn).is_ok());
         }
+    }
+}
+
+proptest! {
+    // A case is a few string splits: many of them, so that lists whose
+    // every token parses are not rare.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `Schedule::parse` is total: no input panics, and what it accepts
+    /// holds only numbers a run can schedule, allocate for and divide by.
+    #[test]
+    fn schedule_parse_is_total_and_yields_runnable_numbers(text in arb_schedule_text()) {
+        let Ok(schedule) = Schedule::parse(&text) else {
+            return Ok(());
+        };
+        let instant = |t: f64| t.is_finite() && t >= 0.0;
+        for te in &schedule.events {
+            prop_assert!(instant(te.at), "{text:?}: event at {}", te.at);
+            if let ScheduleEvent::Clients(f) = te.event {
+                prop_assert!(f > 0.0 && f <= 100.0, "{text:?}: factor {f}");
+            }
+        }
+        for phase in &schedule.phases {
+            prop_assert!(instant(phase.start), "{text:?}: phase at {}", phase.start);
+        }
+        // 0 is "not set" for the three knobs.
+        let (w, slo, rec) = (schedule.window, schedule.slo_response, schedule.recovery_fraction);
+        prop_assert!(w == 0.0 || (w.is_finite() && w >= 1e-3), "{text:?}: window {w}");
+        prop_assert!(slo == 0.0 || (slo.is_finite() && slo > 0.0), "{text:?}: slo {slo}");
+        prop_assert!(rec == 0.0 || (rec > 0.0 && rec <= 1.0), "{text:?}: recovery {rec}");
+        prop_assert!(schedule.max_clients_factor() <= 100.0);
     }
 }
