@@ -13,6 +13,9 @@
 //! paper justifies in Section 6.3.2 and which our
 //! `sens_certifier` experiment revisits.
 
+use std::borrow::Borrow;
+use std::sync::Arc;
+
 use replipred_sidb::{RowMap, WriteSet};
 use serde::{Deserialize, Serialize};
 
@@ -90,7 +93,15 @@ impl Certifier {
     /// An empty writeset (read-only transaction) always commits *without*
     /// advancing the version — read-only transactions never contact the
     /// certifier in the real system.
-    pub fn certify(&mut self, ws: &WriteSet) -> Certification {
+    ///
+    /// `shared` is a `&WriteSet` or a `&Arc<WriteSet>`: the log keeps a
+    /// clone of what it is handed, so a caller that shares one `Arc` per
+    /// commit (the multi-master proxy) has it logged by a count bump.
+    pub fn certify<W>(&mut self, shared: &W) -> Certification
+    where
+        W: Borrow<WriteSet> + Clone + Into<Arc<WriteSet>>,
+    {
+        let ws: &WriteSet = shared.borrow();
         self.requests += 1;
         if ws.is_empty() {
             return Certification::Commit(self.version());
@@ -106,7 +117,7 @@ impl Certifier {
                 return Certification::Abort;
             }
         }
-        let version = self.log.push(ws.clone());
+        let version = self.log.push(shared.clone());
         for (table, row) in ws.keys() {
             if table.index() >= self.newest.len() {
                 self.newest
@@ -131,6 +142,7 @@ impl Certifier {
             .unwrap_or_else(|| {
                 panic!("versions after {after} were truncated; catch-up is impossible")
             })
+            .map(|ws| &**ws)
     }
 
     /// Truncates the log prefix up to and including `version` (safe once
@@ -156,7 +168,7 @@ mod tests {
                     table: TableId(0),
                     row: RowId(row),
                     op: WriteOp::Update,
-                    data: Some(vec![Value::Int(1)]),
+                    data: Some([Value::Int(1)].into()),
                 })
                 .collect(),
         }

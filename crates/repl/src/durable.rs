@@ -3,9 +3,10 @@
 //! Each simulated node, when durability is enabled, mirrors every commit
 //! it applies into a [`WalWriter`] on top of a durable *image* — a
 //! [`Database`] of its own, because an image that has to eat a log is a
-//! database. At vacuum cadence the image replays the log
-//! ([`Database::replay`], the interpreter crash recovery uses) and
-//! collapses to one version a row, so a tick costs what changed since
+//! database (and one that shares every row image with the node's live
+//! database: the image costs slot arrays, not payloads). At vacuum
+//! cadence the image replays the log ([`Database::replay`], the
+//! interpreter crash recovery uses) and collapses to one version a row, so a tick costs what changed since
 //! the last one, not the database size. A crash drops the unsealed group
 //! and freezes the rest; a rejoin *actually rebuilds* the node's database
 //! from it — a copy of the image + replay of the sealed frames — instead
@@ -20,7 +21,7 @@
 //! log is the image's plus a record count the [`WalWriter`] already
 //! keeps.
 
-use replipred_sidb::{scan, Database, WalWriter, WriteSet};
+use replipred_sidb::{Database, WalWriter, WriteSet};
 
 /// Durable state of one node: the base image plus the redo log of
 /// commits applied since.
@@ -78,10 +79,9 @@ impl NodeDurability {
     /// nothing.
     pub fn checkpoint(&mut self, db: &Database, relay_seq: u64) {
         let wal = std::mem::replace(&mut self.wal, WalWriter::new(self.group));
-        // `into_bytes` seals the pending group, so the scan sees it too.
-        let records = scan(&wal.into_bytes()).records;
-        let (replayed, _) = self.image.replay(records, self.image.version());
-        if replayed > 0 {
+        // `into_bytes` seals the pending group, so the replay sees it too.
+        let from = self.image.version();
+        if self.image.replay(&wal.into_bytes(), from).replayed > 0 {
             self.image.vacuum();
         }
         debug_assert_eq!(
@@ -122,7 +122,7 @@ impl NodeDurability {
     /// number of log records replayed (the replay cost driver).
     pub fn recover(&self) -> (Database, u64, u64) {
         let mut db = self.image.clone();
-        let (replayed, _) = db.replay(scan(self.wal.bytes()).records, db.version());
+        let replayed = db.replay(self.wal.bytes(), db.version()).replayed;
         debug_assert_eq!(
             replayed,
             self.wal.sealed_records() as u64,

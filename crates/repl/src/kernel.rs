@@ -56,7 +56,15 @@
 //! - **Set-up is paid once per cell.** [`build`] installs the workload
 //!   into one database and clones it for the other `n − 1` nodes, so
 //!   every replica starts as the same image (rows, counters, next
-//!   transaction id) at the cost of one install plus `n − 1` copies.
+//!   transaction id) at the cost of one install plus `n − 1` copies of
+//!   the slot arrays: a row image is shared, so the `n` replicas (and a
+//!   durable node's image) hold one allocation of every seeded row
+//!   between them until one of them writes it.
+//! - **A commit's writeset is shared, not copied.** The policy wraps it
+//!   in one `Arc` at commit; the log entry, every [`WsApply`] in flight
+//!   and every apply queue hold that `Arc`, and each replica installs
+//!   the row images it carries by bumping their counts. Fan-out costs
+//!   events and map nodes per extra replica, never a row payload.
 //! - **A crash loses what was not fsynced.** Besides stopping the node,
 //!   `crash` drops a durable node's unsealed redo-log group
 //!   ([`NodeDurability::crash`]): the rejoin recovers to the last sealed
@@ -85,6 +93,7 @@
 //!   transfer covers.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use replipred_core::ScheduleEvent;
 use replipred_sidb::{CommitInfo, Database, TxnId, WriteSet};
@@ -212,7 +221,7 @@ pub(crate) struct Node<P: Policy> {
     /// commits locally advances it itself.
     pub(crate) apply_next: u64,
     /// Writesets whose resource phase finished, awaiting their turn.
-    apply_ready: BTreeMap<u64, WriteSet>,
+    apply_ready: BTreeMap<u64, Arc<WriteSet>>,
     /// Transactions currently executing (holding an admission slot).
     executing: usize,
     /// Arrivals waiting for an admission slot (connection pool).
@@ -275,7 +284,7 @@ pub(crate) struct Attempt {
 pub(crate) struct WsApply {
     node: usize,
     seq: u64,
-    writeset: WriteSet,
+    writeset: Arc<WriteSet>,
     /// Disk demand, sampled together with the CPU demand at propagation
     /// time (keeps the RNG draw order independent of resource contention).
     ws_disk: f64,
@@ -356,7 +365,11 @@ impl<P: Policy> Event<World<P>> for Ev<P> {
             }
             Ev::WsDiskDone(ws) => {
                 let w = engine.world_mut();
-                if w.nodes[ws.node].state != NodeState::Up {
+                let target = &w.nodes[ws.node];
+                // Stale too when a crash and a rejoin both fit inside this
+                // disk job: catch-up has replayed the sequence from the
+                // log, and it must not be counted as applied twice.
+                if target.state != NodeState::Up || ws.seq < target.apply_next {
                     return;
                 }
                 if w.measuring {
@@ -432,7 +445,8 @@ fn submit_disk<P: Policy>(engine: &mut Sim<P>, node: usize, service: f64, done: 
 /// The workload is installed once and the seeded database cloned for the
 /// other `n − 1` nodes: replicas start as identical copies (same rows,
 /// counters and next transaction id as `n` separate installs would
-/// give), so set-up is paid once per cell, not once per replica.
+/// give) that share every row image, so set-up is paid once per cell,
+/// not once per replica.
 /// `policy` sees the seeded databases once, before the nodes wrap them.
 ///
 /// # Panics
@@ -751,18 +765,18 @@ pub(crate) fn fan_out<P: Policy>(
     engine: &mut Sim<P>,
     origin: usize,
     seq: u64,
-    writeset: &WriteSet,
+    writeset: &Arc<WriteSet>,
 ) {
     for node in 0..engine.world().nodes.len() {
         if node != origin && engine.world().nodes[node].state == NodeState::Up {
-            propagate(engine, node, seq, writeset.clone());
+            propagate(engine, node, seq, Arc::clone(writeset));
         }
     }
 }
 
 /// Consumes the ws resource demands on a remote node, then queues the
 /// writeset for in-order retirement.
-fn propagate<P: Policy>(engine: &mut Sim<P>, node: usize, seq: u64, writeset: WriteSet) {
+fn propagate<P: Policy>(engine: &mut Sim<P>, node: usize, seq: u64, writeset: Arc<WriteSet>) {
     let w = engine.world_mut();
     let (mean_cpu, mean_disk) = {
         let spec = w.pool.spec();
@@ -791,7 +805,7 @@ pub(crate) fn mark_ready<P: Policy>(
     engine: &mut Sim<P>,
     node: usize,
     seq: u64,
-    writeset: WriteSet,
+    writeset: Arc<WriteSet>,
 ) {
     let target = &mut engine.world_mut().nodes[node];
     if seq < target.apply_next {
@@ -1084,9 +1098,11 @@ mod tests {
     use std::convert::Infallible;
 
     use replipred_core::Schedule;
+    use replipred_sidb::{RowId, Value};
     use replipred_workload::spec::TxnClass;
 
     use super::*;
+    use crate::config::DurabilityConfig;
 
     /// A minimal design: least-loaded routing, node-local commit — or,
     /// with `always_conflict`, an update protocol that never succeeds.
@@ -1222,6 +1238,24 @@ mod tests {
             node.db.abort(txn).unwrap();
             assert_eq!(node.db.stats(), installed.stats());
         }
+        // … and the four of them hold one allocation of every seeded row.
+        let nodes = &mut engine.world_mut().nodes;
+        let items = nodes[0].db.table_id("items").unwrap();
+        let images: Vec<*const Value> = nodes
+            .iter_mut()
+            .map(|node| {
+                let txn = node.db.begin();
+                let image = node
+                    .db
+                    .read(txn, items, RowId(5))
+                    .unwrap()
+                    .unwrap()
+                    .as_ptr();
+                node.db.abort(txn).unwrap();
+                image
+            })
+            .collect();
+        assert_eq!(images, [images[0]; 4], "replicas share the seeded images");
     }
 
     #[test]
@@ -1310,6 +1344,65 @@ mod tests {
         assert_eq!(w.metrics.read_commits, 1);
         assert_eq!(w.nodes[0].db.stats().read_only_commits, 1);
         assert_eq!(w.nodes[0].db.stats().voluntary_aborts, 1);
+    }
+
+    #[test]
+    fn a_propagated_writeset_overtaken_by_catch_up_is_not_counted_as_applied() {
+        // Every propagated writeset holds the disk for ≥ 1 s (the fsync
+        // surcharge); replaying one missed writeset is a 2 ms lag. The
+        // lone client thinks for ever.
+        let cfg = SimConfig {
+            durability: DurabilityConfig {
+                enabled: true,
+                group_commit: 1,
+                fsync_disk: 1.0,
+                log_retention: 0,
+            },
+            ..cfg(32, Schedule::default())
+        };
+        let mut engine = build(&spec(1, 1e12, 0.0, 0.02), &cfg, 2, policy(false));
+        while !engine.world().measuring {
+            assert!(engine.step());
+        }
+        // Node 0 commits one update; the kernel logs and propagates it.
+        let w = engine.world_mut();
+        let db = &mut w.nodes[0].db;
+        let items = db.table_id("items").unwrap();
+        let txn = db.begin();
+        let mut image = db.read(txn, items, RowId(3)).unwrap().unwrap().clone();
+        image[1] = Value::Int(7);
+        db.update(txn, items, RowId(3), image).unwrap();
+        let info = db.commit(txn).unwrap();
+        let ws = Arc::new(info.writeset);
+        let seq = w.policy.log.push(Arc::clone(&ws));
+        w.nodes[0].advanced(info.commit_seq, &ws);
+        fan_out(&mut engine, 0, seq, &ws);
+
+        // Half a second on, node 1 has the writeset on its disk …
+        let t = engine.now().as_secs();
+        engine.run_until(SimTime::from_secs(t + 0.5));
+        assert_eq!(engine.world().nodes[1].apply_next, seq);
+        // … crashes, and rejoins: catch-up replays it from the log and the
+        // node is Up again long before the old disk job completes.
+        assert!(crash(&mut engine, 1));
+        assert!(join(&mut engine, 1));
+        engine.run_until(SimTime::from_secs(t + 0.6));
+        let node = &engine.world().nodes[1];
+        assert_eq!((node.state, node.apply_next), (NodeState::Up, seq + 1));
+        assert_eq!(node.db.stats().writesets_applied, 1);
+
+        // The stale completion fires on an Up node and changes nothing:
+        // the one apply was the catch-up's, which the report never counts.
+        engine.run_until(SimTime::from_secs(t + 5.0));
+        let w = engine.world();
+        assert_eq!(
+            w.metrics.writesets_applied, 0,
+            "counted a dropped duplicate"
+        );
+        assert_eq!(w.metrics.writeset_bytes, 0);
+        assert_eq!(w.nodes[1].db.stats().writesets_applied, 1);
+        assert_eq!(w.nodes[1].apply_next, seq + 1);
+        assert_eq!(w.nodes[1].db.durable_state(), w.nodes[0].db.durable_state());
     }
 
     #[test]

@@ -36,9 +36,10 @@
 //! here because it moves every durable multi-master fault report.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use replipred_core::ScheduleEvent;
-use replipred_sidb::WriteSet;
+use replipred_sidb::{Database, WriteSet};
 use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 
 use crate::certifier::{Certification, Certifier};
@@ -63,7 +64,9 @@ pub(crate) struct Mm {
 /// installed through the certified writeset, in global order.
 pub(crate) struct CertRequest {
     attempt: Attempt,
-    writeset: WriteSet,
+    /// The commit's one shared writeset: what the certifier logs, every
+    /// replica's apply carries and every database installs from.
+    writeset: Arc<WriteSet>,
 }
 
 impl Policy for Mm {
@@ -87,7 +90,7 @@ impl Policy for Mm {
     fn commit_update(engine: &mut Sim<Self>, a: Attempt) {
         let w = engine.world_mut();
         let db = &mut w.nodes[a.node].db;
-        let writeset = db.writeset_of(a.txn).expect("transaction is active");
+        let writeset = Arc::new(db.writeset_of(a.txn).expect("transaction is active"));
         db.abort(a.txn).expect("transaction is active");
         let delay = w.policy.certifier_delay;
         let request = CertRequest {
@@ -170,14 +173,19 @@ fn certify(engine: &mut Sim<Mm>, request: CertRequest) {
 ///
 /// Panics if `cfg.replicas` is zero.
 pub(crate) fn run(spec: &WorkloadSpec, cfg: &SimConfig) -> (RunReport, World<Mm>) {
-    kernel::run(spec, cfg, cfg.replicas, |dbs| Mm {
+    kernel::run(spec, cfg, cfg.replicas, policy(cfg))
+}
+
+/// The design's initial state over the freshly seeded replicas.
+fn policy(cfg: &SimConfig) -> impl FnOnce(&mut [Database]) -> Mm + '_ {
+    |dbs| Mm {
         // Anchor the certifier at the seeded database version:
         // writesets certify with their local base_version as-is.
         certifier: Certifier::new_at(dbs[0].version()),
         certifier_delay: cfg.certifier_delay,
         certifier_up: true,
         cert_stalled: VecDeque::new(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -246,6 +254,35 @@ mod tests {
             "ws bytes {}",
             report.mean_writeset_bytes
         );
+    }
+
+    #[test]
+    fn one_commit_is_one_allocation_in_the_log_and_on_every_replica() {
+        let cfg = SimConfig {
+            vacuum_interval: 0.0,
+            ..quick(4, 9)
+        };
+        let mut engine = kernel::build(&tpcw::mix(tpcw::Mix::Shopping), &cfg, 4, policy(&cfg));
+        // Until all four replicas retired the first certified writeset.
+        let first = engine.world().policy.certifier.version() + 1;
+        while engine.world().nodes.iter().any(|n| n.apply_next <= first) {
+            assert!(engine.step());
+        }
+        let w = engine.world_mut();
+        let mut entry = w.policy.log().range_from(first, first).expect("retained");
+        let logged = Arc::clone(entry.next().expect("one entry"));
+        assert!(!logged.is_empty());
+        for item in &logged.items {
+            // The origin's version, the three remote ones and the log
+            // entry's image: one allocation, five holders.
+            let image = item.data.as_ref().expect("the mix deletes nothing");
+            for node in &mut w.nodes {
+                let txn = node.db.begin_at(first);
+                let installed = node.db.read(txn, item.table, item.row).unwrap().unwrap();
+                assert_eq!(installed.as_ptr(), image.as_ptr());
+                node.db.abort(txn).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
+use std::sync::Arc;
 
 use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 
@@ -101,9 +102,10 @@ impl Policy for Sm {
         let seq = w.policy.ws_log.next_seq();
         let master = &mut w.nodes[a.node];
         debug_assert_eq!(master.apply_next, seq, "a master has applied the whole log");
-        master.advanced(info.commit_seq, &info.writeset);
-        kernel::fan_out(engine, a.node, seq, &info.writeset);
-        engine.world_mut().policy.ws_log.push(info.writeset);
+        let writeset = Arc::new(info.writeset);
+        master.advanced(info.commit_seq, &writeset);
+        kernel::fan_out(engine, a.node, seq, &writeset);
+        engine.world_mut().policy.ws_log.push(writeset);
         kernel::respond(engine, &a);
     }
 

@@ -8,12 +8,17 @@
 //! any replica can still need, and an optional hard retention cap for
 //! experiments that exercise the checkpoint-fallback rejoin path.
 //!
+//! An entry is the commit's one shared [`WriteSet`]: the `Arc` the log
+//! holds is the one every `WsApply` in flight and every node's apply
+//! queue holds, so logging a commit and fanning it out copy nothing.
+//!
 //! Entry `k` of the deque holds sequence `base + 1 + k`; sequence `s` is
 //! available iff `first_seq() <= s <= last_seq()`. A log anchored at a
 //! seeded database version ([`WsLog::anchored_at`]) starts with `base` at
 //! that version, so sequences are global versions with no rebasing.
 
 use std::collections::vec_deque::{Iter, VecDeque};
+use std::sync::Arc;
 
 use replipred_sidb::WriteSet;
 
@@ -23,7 +28,7 @@ pub struct WsLog {
     /// The sequence just below the oldest retained entry: the anchor
     /// plus everything truncated away since.
     base: u64,
-    entries: VecDeque<WriteSet>,
+    entries: VecDeque<Arc<WriteSet>>,
     /// High-water mark of `entries.len()` — the boundedness witness.
     peak: usize,
 }
@@ -43,9 +48,11 @@ impl WsLog {
         }
     }
 
-    /// Appends the writeset for the next sequence and returns it.
-    pub fn push(&mut self, ws: WriteSet) -> u64 {
-        self.entries.push_back(ws);
+    /// Appends the writeset for the next sequence and returns it. A
+    /// caller that shares the writeset hands in an `Arc` of it (a count
+    /// bump); an owned one is wrapped here.
+    pub fn push(&mut self, ws: impl Into<Arc<WriteSet>>) -> u64 {
+        self.entries.push_back(ws.into());
         self.peak = self.peak.max(self.entries.len());
         self.base + self.entries.len() as u64
     }
@@ -88,7 +95,7 @@ impl WsLog {
     /// The writesets for sequences `from..=to`, borrowed in order, or
     /// `None` if any of them has been truncated away (the caller must
     /// fall back to a state transfer) or is not logged yet.
-    pub fn range_from(&self, from: u64, to: u64) -> Option<Iter<'_, WriteSet>> {
+    pub fn range_from(&self, from: u64, to: u64) -> Option<Iter<'_, Arc<WriteSet>>> {
         if from > to {
             return Some(self.entries.range(..0));
         }

@@ -181,8 +181,8 @@ mod tests {
                     name: "items".into(),
                     columns: vec!["name".into(), "stock".into()],
                     rows: vec![
-                        (1, vec![Value::text("a"), Value::Int(10)]),
-                        (2, vec![Value::text("b"), Value::Int(20)]),
+                        (1, [Value::text("a"), Value::Int(10)].into()),
+                        (2, [Value::text("b"), Value::Int(20)].into()),
                     ],
                 },
                 TableCheckpoint {

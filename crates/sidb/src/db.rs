@@ -13,12 +13,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{Checkpoint, RecoveryReport, TableCheckpoint};
 use crate::error::DbError;
+use crate::frame;
 use crate::ids::{RowId, TableId};
 use crate::log::{StatementKind, StatementLog};
 use crate::rowmap::FxHashMap;
 use crate::table::Table;
 use crate::txn::{PendingWrite, TxnId, TxnState};
-use crate::value::Row;
+use crate::value::{Row, Value};
 use crate::wal::{self, WalRecord};
 use crate::writeset::{WriteItem, WriteOp, WriteSet};
 
@@ -325,8 +326,9 @@ impl Database {
         txn: TxnId,
         table: TableId,
         row: RowId,
-        data: Row,
+        data: impl Into<Row>,
     ) -> Result<(), DbError> {
+        let data = data.into();
         self.check_arity(table, &data)?;
         let state = self.state(txn)?;
         let found = state.find_write(table, row);
@@ -351,8 +353,9 @@ impl Database {
         txn: TxnId,
         table: TableId,
         row: RowId,
-        data: Row,
+        data: impl Into<Row>,
     ) -> Result<(), DbError> {
+        let data = data.into();
         self.check_arity(table, &data)?;
         let (found, snap_visible) = self.require_visible(txn, table, row)?;
         self.buffer_write(txn, found, table, row, Some(data), snap_visible);
@@ -609,40 +612,66 @@ impl Database {
     /// and malformed records all just shorten the replay.
     pub fn recover(cp: &Checkpoint, wal_bytes: &[u8], from_seq: u64) -> (Database, RecoveryReport) {
         let mut db = Database::restore(cp);
-        let scanned = wal::scan(wal_bytes);
-        let (replayed, last_seq) = db.replay(scanned.records, from_seq);
-        let report = RecoveryReport {
-            replayed,
-            last_seq,
-            wal_valid_len: scanned.valid_len,
-            wal_truncated: scanned.truncated,
-        };
+        let report = db.replay(wal_bytes, from_seq);
         (db, report)
     }
 
-    /// Replays logged records on top of this database, moving their row
-    /// images into the tables — the one interpreter of [`WalRecord`]s,
-    /// under [`Database::recover`] and under any durable image that
-    /// advances by eating its own log.
+    /// Replays the valid prefix of a redo log on top of this database —
+    /// the one way logged bytes become committed state, under
+    /// [`Database::recover`] and under any durable image that advances by
+    /// eating its own log.
+    ///
+    /// The log is walked a frame (one group commit) at a time: a group's
+    /// records are decoded into one reused buffer, their row images moved
+    /// into the tables, and the next frame read — the log is never
+    /// materialized as typed records, so replay memory is one group's,
+    /// whatever the log's length. The byte layer stops at the first torn
+    /// or corrupt frame, as [`wal::scan`] does, and the report's
+    /// `wal_valid_len` / `wal_truncated` describe it.
     ///
     /// A `CreateTable` of a known name is a no-op; of a new name it
     /// extends the schema in the original creation (= id) order. Commits
     /// at or below `from_seq` are already in the database and are
-    /// skipped. Replayed commits must be strictly increasing — the
-    /// replay stops at the first non-increasing sequence or unknown
-    /// table, keeping what preceded it and distrusting everything after,
-    /// the same "truncate at first bad frame" posture [`wal::scan`]
-    /// applies to the byte layer.
+    /// skipped. Replayed commits must be strictly increasing across the
+    /// whole log — the replay stops at the first non-increasing sequence
+    /// or unknown table, keeping what preceded it and distrusting every
+    /// record after (in that frame and in all later ones), the same
+    /// "truncate at first bad frame" posture the byte layer takes.
     ///
-    /// Returns the number of commits replayed and the sequence of the
-    /// last one (`from_seq` when none replayed).
-    pub fn replay(
+    /// The report counts the commits replayed and names the last one
+    /// (`from_seq` when none replayed).
+    pub fn replay(&mut self, wal_bytes: &[u8], from_seq: u64) -> RecoveryReport {
+        let mut report = RecoveryReport {
+            replayed: 0,
+            last_seq: from_seq,
+            wal_valid_len: 0,
+            wal_truncated: false,
+        };
+        let mut group = Vec::new();
+        let mut trusted = true;
+        let mut rest = wal_bytes;
+        while let Ok((payload, after)) = frame::take(rest) {
+            if !wal::decode_records(payload, &mut group) {
+                break;
+            }
+            rest = after;
+            // After a distrusted record only the byte layer is walked on.
+            trusted = trusted && self.replay_records(group.drain(..), from_seq, &mut report);
+            group.clear();
+        }
+        report.wal_valid_len = wal_bytes.len() - rest.len();
+        report.wal_truncated = !rest.is_empty();
+        report
+    }
+
+    /// Interprets one group's records for [`Database::replay`], counting
+    /// into `report`; `false` once a record is distrusted.
+    fn replay_records(
         &mut self,
-        records: impl IntoIterator<Item = WalRecord>,
+        records: impl Iterator<Item = WalRecord>,
         from_seq: u64,
-    ) -> (u64, u64) {
-        let mut last_seq = from_seq;
-        let mut replayed = 0u64;
+        report: &mut RecoveryReport,
+    ) -> bool {
         for rec in records {
             match rec {
                 WalRecord::CreateTable { name, columns } => {
@@ -658,22 +687,22 @@ impl Database {
                     }
                     // Out of order, or a table the log never created:
                     // distrust the rest.
-                    if seq <= last_seq || self.check_tables(&writeset).is_err() {
-                        break;
+                    if seq <= report.last_seq || self.check_tables(&writeset).is_err() {
+                        return false;
                     }
                     let writes = writeset.items.into_iter().map(|w| (w.table, w.row, w.data));
                     self.install_writeset_at(seq, writes);
-                    last_seq = seq;
-                    replayed += 1;
+                    report.last_seq = seq;
+                    report.replayed += 1;
                 }
             }
         }
-        (replayed, last_seq)
+        true
     }
 
     /// Installs a certified writeset's rows, its tables checked, as the
     /// commit at `seq`: the next version for [`Database::apply_writeset`]
-    /// (which clones the images it borrows), the logged one for
+    /// (which shares the images it borrows), the logged one for
     /// [`Database::replay`] (which owns them; a log may skip sequences).
     fn install_writeset_at(
         &mut self,
@@ -769,7 +798,7 @@ impl Database {
         }
     }
 
-    fn check_arity(&self, table: TableId, data: &Row) -> Result<(), DbError> {
+    fn check_arity(&self, table: TableId, data: &[Value]) -> Result<(), DbError> {
         let t = self
             .tables
             .get(table.index())
@@ -841,7 +870,6 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     fn seeded() -> (Database, TableId) {
         let mut db = Database::new();
@@ -862,6 +890,15 @@ mod tests {
 
     fn cell(db: &mut Database, txn: TxnId, table: TableId, row: u64, col: usize) -> Value {
         db.read(txn, table, RowId(row)).unwrap().unwrap()[col].clone()
+    }
+
+    /// The redo log of `records`, a frame every `group` of them.
+    fn log_of(records: &[WalRecord], group: usize) -> Vec<u8> {
+        let mut wal = wal::WalWriter::new(group);
+        for rec in records {
+            wal.append(rec);
+        }
+        wal.into_bytes()
     }
 
     #[test]
@@ -1042,7 +1079,7 @@ mod tests {
                 table: TableId(7),
                 row: RowId(1),
                 op: WriteOp::Insert,
-                data: Some(vec![]),
+                data: Some(vec![].into()),
             }],
         };
         assert!(matches!(
@@ -1181,10 +1218,8 @@ mod tests {
             });
         }
         let mut replayed = genesis.clone();
-        assert_eq!(
-            replayed.replay(records, genesis.version()),
-            (12, origin.version())
-        );
+        let report = replayed.replay(&log_of(&records, 5), genesis.version());
+        assert_eq!((report.replayed, report.last_seq), (12, origin.version()));
         for copy in [&applied, &replayed] {
             assert_eq!(copy.durable_state(), origin.durable_state());
             assert_eq!(copy.version(), origin.version());
@@ -1207,7 +1242,7 @@ mod tests {
                     table: TableId(table),
                     row: RowId(seq),
                     op: WriteOp::Insert,
-                    data: Some(vec![Value::Int(seq as i64)]),
+                    data: Some([Value::Int(seq as i64)].into()),
                 }],
             },
         };
@@ -1283,9 +1318,26 @@ mod tests {
                 &[],
             ),
         ];
-        for (what, records, from_seq, outcome, tables, rows) in cases {
+        // One record a frame, two, and the whole log in one: where the
+        // frames fall must not show — the floor, the last sequence and
+        // the distrust all carry across them.
+        let groups = [1, 2, usize::MAX];
+        let runs = cases
+            .iter()
+            .flat_map(|case| groups.map(|group| (case, group)));
+        for ((what, records, from_seq, outcome, tables, rows), group) in runs {
+            let what = format!("{what} (group {group})");
+            let (from_seq, outcome, tables, rows) = (*from_seq, *outcome, *tables, *rows);
+            let log = log_of(records, group);
             let mut db = Database::new();
-            assert_eq!(db.replay(records, from_seq), outcome, "{what}");
+            let report = db.replay(&log, from_seq);
+            assert_eq!((report.replayed, report.last_seq), outcome, "{what}");
+            // A distrusted record ends the replay, not the byte scan.
+            assert_eq!(
+                (report.wal_valid_len, report.wal_truncated),
+                (log.len(), false),
+                "{what}"
+            );
             assert_eq!(db.table_names(), tables, "{what}");
             let mut keys: Vec<u64> = db.tables[0]
                 .entries()

@@ -20,8 +20,18 @@
 //!
 //! The engine is designed so that the per-statement hot path — the paths
 //! the cluster simulators execute millions of times per sweep — performs
-//! no string hashing and no allocation:
+//! no string hashing and no allocation, and so that a committed row is
+//! allocated once however far it travels:
 //!
+//! - **Shared row images** ([`value`]): a [`Row`] is a copy-on-write
+//!   `Arc<[Value]>`. The image a transaction hands to
+//!   [`Database::insert`] / [`Database::update`] *is* the version in the
+//!   table, the item in the extracted writeset, the version every replica
+//!   installs from that writeset and the row of every checkpoint and
+//!   durable image; `Clone` on a row, a writeset item or a whole
+//!   [`Database`] bumps reference counts and copies no cell. The only
+//!   copy is the one a caller makes by mutating a row it shares
+//!   (read-modify-write: clone what [`Database::read`] returned, edit it).
 //! - **Interning** ([`ids`]): table names resolve once, at schema
 //!   creation, to dense [`TableId`]s; rows are addressed by [`RowId`]
 //!   keys. Replicas creating the same schema in the same order agree on
@@ -34,7 +44,10 @@
 //!   sequence per row is a flat vector — certification is one array load
 //!   per written row. **Watermark GC** ([`Database::vacuum`]) frees every
 //!   version below the oldest active snapshot into a free list, so
-//!   version counts stay bounded over arbitrarily long captures.
+//!   version counts stay bounded over arbitrarily long captures. Each
+//!   table lists the rows that have more than one version, and a vacuum
+//!   visits only those: it costs what was written since the last one,
+//!   not the size of the database.
 //! - **Flat writesets** ([`writeset`]): a [`writeset::WriteSet`] is a
 //!   `Vec` of `(TableId, RowId, WriteOp, image)` records, extracted
 //!   without re-walking any table ("triggers on all tables", paper
@@ -48,7 +61,9 @@
 //! - **Durability** ([`wal`], [`checkpoint`]): a crc-framed redo log
 //!   with group commit plus watermark snapshot checkpoints. Recovery
 //!   ([`Database::recover`]) loads a checkpoint and replays the log's
-//!   valid prefix, truncating at the first torn or corrupt frame; the
+//!   valid prefix a frame at a time ([`Database::replay`]: one group's
+//!   records in memory, whatever the log's length), truncating at the
+//!   first torn or corrupt frame; the
 //!   result is byte-identical (per [`Database::durable_state`]) to a
 //!   reference engine replayed to the last whole group commit. Both
 //!   byte formats are pure functions of the logged history, keeping the

@@ -14,7 +14,16 @@
 //!   vacuum on an interval);
 //! - **watermark GC** (`Table::vacuum`) frees every node no snapshot at
 //!   or after the watermark can see, returning nodes to the free list
-//!   without moving survivors.
+//!   without moving survivors. Only a row with more than one version has
+//!   anything to free, and the table keeps the list of exactly those
+//!   slots (`history`): a slot enters it when `Table::install` takes its
+//!   chain from one version to two and leaves it when a vacuum collapses
+//!   the chain back to one. A vacuum therefore costs what was written
+//!   since the last one, not the table's size.
+//!
+//! A version's image is a shared [`Row`]: installing one moves or bumps a
+//! reference count, cloning a table copies the slot arrays and the arena
+//! nodes but no cell, and freeing a version drops one reference.
 
 use crate::rowmap::RowMap;
 use crate::value::Row;
@@ -53,6 +62,10 @@ pub(crate) struct Table {
     nodes: Vec<VersionNode>,
     /// Recycled arena indices.
     free: Vec<u32>,
+    /// The slots whose chain holds more than one version, each once, in
+    /// the order their second version arrived: all [`Table::vacuum`]
+    /// visits.
+    history: Vec<u32>,
 }
 
 impl Table {
@@ -66,6 +79,7 @@ impl Table {
             latest: Vec::new(),
             nodes: Vec::new(),
             free: Vec::new(),
+            history: Vec::new(),
         }
     }
 
@@ -125,6 +139,10 @@ impl Table {
             "version chain must stay sorted"
         );
         let prev = self.heads[slot as usize];
+        // One version becomes two: the row now has history to collect.
+        if prev != NO_NODE && self.nodes[prev as usize].prev == NO_NODE {
+            self.history.push(slot);
+        }
         let node = match self.free.pop() {
             Some(idx) => {
                 self.nodes[idx as usize] = VersionNode {
@@ -150,18 +168,21 @@ impl Table {
     /// Watermark GC: frees every version no snapshot at or after
     /// `watermark` can see, keeping (per row) the newest version at or
     /// below the watermark plus everything newer. Returns the number of
-    /// versions freed to the arena's free list.
+    /// versions freed to the arena's free list. Visits only the rows
+    /// with history, and forgets the ones it leaves with one version.
     pub fn vacuum(&mut self, watermark: u64) -> usize {
         let mut freed = 0;
-        for slot in 0..self.heads.len() {
-            let mut node = self.heads[slot];
+        let mut history = std::mem::take(&mut self.history);
+        history.retain(|&slot| {
+            let head = self.heads[slot as usize];
+            let mut node = head;
             // Find the newest node at or below the watermark; everything
             // strictly older is unreachable.
             while node != NO_NODE && self.nodes[node as usize].commit_seq > watermark {
                 node = self.nodes[node as usize].prev;
             }
             if node == NO_NODE {
-                continue;
+                return true;
             }
             let mut stale = std::mem::replace(&mut self.nodes[node as usize].prev, NO_NODE);
             while stale != NO_NODE {
@@ -172,7 +193,11 @@ impl Table {
                 freed += 1;
                 stale = next;
             }
-        }
+            // Still more than one version when the head is newer than
+            // the watermark.
+            node != head
+        });
+        self.history = history;
         freed
     }
 
@@ -189,7 +214,9 @@ impl Table {
     /// - `latest[slot]` equals the head node's commit sequence — the
     ///   version vector certification reads must describe the chain it
     ///   summarizes, including after [`Table::vacuum`] rewrites links;
-    /// - chains reach exactly the non-free nodes (no leaks, no sharing).
+    /// - chains reach exactly the non-free nodes (no leaks, no sharing);
+    /// - `history` is exactly the slots with more than one version, each
+    ///   listed once — what lets [`Table::vacuum`] skip every other slot.
     ///
     /// O(versions); intended for `debug_assertions` call sites and tests.
     #[cfg_attr(not(any(test, debug_assertions)), allow(dead_code))]
@@ -207,6 +234,7 @@ impl Table {
             self.name
         );
         let mut reachable = 0usize;
+        let mut with_history = Vec::new();
         for slot in 0..self.heads.len() {
             let head = self.heads[slot];
             if head == NO_NODE {
@@ -240,11 +268,21 @@ impl Table {
                 newer_seq = n.commit_seq;
                 node = n.prev;
             }
+            if self.nodes[head as usize].prev != NO_NODE {
+                with_history.push(slot as u32);
+            }
         }
         assert_eq!(
             reachable,
             self.version_count(),
             "{}: reachable versions != live arena nodes (leak or cross-link)",
+            self.name
+        );
+        let mut listed = self.history.clone();
+        listed.sort_unstable();
+        assert_eq!(
+            listed, with_history,
+            "{}: history list != slots with more than one version",
             self.name
         );
     }
@@ -269,12 +307,17 @@ impl Table {
 mod tests {
     use super::*;
     use crate::value::Value;
+    use proptest::prelude::*;
+
+    fn int(x: i64) -> Option<Row> {
+        Some(Row::from([Value::Int(x)]))
+    }
 
     fn table_with_history() -> (Table, u32) {
         let mut t = Table::new("t", &["x"]);
         let slot = t.slot_or_intern(7);
         for (seq, x) in [(1, 10), (5, 50), (9, 90)] {
-            t.install(slot, seq, Some(vec![Value::Int(x)]));
+            t.install(slot, seq, int(x));
         }
         (t, slot)
     }
@@ -305,7 +348,7 @@ mod tests {
         let mut t = Table::new("t", &["x"]);
         let slot = t.slot_or_intern(1);
         for (seq, x) in [(1, 1), (3, 3), (7, 7), (9, 9)] {
-            t.install(slot, seq, Some(vec![Value::Int(x)]));
+            t.install(slot, seq, int(x));
         }
         let freed = t.vacuum(7);
         assert_eq!(freed, 2); // versions 1 and 3 dropped
@@ -318,8 +361,8 @@ mod tests {
     fn vacuum_with_low_watermark_keeps_everything() {
         let mut t = Table::new("t", &["x"]);
         let slot = t.slot_or_intern(1);
-        t.install(slot, 5, Some(vec![Value::Int(5)]));
-        t.install(slot, 6, Some(vec![Value::Int(6)]));
+        t.install(slot, 5, int(5));
+        t.install(slot, 6, int(6));
         assert_eq!(t.vacuum(4), 0);
         assert_eq!(t.version_count(), 2);
     }
@@ -329,13 +372,13 @@ mod tests {
         let mut t = Table::new("t", &["x"]);
         let slot = t.slot_or_intern(1);
         for seq in 1..=10 {
-            t.install(slot, seq, Some(vec![Value::Int(seq as i64)]));
+            t.install(slot, seq, int(seq as i64));
         }
         assert_eq!(t.vacuum(10), 9);
         let arena_len = t.nodes.len();
         // New installs reuse freed nodes instead of growing the arena.
         for seq in 11..=15 {
-            t.install(slot, seq, Some(vec![Value::Int(0)]));
+            t.install(slot, seq, int(0));
         }
         assert_eq!(t.nodes.len(), arena_len);
     }
@@ -345,8 +388,8 @@ mod tests {
         let mut t = Table::new("t", &["x"]);
         let a = t.slot_or_intern(1);
         let b = t.slot_or_intern(2);
-        t.install(a, 1, Some(vec![Value::Int(1)]));
-        t.install(b, 1, Some(vec![Value::Int(2)]));
+        t.install(a, 1, int(1));
+        t.install(b, 1, int(2));
         t.install(b, 2, None);
         assert_eq!(t.live_rows_at(1), 2);
         assert_eq!(t.live_rows_at(2), 1);
@@ -359,7 +402,7 @@ mod tests {
         for key in 0..4 {
             let slot = t.slot_or_intern(key);
             for seq in 1..=10 {
-                t.install(slot, seq, Some(vec![Value::Int(seq as i64)]));
+                t.install(slot, seq, int(seq as i64));
                 t.assert_invariants();
             }
         }
@@ -370,9 +413,82 @@ mod tests {
         t.vacuum(10);
         t.assert_invariants();
         // Recycled nodes must re-link correctly too.
-        t.install(untouched, 11, Some(vec![Value::Int(0)]));
+        t.install(untouched, 11, int(0));
         t.install(0, 12, None);
         t.assert_invariants();
+    }
+
+    /// The vacuum the table had before it kept a history list: every
+    /// slot, every tick. What [`Table::vacuum`] must stay equal to.
+    fn full_scan_vacuum(t: &mut Table, watermark: u64) -> usize {
+        let mut freed = 0;
+        for slot in 0..t.heads.len() {
+            let mut node = t.heads[slot];
+            while node != NO_NODE && t.nodes[node as usize].commit_seq > watermark {
+                node = t.nodes[node as usize].prev;
+            }
+            if node == NO_NODE {
+                continue;
+            }
+            let mut stale = std::mem::replace(&mut t.nodes[node as usize].prev, NO_NODE);
+            while stale != NO_NODE {
+                let next = t.nodes[stale as usize].prev;
+                t.nodes[stale as usize].data = None;
+                t.nodes[stale as usize].prev = NO_NODE;
+                t.free.push(stale);
+                freed += 1;
+                stale = next;
+            }
+        }
+        freed
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any interleaving of installs (tombstones included) and vacuums
+        /// at any watermark — below every version, between versions,
+        /// above all of them: the history-list vacuum frees what the
+        /// full scan frees and leaves every readable snapshot as the
+        /// full scan leaves it.
+        #[test]
+        fn vacuum_equals_the_full_scan_reference(
+            ops in collection::vec((0u8..6, 0u64..8, 0u64..12), 1..120),
+        ) {
+            let mut table = Table::new("t", &["x"]);
+            // Same installs, vacuumed by the reference (which keeps no
+            // history list, so only `table` is held to the invariants).
+            let mut twin = Table::new("t", &["x"]);
+            let mut seq = 0u64;
+            for (op, key, back) in ops {
+                if op < 4 {
+                    seq += 1;
+                    let data = (op != 3).then(|| Row::from([Value::Int(seq as i64)]));
+                    for t in [&mut table, &mut twin] {
+                        let slot = t.slot_or_intern(key);
+                        t.install(slot, seq, data.clone());
+                    }
+                    table.assert_invariants();
+                    continue;
+                }
+                // `back` reaches from "newer than everything" down past
+                // the oldest version.
+                let watermark = (seq + 2).saturating_sub(back);
+                let freed = table.vacuum(watermark);
+                prop_assert_eq!(freed, full_scan_vacuum(&mut twin, watermark));
+                table.assert_invariants();
+                prop_assert_eq!(table.version_count(), twin.version_count());
+                for (slot, _) in table.entries() {
+                    for snapshot in watermark..=seq + 1 {
+                        prop_assert_eq!(
+                            table.visible_data(slot, snapshot),
+                            twin.visible_data(slot, snapshot)
+                        );
+                    }
+                    prop_assert_eq!(table.latest_seq(slot), twin.latest_seq(slot));
+                }
+            }
+        }
     }
 
     #[test]

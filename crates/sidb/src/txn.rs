@@ -188,9 +188,9 @@ mod tests {
     #[test]
     fn buffered_writes_found_per_row() {
         let mut t = TxnState::new(0);
-        buffer(&mut t, 0, 1, Some(vec![Value::Int(1)]));
+        buffer(&mut t, 0, 1, Some(Row::from([Value::Int(1)])));
         buffer(&mut t, 0, 2, None);
-        buffer(&mut t, 1, 1, Some(vec![Value::Int(2)]));
+        buffer(&mut t, 1, 1, Some(Row::from([Value::Int(2)])));
         assert_eq!(t.writes().len(), 3);
         assert!(!t.is_read_only());
         assert_eq!(t.find_write(TableId(0), RowId(2)), Some(1));

@@ -1,4 +1,18 @@
-//! Typed cell values and rows.
+//! Typed cell values and shared, copy-on-write rows.
+//!
+//! A [`Row`] is one immutable allocation that every holder of the image
+//! shares: the version in the origin's arena, the item of the extracted
+//! writeset, the log entry, the version each replica installs and the row
+//! of every durable image and checkpoint are the same `Arc<[Value]>`, and
+//! cloning any of them is a reference-count bump. A copy of the cells
+//! happens in exactly one place — the first mutable access
+//! ([`std::ops::DerefMut`]) to a row somebody else also holds — so a
+//! caller that edits a row it read pays one copy, and nobody else pays
+//! any.
+
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -43,11 +57,56 @@ impl Value {
     }
 }
 
-/// A row is an ordered list of cells matching the table's column order.
-pub type Row = Vec<Value>;
+/// An ordered list of cells matching the table's column order: a shared,
+/// copy-on-write image.
+///
+/// `Clone` bumps a reference count; the row derefs to `[Value]`; the
+/// first mutable access to a shared row copies the cells into an
+/// allocation of its own and leaves every other holder's image as it
+/// was. A `Vec<Value>` or an array of values converts with `into()`, and
+/// [`crate::Database::insert`] / [`crate::Database::update`] take either.
+/// Serializes as the plain sequence of its cells.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
+pub struct Row(Arc<[Value]>);
+
+impl Deref for Row {
+    type Target = [Value];
+
+    #[inline]
+    fn deref(&self) -> &[Value] {
+        &self.0
+    }
+}
+
+impl DerefMut for Row {
+    /// Copy-on-write: a row nobody else holds is edited in place.
+    fn deref_mut(&mut self) -> &mut [Value] {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl From<Vec<Value>> for Row {
+    fn from(cells: Vec<Value>) -> Self {
+        Row(cells.into())
+    }
+}
+
+impl<const N: usize> From<[Value; N]> for Row {
+    fn from(cells: [Value; N]) -> Self {
+        Row(cells.into())
+    }
+}
+
+/// Prints the cells as a slice, so [`crate::Database::durable_state`]
+/// reads the same whoever shares the row.
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0, f)
+    }
+}
 
 /// Total wire size of a row.
-pub fn row_wire_size(row: &Row) -> usize {
+pub fn row_wire_size(row: &[Value]) -> usize {
     row.iter().map(Value::wire_size).sum()
 }
 
@@ -61,10 +120,7 @@ mod tests {
         assert_eq!(Value::Int(7).wire_size(), 8);
         assert_eq!(Value::text("abcd").wire_size(), 8);
         assert_eq!(Value::Bytes(vec![0; 10]).wire_size(), 14);
-        assert_eq!(
-            row_wire_size(&vec![Value::Int(1), Value::text("xy")]),
-            8 + 6
-        );
+        assert_eq!(row_wire_size(&[Value::Int(1), Value::text("xy")]), 8 + 6);
     }
 
     #[test]

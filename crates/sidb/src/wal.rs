@@ -134,7 +134,7 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-pub(crate) fn put_row(out: &mut Vec<u8>, row: &Row) {
+pub(crate) fn put_row(out: &mut Vec<u8>, row: &[Value]) {
     put_u32(out, row.len() as u32);
     for v in row {
         put_value(out, v);
@@ -253,7 +253,7 @@ impl<'a> Reader<'a> {
         for _ in 0..n {
             row.push(self.value()?);
         }
-        Some(row)
+        Some(row.into())
     }
 
     fn writeset(&mut self) -> Option<WriteSet> {
@@ -453,7 +453,7 @@ pub fn scan(bytes: &[u8]) -> WalScan {
 
 /// Appends a frame payload's records to `out`: all of them, or — when
 /// one is malformed — none, and `false`.
-fn decode_records(payload: &[u8], out: &mut Vec<WalRecord>) -> bool {
+pub(crate) fn decode_records(payload: &[u8], out: &mut Vec<WalRecord>) -> bool {
     let whole_frames = out.len();
     let mut reader = Reader::new(payload);
     while !reader.is_empty() {
@@ -480,14 +480,14 @@ mod tests {
                     table: TableId(0),
                     row: RowId(seq),
                     op: WriteOp::Update,
-                    data: Some(vec![
+                    data: Some(Row::from([
                         Value::Text(format!("v{seq}")),
                         Value::Int(seq as i64),
                         Value::Float(0.5),
                         Value::Bool(true),
                         Value::Null,
                         Value::Bytes(vec![1, 2, 3]),
-                    ]),
+                    ])),
                 },
                 WriteItem {
                     table: TableId(1),

@@ -8,7 +8,10 @@
 //!
 //! Rows are addressed by interned [`TableId`]/[`RowId`] pairs, never by
 //! name: a writeset item is a flat 4-word record, and applying or
-//! certifying one costs an array index instead of a string hash.
+//! certifying one costs an array index instead of a string hash. The
+//! image in an item is a shared [`Row`]: extracting a writeset, cloning
+//! it and applying it all bump the image's reference count, so the row a
+//! transaction wrote is allocated once for the whole cluster.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +45,7 @@ pub struct WriteItem {
 impl WriteItem {
     /// Approximate propagation size in bytes: table id + key + op + payload.
     pub fn wire_size(&self) -> usize {
-        let payload = self.data.as_ref().map(row_wire_size).unwrap_or(0);
+        let payload = self.data.as_deref().map(row_wire_size).unwrap_or(0);
         4 + 8 + 1 + payload
     }
 }
@@ -105,7 +108,7 @@ mod tests {
             table: TableId(table),
             row: RowId(row),
             op: WriteOp::Update,
-            data: Some(vec![Value::Int(1)]),
+            data: Some([Value::Int(1)].into()),
         }
     }
 
@@ -157,7 +160,7 @@ mod tests {
                 table: TableId(0),
                 row: RowId(1),
                 op: WriteOp::Update,
-                data: Some(vec![Value::Bytes(vec![0u8; 200])]),
+                data: Some([Value::Bytes(vec![0u8; 200])].into()),
             }],
         };
         assert!(big.wire_size() > small.wire_size());

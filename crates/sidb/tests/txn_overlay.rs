@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use replipred_sidb::{Database, DbError, RowId, TableId, Value, WriteOp};
+use replipred_sidb::{Database, DbError, Row, RowId, TableId, Value, WriteOp};
 
 /// Keys `0..SEEDED` are committed before the transaction starts.
 const SEEDED: u64 = 80;
@@ -69,8 +69,8 @@ impl Overlay {
     }
 }
 
-fn int(v: i64) -> Vec<Value> {
-    vec![Value::Int(v)]
+fn int(v: i64) -> Row {
+    Row::from([Value::Int(v)])
 }
 
 proptest! {
@@ -129,10 +129,10 @@ proptest! {
         }
 
         // The whole view, through the scan's own overlay logic.
-        let view: Vec<(u64, Vec<Value>)> = (0..KEYS)
+        let view: Vec<(u64, Row)> = (0..KEYS)
             .filter_map(|key| model.get(key).map(|v| (key, int(v))))
             .collect();
-        let scanned: Vec<(u64, Vec<Value>)> = db
+        let scanned: Vec<(u64, Row)> = db
             .scan(txn, t)
             .unwrap()
             .into_iter()
@@ -145,13 +145,13 @@ proptest! {
         let extracted = db.writeset_of(txn).unwrap();
         let info = db.commit(txn).unwrap();
         prop_assert_eq!(&extracted, &info.writeset);
-        let got: Vec<(u64, WriteOp, Option<Vec<Value>>)> = info
+        let got: Vec<(u64, WriteOp, Option<Row>)> = info
             .writeset
             .items
             .into_iter()
             .map(|item| (item.row.0, item.op, item.data))
             .collect();
-        let want: Vec<(u64, WriteOp, Option<Vec<Value>>)> = model
+        let want: Vec<(u64, WriteOp, Option<Row>)> = model
             .order
             .iter()
             .map(|&key| (key, model.op(key), model.writes[&key].map(int)))
@@ -160,7 +160,7 @@ proptest! {
 
         // And the committed state is the model's view.
         let after = db.begin();
-        let committed: Vec<(u64, Vec<Value>)> = db
+        let committed: Vec<(u64, Row)> = db
             .scan(after, t)
             .unwrap()
             .into_iter()

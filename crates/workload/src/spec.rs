@@ -8,7 +8,7 @@
 //! a transaction and executing it — performs zero name resolution and
 //! allocates nothing but the row images it writes.
 
-use replipred_sidb::{Database, DbError, RowId, TableId, TxnId, Value};
+use replipred_sidb::{Database, DbError, Row, RowId, TableId, TxnId, Value};
 use replipred_sim::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -399,6 +399,9 @@ impl CompiledWorkload {
         for &(table, row) in &template.writes {
             // Read-modify-write: bump the counter column, or materialize
             // the row (private/per-session rows are created on first use).
+            // Writing into the shared image makes this transaction's copy
+            // of it — the one allocation the new version ever is, here,
+            // in the writeset and on every replica.
             let next = match db.read(txn, table, row)? {
                 Some(current) => {
                     let mut next = current.clone();
@@ -421,8 +424,8 @@ impl CompiledWorkload {
 
 /// Standard row payload: sized so that a `U = 3` writeset is close to
 /// the paper's ~275-byte average.
-fn payload(row: u64) -> Vec<Value> {
-    Vec::from([
+fn payload(row: u64) -> Row {
+    Row::from([
         Value::Text(format!("row-{row:08}-{}", "x".repeat(48))),
         Value::Int(0),
         Value::Int(row as i64),

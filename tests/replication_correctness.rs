@@ -2,7 +2,7 @@
 //! snapshot-isolation invariants across certified replicas.
 
 use replipred::repl::certifier::{Certification, Certifier};
-use replipred::sidb::{Database, RowId, TableId, Value};
+use replipred::sidb::{Database, Row, RowId, TableId, Value};
 
 fn fresh_replica() -> (Database, TableId) {
     let mut db = Database::new();
@@ -77,7 +77,7 @@ fn replicas_converge_to_identical_state() {
         certified_update(&mut replicas, &mut certifier, acct, origin, row, 1, offset);
     }
     // All replicas expose identical committed state.
-    let scans: Vec<Vec<(RowId, Vec<Value>)>> = replicas
+    let scans: Vec<Vec<(RowId, Row)>> = replicas
         .iter_mut()
         .map(|db| {
             let t = db.begin();
