@@ -1,10 +1,9 @@
 //! Asymptotic and balanced-system bounds on closed-network performance.
 //!
 //! These bounds ([Lazowska 1984], chapter 5) cost O(centers) to evaluate and
-//! bracket the exact MVA solution. The crate uses them as internal sanity
-//! checks (property tests assert every MVA solution falls inside its
-//! bounds), and the capacity planner in `replipred-core` uses them for fast
-//! feasibility pre-screening before running the full model.
+//! bracket the exact MVA solution. They are the reference this crate's MVA
+//! tests check solutions against: every exact solution must fall inside
+//! its bounds. No model or planner calls them.
 
 use serde::{Deserialize, Serialize};
 

@@ -13,8 +13,8 @@
 //!   the single-master master station which serves both update transactions
 //!   and (optionally) extra read-only transactions.
 //! - [`approx`] — Schweitzer/Bard approximate MVA for large populations.
-//! - [`bounds`] — asymptotic and balanced-system bounds used as sanity
-//!   cross-checks on every solution.
+//! - [`bounds`] — asymptotic and balanced-system bounds, the reference
+//!   the MVA tests check solutions against.
 //! - [`ops`] — the operational laws (Little, Utilization, Forced Flow,
 //!   Service Demand) used both by the solver and the profiler.
 //! - [`roots`] — Brent's bracketed root-finder, under the single-master

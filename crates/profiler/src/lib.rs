@@ -5,10 +5,11 @@
 //! crate is that measurement pipeline, reproducing the paper's procedure
 //! step by step:
 //!
-//! 1. **Capture** the transaction workload from the database statement log
-//!    (PostgreSQL `log_statement` et al.) — [`logstats`] counts `Pr`, `Pw`
-//!    and the abort probability `A1`, and recovers `U` (update operations
-//!    per update transaction) from the per-session write statements.
+//! 1. **Capture** the transaction workload from the database log (the
+//!    engine's activity counters, PostgreSQL's `log_statement` in the
+//!    paper) — [`logstats`] derives `Pr`, `Pw` and the abort probability
+//!    `A1`, and recovers `U` (update operations per update transaction)
+//!    from the committed write statements.
 //! 2. **Replay** log segments against an instrumented standalone system —
 //!    [`replay`] plays the read-only transactions, then the update
 //!    transactions, then the captured writesets, and derives `rc`, `wc`

@@ -1,19 +1,19 @@
-//! Statement-log analysis: `Pr`, `Pw`, `A1` and `U` from log counts.
+//! Log analysis: `Pr`, `Pw`, `A1` and `U` from log counts.
 //!
 //! Paper Section 4.1.1: "We count the number of read-only and update
 //! transactions in the captured log to determine the fractions Pr and Pw.
 //! We count the number of aborted update transactions to calculate the
 //! abort probability A1."
 //!
-//! The engine's statement log folds those counts as statements retire
-//! ([`LogTotals`]); [`summarize`] turns the folded totals into the
-//! derived fractions. No entry vector is ever replayed — a 60-second
-//! capture is a fixed-size struct regardless of throughput.
+//! The engine folds those counts into its [`DbStats`] as transactions
+//! retire; [`summarize`] turns them into the derived fractions. No entry
+//! vector is ever replayed — a 60-second capture is a fixed-size struct
+//! regardless of throughput.
 
-use replipred_sidb::LogTotals;
+use replipred_sidb::DbStats;
 use serde::{Deserialize, Serialize};
 
-/// Aggregates derived from a statement log.
+/// Aggregates derived from a captured log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LogSummary {
     /// Committed read-only transactions.
@@ -34,35 +34,25 @@ pub struct LogSummary {
     pub mean_update_ops: f64,
 }
 
-/// Derives the paper's log statistics from the engine's folded totals.
-pub fn summarize(totals: &LogTotals) -> LogSummary {
-    let commits = totals.commits();
-    let attempts = totals.update_commits + totals.conflict_aborts;
+/// Derives the paper's log statistics from the engine's counters.
+pub fn summarize(stats: &DbStats) -> LogSummary {
+    let commits = stats.read_only_commits + stats.update_commits;
+    let share = |count: u64, of: u64| {
+        if of == 0 {
+            0.0
+        } else {
+            count as f64 / of as f64
+        }
+    };
     LogSummary {
-        read_commits: totals.read_commits,
-        update_commits: totals.update_commits,
-        conflict_aborts: totals.conflict_aborts,
-        voluntary_aborts: totals.voluntary_aborts,
-        pr: if commits == 0 {
-            0.0
-        } else {
-            totals.read_commits as f64 / commits as f64
-        },
-        pw: if commits == 0 {
-            0.0
-        } else {
-            totals.update_commits as f64 / commits as f64
-        },
-        a1: if attempts == 0 {
-            0.0
-        } else {
-            totals.conflict_aborts as f64 / attempts as f64
-        },
-        mean_update_ops: if totals.update_commits == 0 {
-            0.0
-        } else {
-            totals.update_ops_sum as f64 / totals.update_commits as f64
-        },
+        read_commits: stats.read_only_commits,
+        update_commits: stats.update_commits,
+        conflict_aborts: stats.conflict_aborts,
+        voluntary_aborts: stats.voluntary_aborts,
+        pr: share(stats.read_only_commits, commits),
+        pw: share(stats.update_commits, commits),
+        a1: stats.abort_probability(),
+        mean_update_ops: share(stats.update_write_stmts, stats.update_commits),
     }
 }
 
@@ -71,9 +61,9 @@ mod tests {
     use super::*;
     use replipred_sidb::{Database, RowId, Value};
 
-    /// Builds totals by driving a real engine with logging on — the same
-    /// pipeline the profiler uses.
-    fn run_and_total(script: impl FnOnce(&mut Database)) -> LogTotals {
+    /// Drives a real engine past its seeding and returns the counters the
+    /// script moved — the same pipeline the profiler uses.
+    fn run_and_total(script: impl FnOnce(&mut Database)) -> DbStats {
         let mut db = Database::new();
         let t = db.create_table("t", &["v"]).unwrap();
         let seed = db.begin();
@@ -81,9 +71,9 @@ mod tests {
             db.insert(seed, t, RowId(i), vec![Value::Int(0)]).unwrap();
         }
         db.commit(seed).unwrap();
-        db.set_statement_logging(true);
+        db.reset_stats();
         script(&mut db);
-        db.log().totals()
+        db.stats()
     }
 
     #[test]
@@ -129,7 +119,7 @@ mod tests {
 
     #[test]
     fn empty_log_is_all_zero() {
-        let s = summarize(&LogTotals::default());
+        let s = summarize(&DbStats::default());
         assert_eq!(s.read_commits, 0);
         assert_eq!(s.pr, 0.0);
         assert_eq!(s.a1, 0.0);

@@ -67,7 +67,7 @@ impl Profiler {
 
     /// Runs the full pipeline:
     ///
-    /// 1. capture the statement log under the full mix (→ `Pr`, `Pw`,
+    /// 1. capture the log counts under the full mix (→ `Pr`, `Pw`,
     ///    `A1`, `U`, and `L(1)` from the measured update response time);
     /// 2. replay read-only transactions (→ `rc`);
     /// 3. replay update transactions (→ `wc`);
@@ -80,11 +80,9 @@ impl Profiler {
     /// measurement-pipeline bug, not bad input.
     pub fn profile(&self) -> ProfileOutcome {
         // Step 1: capture.
-        let outcome = StandaloneSim::new(self.spec.clone(), self.cfg.clone())
-            .with_statement_log()
-            .run_with_db();
-        let capture_run = outcome.report.clone();
-        let log_summary = summarize(&outcome.db.log().totals());
+        let outcome = StandaloneSim::new(self.spec.clone(), self.cfg.clone()).run_with_db();
+        let capture_run = outcome.report;
+        let log_summary = summarize(&outcome.db.stats());
 
         // Step 2-3: replay segments.
         let rc = measure_transaction_demands(&self.spec, &self.cfg, TxnFilter::ReadsOnly);

@@ -46,8 +46,6 @@ pub struct Certifier {
     /// item (an array load for dense keys, one integer hash for sparse
     /// ones), with no string handling anywhere.
     newest: Vec<RowMap<u64>>,
-    /// Certification requests served.
-    pub requests: u64,
     /// Requests rejected with a conflict.
     pub conflicts: u64,
 }
@@ -102,7 +100,6 @@ impl Certifier {
         W: Borrow<WriteSet> + Clone + Into<Arc<WriteSet>>,
     {
         let ws: &WriteSet = shared.borrow();
-        self.requests += 1;
         if ws.is_empty() {
             return Certification::Commit(self.version());
         }

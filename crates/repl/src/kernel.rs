@@ -383,11 +383,10 @@ impl<P: Policy> Event<World<P>> for Ev<P> {
                 let w = engine.world_mut();
                 w.metrics.reset();
                 for node in &mut w.nodes {
+                    // Discard warm-up counts so the stats a profiler
+                    // captures cover exactly the measurement window (the
+                    // paper's 15-minute capture).
                     node.db.reset_stats();
-                    // Discard warm-up statement-log totals so a capture
-                    // covers exactly the measurement window (the paper's
-                    // 15-minute capture).
-                    node.db.reset_log();
                     node.cpu.stats.reset(now);
                     node.disk.stats.reset(now);
                 }

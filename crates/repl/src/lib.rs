@@ -38,7 +38,7 @@
 //! - [`standalone`], `mm`, `sm` — the three policies: one node
 //!   committing locally (the profiling target and the `N = 1` anchor of
 //!   every measured curve — [`StandaloneSim`] is the profiler's handle
-//!   on it, with a transaction filter and the statement log);
+//!   on it, with a transaction filter and the final database's stats);
 //!   any-replica routing with a certifier round trip;
 //!   master-for-updates routing with a relay log, election and
 //!   promotion.

@@ -9,8 +9,8 @@
 //! propagation, updates commit under the node's own snapshot isolation,
 //! and cluster events in a shared schedule are acknowledged as ignored.
 //! On top of that it carries what the profiler needs — a transaction
-//! filter for the replay segments, the statement log, and the final
-//! database handed back with the report.
+//! filter for the replay segments, and the final database, whose
+//! activity counters are the captured log, handed back with the report.
 
 use std::convert::Infallible;
 
@@ -31,8 +31,6 @@ pub struct StandaloneSim {
     cfg: SimConfig,
     /// Restrict sampling to a transaction subset (profiler replay mode).
     filter: TxnFilter,
-    /// Enable the engine's statement log (`log_statement` equivalent).
-    log_statements: bool,
 }
 
 /// Which transactions the clients submit (profiler log-replay segments).
@@ -47,11 +45,12 @@ pub enum TxnFilter {
 }
 
 /// Result of a standalone run: the report plus the final database (whose
-/// statement log the profiler consumes).
+/// measurement-window stats the profiler consumes).
 pub struct StandaloneOutcome {
     /// Measured performance.
     pub report: RunReport,
-    /// The database after the run, including its statement log and stats.
+    /// The database after the run, its stats covering the measurement
+    /// window.
     pub db: Database,
 }
 
@@ -129,15 +128,7 @@ impl StandaloneSim {
             spec,
             cfg,
             filter: TxnFilter::All,
-            log_statements: false,
         }
-    }
-
-    /// Turns on statement logging (the profiler's raw input). Seeding
-    /// operations are not logged; only client transactions are.
-    pub fn with_statement_log(mut self) -> Self {
-        self.log_statements = true;
-        self
     }
 
     /// Restricts the submitted transactions (profiler replay segments).
@@ -154,12 +145,9 @@ impl StandaloneSim {
     /// Panics if the workload references tables it did not declare
     /// (a workload-spec bug, not a data error).
     pub fn run_with_db(self) -> StandaloneOutcome {
-        let (report, mut world) = kernel::run(&self.spec, &self.cfg, 1, |dbs| {
-            dbs[0].set_statement_logging(self.log_statements);
-            Solo {
-                filter: self.filter,
-                log: WsLog::new(),
-            }
+        let (report, mut world) = kernel::run(&self.spec, &self.cfg, 1, |_| Solo {
+            filter: self.filter,
+            log: WsLog::new(),
         });
         let db = world.nodes.remove(0).db;
         StandaloneOutcome { report, db }
@@ -286,16 +274,5 @@ mod tests {
             base.throughput_tps,
             surged.throughput_tps
         );
-    }
-
-    #[test]
-    fn statement_log_available_after_run() {
-        let spec = tpcw::mix(tpcw::Mix::Shopping);
-        let sim = StandaloneSim::new(spec, quick_cfg(17));
-        let outcome = sim.run_with_db();
-        // Logging was off by default.
-        assert!(outcome.db.log().is_empty());
-        // But stats are live.
-        assert!(outcome.db.stats().read_only_commits > 0);
     }
 }

@@ -15,7 +15,6 @@ use crate::checkpoint::{Checkpoint, RecoveryReport, TableCheckpoint};
 use crate::error::DbError;
 use crate::frame;
 use crate::ids::{RowId, TableId};
-use crate::log::{StatementKind, StatementLog};
 use crate::rowmap::FxHashMap;
 use crate::table::Table;
 use crate::txn::{PendingWrite, TxnId, TxnState};
@@ -24,7 +23,8 @@ use crate::wal::{self, WalRecord};
 use crate::writeset::{WriteItem, WriteOp, WriteSet};
 
 /// Counters describing engine activity, reported per replica in the
-/// experiments.
+/// experiments, and the log counts the profiler reads `Pr`, `Pw`, `A1`
+/// and `U` from (Section 4.1.1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DbStats {
     /// Committed read-only transactions.
@@ -41,6 +41,9 @@ pub struct DbStats {
     pub rows_read: u64,
     /// Row writes buffered.
     pub rows_written: u64,
+    /// Write statements of committed update transactions (a row written
+    /// twice counts twice) — the numerator of the model parameter `U`.
+    pub update_write_stmts: u64,
 }
 
 impl DbStats {
@@ -92,7 +95,6 @@ pub struct Database {
     min_snapshot: u64,
     next_txn: u64,
     commit_seq: u64,
-    log: StatementLog,
     stats: DbStats,
 }
 
@@ -120,23 +122,6 @@ impl Database {
     /// Number of transactions currently active.
     pub fn active_txns(&self) -> usize {
         self.active.len()
-    }
-
-    // ---- statement log (encapsulated; see `log` module) ----
-
-    /// The statement log, read-only.
-    pub fn log(&self) -> &StatementLog {
-        &self.log
-    }
-
-    /// Turns statement logging on or off (`log_statement` equivalent).
-    pub fn set_statement_logging(&mut self, on: bool) {
-        self.log.set_enabled(on);
-    }
-
-    /// Discards folded totals (start of a fresh measurement window).
-    pub fn reset_log(&mut self) {
-        self.log.reset();
     }
 
     // ---- schema ----
@@ -236,7 +221,6 @@ impl Database {
         self.next_txn += 1;
         self.active.insert(id, TxnState::new(snapshot));
         *self.snapshots.entry(snapshot).or_insert(0) += 1;
-        self.log.statement(StatementKind::Begin);
         id
     }
 
@@ -254,13 +238,8 @@ impl Database {
         row: RowId,
     ) -> Result<Option<&Row>, DbError> {
         self.check_table(table)?;
-        let state = self
-            .active
-            .get_mut(&txn)
-            .ok_or(DbError::TxnNotActive(txn))?;
-        state.reads += 1;
+        let state = self.active.get(&txn).ok_or(DbError::TxnNotActive(txn))?;
         self.stats.rows_read += 1;
-        self.log.statement(StatementKind::Select);
         // Own writes first (read-your-writes).
         if let Some(pending) = state.pending(table, row) {
             return Ok(pending.as_ref());
@@ -303,15 +282,8 @@ impl Database {
                 }
             }
         }
-        let count = rows.len() as u64;
-        let state = self
-            .active
-            .get_mut(&txn)
-            .expect("state fetched above; txn is active");
-        state.reads += count;
-        self.stats.rows_read += count;
+        self.stats.rows_read += rows.len() as u64;
         rows.sort_by_key(|(id, _)| id.0);
-        self.log.statement(StatementKind::Select);
         Ok(rows)
     }
 
@@ -338,7 +310,6 @@ impl Database {
             return Err(DbError::DuplicateRow { table, row });
         }
         self.buffer_write(txn, found, table, row, Some(data), visible);
-        self.log.statement(StatementKind::Insert);
         Ok(())
     }
 
@@ -359,7 +330,6 @@ impl Database {
         self.check_arity(table, &data)?;
         let (found, snap_visible) = self.require_visible(txn, table, row)?;
         self.buffer_write(txn, found, table, row, Some(data), snap_visible);
-        self.log.statement(StatementKind::Update);
         Ok(())
     }
 
@@ -373,7 +343,6 @@ impl Database {
         self.check_table(table)?;
         let (found, snap_visible) = self.require_visible(txn, table, row)?;
         self.buffer_write(txn, found, table, row, None, snap_visible);
-        self.log.statement(StatementKind::Delete);
         Ok(())
     }
 
@@ -394,7 +363,6 @@ impl Database {
         self.release_snapshot(state.snapshot);
         if state.is_read_only() {
             self.stats.read_only_commits += 1;
-            self.log.commit(0);
             return Ok(CommitInfo {
                 txn,
                 commit_seq: state.snapshot,
@@ -411,7 +379,6 @@ impl Database {
             if let Some(slot) = t.slot_of(w.row.0) {
                 if t.latest_seq(slot) > state.snapshot {
                     self.stats.conflict_aborts += 1;
-                    self.log.abort(true);
                     return Err(DbError::WriteWriteConflict {
                         txn,
                         table: w.table,
@@ -438,7 +405,7 @@ impl Database {
             });
         }
         self.stats.update_commits += 1;
-        self.log.commit(write_stmts);
+        self.stats.update_write_stmts += write_stmts;
         Ok(CommitInfo {
             txn,
             commit_seq: seq,
@@ -485,7 +452,6 @@ impl Database {
         let state = self.active.remove(&txn).ok_or(DbError::TxnNotActive(txn))?;
         self.release_snapshot(state.snapshot);
         self.stats.voluntary_aborts += 1;
-        self.log.abort(false);
         Ok(())
     }
 
@@ -1527,28 +1493,62 @@ mod tests {
         assert!(matches!(db.writeset_of(t), Err(DbError::TxnNotActive(_))));
     }
 
+    /// Only a committed update transaction adds its write statements to
+    /// `U`'s numerator: read-only commits, voluntary and conflict aborts,
+    /// and installs that are not local commits leave it alone.
     #[test]
-    fn statement_log_folds_lifecycle() {
+    fn stats_fold_the_transaction_lifecycle() {
         let (mut db, items) = seeded();
-        db.set_statement_logging(true);
-        let t = db.begin();
-        db.read(t, items, RowId(1)).unwrap();
-        db.update(t, items, RowId(1), vec![Value::text("x"), Value::Int(3)])
-            .unwrap();
-        db.commit(t).unwrap();
-        let totals = db.log().totals();
-        assert_eq!(totals.begins, 1);
-        assert_eq!(totals.selects, 1);
-        assert_eq!(totals.updates, 1);
-        assert_eq!(totals.update_commits, 1);
-        assert_eq!(totals.update_ops_sum, 1);
-        assert_eq!(totals.statements(), 4, "begin, select, update, commit");
+        let genesis = db.clone();
+        db.reset_stats();
+        let image = |v| vec![Value::text("x"), Value::Int(v)];
+        let reader = db.begin();
+        db.read(reader, items, RowId(1)).unwrap();
+        db.commit(reader).unwrap();
+        let rollback = db.begin();
+        db.update(rollback, items, RowId(2), image(2)).unwrap();
+        db.abort(rollback).unwrap();
+        let (winner, loser) = (db.begin(), db.begin());
+        db.read(winner, items, RowId(1)).unwrap();
+        db.update(winner, items, RowId(1), image(3)).unwrap();
+        db.insert(winner, items, RowId(50), image(4)).unwrap();
+        db.update(loser, items, RowId(1), image(5)).unwrap();
+        let info = db.commit(winner).unwrap();
+        assert!(db.commit(loser).unwrap_err().is_conflict());
+        let expected = DbStats {
+            read_only_commits: 1,
+            update_commits: 1,
+            conflict_aborts: 1,
+            voluntary_aborts: 1,
+            writesets_applied: 0,
+            rows_read: 2,
+            rows_written: 4,
+            update_write_stmts: 2,
+        };
+        assert_eq!(db.stats(), expected);
+        // A remote apply and a log replay install the same commit without
+        // counting a write statement.
+        let mut applied = genesis.clone();
+        applied.reset_stats();
+        applied.apply_writeset(&info.writeset).unwrap();
+        let record = WalRecord::Commit {
+            seq: info.commit_seq,
+            writeset: info.writeset,
+        };
+        let mut replayed = genesis.clone();
+        replayed.reset_stats();
+        replayed.replay(&log_of(&[record], 1), genesis.version());
+        for copy in [&applied, &replayed] {
+            assert_eq!(copy.durable_state(), db.durable_state());
+            let stats = copy.stats();
+            assert_eq!((stats.writesets_applied, stats.update_write_stmts), (1, 0));
+        }
     }
 
     #[test]
     fn rewriting_same_row_counts_one_row_two_statements() {
         let (mut db, items) = seeded();
-        db.set_statement_logging(true);
+        db.reset_stats();
         let t = db.begin();
         db.update(t, items, RowId(1), vec![Value::text("a"), Value::Int(1)])
             .unwrap();
@@ -1561,7 +1561,8 @@ mod tests {
             info.writeset.items[0].data.as_ref().unwrap()[1],
             Value::Int(2)
         );
-        // But the log's U counts both write statements, like PostgreSQL's.
-        assert_eq!(db.log().totals().update_ops_sum, 2);
+        // But `U`'s numerator counts both write statements, like
+        // PostgreSQL's statement log.
+        assert_eq!(db.stats().update_write_stmts, 2);
     }
 }

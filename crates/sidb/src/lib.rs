@@ -54,10 +54,9 @@
 //!   Sections 4.1.1 and 5.1), used for both certification and update
 //!   propagation, and applied remotely via [`Database::apply_writeset`]
 //!   (the slave/replica-proxy code path).
-//! - **Streaming statement log** ([`log`]): the PostgreSQL
-//!   `log_statement` equivalent folds counts as statements retire
-//!   ([`log::LogTotals`]) instead of accumulating an entry per statement;
-//!   the Section-4 profiler reads the folded totals.
+//! - **Activity counters** ([`DbStats`]): commits, aborts, rows and
+//!   write statements fold as transactions retire; the Section-4
+//!   profiler reads its log counts from them.
 //! - **Durability** ([`wal`], [`checkpoint`]): a crc-framed redo log
 //!   with group commit plus watermark snapshot checkpoints. Recovery
 //!   ([`Database::recover`]) loads a checkpoint and replays the log's
@@ -95,7 +94,6 @@ pub mod db;
 pub mod error;
 mod frame;
 pub mod ids;
-pub mod log;
 pub mod rowmap;
 pub mod table;
 pub mod txn;
@@ -107,7 +105,6 @@ pub use checkpoint::{Checkpoint, CheckpointError, RecoveryReport, TableCheckpoin
 pub use db::{CommitInfo, Database, DbStats};
 pub use error::DbError;
 pub use ids::{RowId, TableId};
-pub use log::{LogTotals, StatementKind, StatementLog};
 pub use rowmap::{FxBuildHasher, FxHashMap, RowMap};
 pub use txn::{TxnId, TxnStatus};
 pub use value::{Row, Value};

@@ -77,10 +77,8 @@ pub(crate) struct TxnState {
     /// Position of each buffered write in `writes`; populated (with
     /// every write) exactly while `writes.len() > INDEX_THRESHOLD`.
     index: FxHashMap<(TableId, RowId), usize>,
-    /// Rows read (statistics only — SI needs no read validation).
-    pub reads: u64,
     /// Write *statements* issued (a row rewritten twice counts twice) —
-    /// what the statement log's `U` folds over.
+    /// what a commit folds into `DbStats::update_write_stmts`.
     pub write_stmts: u64,
 }
 

@@ -1,7 +1,7 @@
 //! The full paper pipeline, end to end:
 //!
 //! 1. run a workload on a *standalone* (simulated) database;
-//! 2. profile it — statement-log counting plus Utilization-Law replays
+//! 2. profile it — log counting plus Utilization-Law replays
 //!    (paper Section 4);
 //! 3. feed the profile to the analytical models;
 //! 4. validate the prediction against the mechanistic cluster simulation

@@ -3,7 +3,7 @@
 //! durable rejoin by recovery, the checkpoint state transfer behind a
 //! capped relay log, a multi-master crash overlapping a certifier
 //! outage with durability on, flash crowds, and the profiler's filtered
-//! standalone replay with the statement log on.
+//! standalone replay with the database counters it reads.
 //!
 //! One table, one file per row under `tests/golden/`, each asserted
 //! **byte-identical**. Regenerate after an *intentional* behaviour
@@ -22,7 +22,7 @@ use replipred::repl::standalone::TxnFilter;
 use replipred::repl::{
     DurabilityConfig, RunReport, Schedule, SimConfig, SimulatorRegistry, StandaloneSim,
 };
-use replipred::sidb::LogTotals;
+use replipred::sidb::DbStats;
 use replipred::workload::spec::WorkloadSpec;
 use replipred::workload::{heap, tpcw};
 use serde::Serialize;
@@ -74,7 +74,7 @@ fn simulate(design: Design, spec: WorkloadSpec, cfg: SimConfig) -> String {
 #[derive(Serialize)]
 struct ReplayOutcome {
     report: RunReport,
-    log_totals: LogTotals,
+    db_stats: DbStats,
 }
 
 /// The pinned runs: `(snapshot name, pretty JSON)`.
@@ -174,11 +174,10 @@ fn cases() -> Vec<(&'static str, String)> {
         ("standalone_updates_only_statement_log", {
             let outcome = StandaloneSim::new(ordering(), cfg(1, Schedule::default(), off()))
                 .with_filter(TxnFilter::UpdatesOnly)
-                .with_statement_log()
                 .run_with_db();
             pretty(&ReplayOutcome {
                 report: outcome.report,
-                log_totals: outcome.db.log().totals(),
+                db_stats: outcome.db.stats(),
             })
         }),
     ]

@@ -104,7 +104,7 @@ fn cli_sweep_design_all_emits_valid_scenario_report() {
 #[test]
 fn cli_sweep_profile_live_runs_the_profiling_pipeline() {
     // --profile-live measures the profile through the Section-4 pipeline
-    // (workload → sidb statement log → profiler) before predicting.
+    // (workload → sidb counters → profiler) before predicting.
     let output = Command::new(env!("CARGO_BIN_EXE_replipred"))
         .args([
             "sweep",

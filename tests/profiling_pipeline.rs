@@ -5,7 +5,7 @@
 use replipred::model::{Design, SystemConfig};
 use replipred::profiler::Profiler;
 use replipred::workload::spec::WorkloadSpec;
-use replipred::workload::{rubis, tpcw};
+use replipred::workload::{heap, rubis, tpcw};
 
 fn all_specs() -> Vec<WorkloadSpec> {
     let mut v: Vec<WorkloadSpec> = tpcw::Mix::ALL.iter().map(|&m| tpcw::mix(m)).collect();
@@ -85,16 +85,19 @@ fn profiled_u_matches_workload_definition() {
     );
 }
 
+/// The log counts and the run's metrics are one set of books: on a mix
+/// that conflicts, every tally agrees field by field.
 #[test]
 fn log_summary_counts_are_consistent() {
-    let outcome = Profiler::new(tpcw::mix(tpcw::Mix::Shopping))
+    let outcome = Profiler::new(heap::with_heap_stress(&tpcw::mix(tpcw::Mix::Ordering), 48))
         .seed(19)
         .profile();
-    let s = &outcome.log_summary;
+    let (s, run) = (&outcome.log_summary, &outcome.capture_run);
+    assert!(s.conflict_aborts > 0, "the heap mix must conflict");
     assert_eq!(
-        s.read_commits + s.update_commits,
-        outcome.capture_run.read_commits + outcome.capture_run.update_commits,
-        "log and metrics must agree on commit counts"
+        (s.read_commits, s.update_commits, s.conflict_aborts),
+        (run.read_commits, run.update_commits, run.conflict_aborts),
+        "log and metrics must agree on read commits, update commits and conflict aborts"
     );
     assert!((s.pr + s.pw - 1.0).abs() < 1e-9);
 }
