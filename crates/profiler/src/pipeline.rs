@@ -3,12 +3,12 @@
 
 use replipred_core::{ResourceDemands, WorkloadProfile};
 use replipred_repl::standalone::{StandaloneSim, TxnFilter};
-use replipred_repl::{RunReport, SimConfig};
+use replipred_repl::{RunReport, Seeded, SimConfig};
 use replipred_workload::spec::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::logstats::{summarize, LogSummary};
-use crate::replay::{measure_transaction_demands, measure_writeset_demands, MeasuredDemands};
+use crate::replay::{measure_transaction_demands_from, measure_writeset_demands, MeasuredDemands};
 
 /// Everything the profiling pipeline produced.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,31 +69,46 @@ impl Profiler {
     ///
     /// 1. capture the log counts under the full mix (→ `Pr`, `Pw`,
     ///    `A1`, `U`, and `L(1)` from the measured update response time);
-    /// 2. replay read-only transactions (→ `rc`);
-    /// 3. replay update transactions (→ `wc`);
+    /// 2. replay read-only transactions (→ `rc`; 0 when the capture
+    ///    committed none);
+    /// 3. replay update transactions (→ `wc`; 0 when it committed none);
     /// 4. replay writesets at the captured update rate (→ `ws`);
     /// 5. assemble the [`WorkloadProfile`].
+    ///
+    /// The workload is seeded once: the capture and both replays run on
+    /// clones of one image.
     ///
     /// # Panics
     ///
     /// Panics if the assembled profile fails validation — that indicates a
     /// measurement-pipeline bug, not bad input.
     pub fn profile(&self) -> ProfileOutcome {
+        let seeded = Seeded::install(&self.spec, self.cfg.seed_scale);
+        let none = MeasuredDemands {
+            cpu: 0.0,
+            disk: 0.0,
+            rate: 0.0,
+        };
+
         // Step 1: capture.
-        let outcome = StandaloneSim::new(self.spec.clone(), self.cfg.clone()).run_with_db();
+        let outcome =
+            StandaloneSim::new(self.spec.clone(), self.cfg.clone()).run_with_db_from(&seeded);
         let capture_run = outcome.report;
         let log_summary = summarize(&outcome.db.stats());
 
-        // Step 2-3: replay segments.
-        let rc = measure_transaction_demands(&self.spec, &self.cfg, TxnFilter::ReadsOnly);
-        let wc = if log_summary.pw > 0.0 {
-            measure_transaction_demands(&self.spec, &self.cfg, TxnFilter::UpdatesOnly)
+        // Step 2-3: replay the segments the capture saw. A segment with
+        // no transactions to replay costs nothing and measures nothing.
+        let replay =
+            |filter| measure_transaction_demands_from(&seeded, &self.spec, &self.cfg, filter);
+        let rc = if log_summary.pr > 0.0 {
+            replay(TxnFilter::ReadsOnly)
         } else {
-            MeasuredDemands {
-                cpu: 0.0,
-                disk: 0.0,
-                rate: 0.0,
-            }
+            none
+        };
+        let wc = if log_summary.pw > 0.0 {
+            replay(TxnFilter::UpdatesOnly)
+        } else {
+            none
         };
 
         // Step 4: replay writesets at the captured update rate.
@@ -101,11 +116,7 @@ impl Profiler {
         let ws = if update_rate > 0.0 && (self.spec.ws_cpu > 0.0 || self.spec.ws_disk > 0.0) {
             measure_writeset_demands(&self.spec, &self.cfg, update_rate)
         } else {
-            MeasuredDemands {
-                cpu: 0.0,
-                disk: 0.0,
-                rate: 0.0,
-            }
+            none
         };
 
         // Step 5: assemble. L(1) is the loaded update response time in the
@@ -190,6 +201,25 @@ mod tests {
         assert_eq!(p.pw, 0.0);
         assert_eq!(p.a1, 0.0);
         assert_eq!(p.cpu.write, 0.0);
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn update_only_workload_profiles_without_a_read_replay() {
+        // No read-only class: the capture commits no read, so `rc` is 0
+        // on both resources. A read replay of this mix could draw only
+        // updates, and would report the update class's demand as `rc`.
+        let spec = replipred_workload::synth::parse("pw=1").unwrap();
+        let outcome = Profiler::new(spec).seed(5).profile();
+        let p = &outcome.profile;
+        assert_eq!((p.pr, p.pw), (0.0, 1.0));
+        assert_eq!((p.cpu.read, p.disk.read), (0.0, 0.0));
+        assert!(
+            p.cpu.write > 0.0 && p.disk.write > 0.0,
+            "wc {} / {}",
+            p.cpu.write,
+            p.disk.write
+        );
         p.validate().unwrap();
     }
 

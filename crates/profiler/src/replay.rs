@@ -8,7 +8,7 @@
 
 use replipred_mva::ops::demand_from_utilization;
 use replipred_repl::standalone::{StandaloneSim, TxnFilter};
-use replipred_repl::SimConfig;
+use replipred_repl::{Seeded, SimConfig};
 use replipred_sim::engine::{Engine, Event};
 use replipred_sim::resource::{Fcfs, Ps, ServiceToken};
 use replipred_sim::{Rng, SimTime};
@@ -25,16 +25,33 @@ pub struct MeasuredDemands {
     pub rate: f64,
 }
 
-/// Plays a filtered transaction segment on the standalone system and
-/// derives per-transaction demands with the Utilization Law.
+/// Plays a filtered transaction segment on a freshly seeded standalone
+/// system and derives per-transaction demands with the Utilization Law.
 pub fn measure_transaction_demands(
+    spec: &WorkloadSpec,
+    cfg: &SimConfig,
+    filter: TxnFilter,
+) -> MeasuredDemands {
+    let seeded = Seeded::install(spec, cfg.seed_scale);
+    measure_transaction_demands_from(&seeded, spec, cfg, filter)
+}
+
+/// [`measure_transaction_demands`] on a clone of an image already seeded
+/// from `spec` at `cfg.seed_scale`.
+///
+/// # Panics
+///
+/// Panics if `seeded` does not fit `spec` at `cfg.seed_scale`.
+pub(crate) fn measure_transaction_demands_from(
+    seeded: &Seeded,
     spec: &WorkloadSpec,
     cfg: &SimConfig,
     filter: TxnFilter,
 ) -> MeasuredDemands {
     let report = StandaloneSim::new(spec.clone(), cfg.clone())
         .with_filter(filter)
-        .run();
+        .run_with_db_from(seeded)
+        .report;
     MeasuredDemands {
         cpu: demand_from_utilization(report.mean_cpu_utilization, report.throughput_tps),
         disk: demand_from_utilization(report.mean_disk_utilization, report.throughput_tps),

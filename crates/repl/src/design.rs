@@ -23,6 +23,7 @@ use replipred_core::Design;
 use replipred_workload::spec::WorkloadSpec;
 
 use crate::config::SimConfig;
+use crate::kernel::Seeded;
 use crate::metrics::RunReport;
 use crate::standalone::StandaloneSim;
 use crate::{mm, sm};
@@ -46,12 +47,31 @@ impl Simulator {
         &self.spec.name
     }
 
-    /// Runs warm-up plus the measurement window and reports.
+    /// Seeds the workload, then runs warm-up plus the measurement window
+    /// and reports. Every call seeds its own image; a caller running
+    /// several cells of one workload seeds once ([`Seeded::install`]) and
+    /// calls [`Simulator::run_from`] per cell.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.replicas` is zero under a replicated design.
-    pub fn run(mut self) -> RunReport {
+    pub fn run(self) -> RunReport {
+        let seeded = Seeded::install(&self.spec, self.cfg.seed_scale);
+        self.run_from(&seeded)
+    }
+
+    /// Runs warm-up plus the measurement window on replicas cloned from
+    /// `seeded`, and reports. The image is left as it was, so any number
+    /// of cells — any design, replica count, seed or client count — can
+    /// run from one image, in any order, and each reports exactly what
+    /// [`Simulator::run`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.replicas` is zero under a replicated design, or if
+    /// `seeded` was not seeded from this workload's tables at
+    /// `cfg.seed_scale`.
+    pub fn run_from(mut self, seeded: &Seeded) -> RunReport {
         match self.design {
             // Scale point `n` offers the whole n·C-client load to the one
             // standalone node and reports `replicas = n`, so measured rows
@@ -60,12 +80,13 @@ impl Simulator {
             Design::Standalone => {
                 let n = self.cfg.replicas.max(1);
                 self.spec.clients_per_replica *= n;
-                let mut report = StandaloneSim::new(self.spec, self.cfg).run();
+                let sim = StandaloneSim::new(self.spec, self.cfg);
+                let mut report = sim.run_with_db_from(seeded).report;
                 report.replicas = n;
                 report
             }
-            Design::MultiMaster => mm::run(&self.spec, &self.cfg).0,
-            Design::SingleMaster => sm::run(&self.spec, &self.cfg).0,
+            Design::MultiMaster => mm::run(seeded, &self.spec, &self.cfg).0,
+            Design::SingleMaster => sm::run(seeded, &self.spec, &self.cfg).0,
         }
     }
 }

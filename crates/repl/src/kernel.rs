@@ -27,7 +27,7 @@
 //! # Adding a design = writing a policy
 //!
 //! A design is a `Design` variant, a policy here, and one arm of
-//! `Simulator::run` (`design.rs`) that calls [`run`] under it. The
+//! `Simulator::run_from` (`design.rs`) that calls [`run`] under it. The
 //! policy supplies its own state (the `Policy` value lives in
 //! [`World::policy`]) and these hooks — nothing else:
 //!
@@ -53,13 +53,15 @@
 //!
 //! What the kernel guarantees every policy:
 //!
-//! - **Set-up is paid once per cell.** [`build`] installs the workload
-//!   into one database and clones it for the other `n − 1` nodes, so
-//!   every replica starts as the same image (rows, counters, next
-//!   transaction id) at the cost of one install plus `n − 1` copies of
-//!   the slot arrays: a row image is shared, so the `n` replicas (and a
-//!   durable node's image) hold one allocation of every seeded row
-//!   between them until one of them writes it.
+//! - **Set-up is paid once per workload per run, not per cell.** The
+//!   caller installs the workload once into a [`Seeded`] image;
+//!   [`build`] never installs — it checks the image fits the cell,
+//!   compiles the cell's plan against it and clones it into all `n`
+//!   nodes, so every replica of every cell starts as the same image
+//!   (rows, counters, next transaction id) at the cost of `n` copies of
+//!   the slot arrays: a row image is shared, so the image, the replicas
+//!   (and a durable node's image) hold one allocation of every seeded
+//!   row between them until one of them writes it.
 //! - **A commit's writeset is shared, not copied.** The policy wraps it
 //!   in one `Arc` at commit; the log entry, every [`WsApply`] in flight
 //!   and every apply queue hold that `Arc`, and each replica installs
@@ -101,7 +103,7 @@ use replipred_sim::engine::{Engine, Event};
 use replipred_sim::resource::{Fcfs, Ps, ServiceToken};
 use replipred_sim::{Rng, SimTime};
 use replipred_workload::client::{ClientId, ClientPool};
-use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
+use replipred_workload::spec::{CompiledWorkload, TxnTemplate, WorkloadSpec};
 
 use crate::config::SimConfig;
 use crate::durable::NodeDurability;
@@ -439,19 +441,122 @@ fn submit_disk<P: Policy>(engine: &mut Sim<P>, node: usize, service: f64, done: 
 // Set-up and report.
 // ---------------------------------------------------------------------
 
-/// Builds the engine for `n` freshly installed nodes serving
-/// `n × clients_per_replica` clients, with every initial event scheduled.
-/// The workload is installed once and the seeded database cloned for the
-/// other `n − 1` nodes: replicas start as identical copies (same rows,
-/// counters and next transaction id as `n` separate installs would
-/// give) that share every row image, so set-up is paid once per cell,
-/// not once per replica.
+/// A workload installed once into a database at one seed scale: the
+/// image every node of every cell of a run is cloned from.
+///
+/// [`Seeded::install`] pays the set-up — schema, then one seed
+/// transaction — once; a cell clones the image into each of its nodes,
+/// which then share every seeded row until one of them writes it. What
+/// the image was seeded from travels with it (tables, row counts, the
+/// heap and private tables, the seed scale), and a cell whose workload
+/// or `seed_scale` would seed anything else is refused, not run on the
+/// wrong rows. Clients, think time, demands and the mix do not enter
+/// the image, so one image serves cells that differ in any of them.
+#[derive(Debug)]
+pub struct Seeded {
+    db: Database,
+    facts: SeedFacts,
+}
+
+/// What decides the rows of a seeded image.
+#[derive(Debug)]
+struct SeedFacts {
+    seed_scale: f64,
+    update_table: String,
+    db_update_size: u64,
+    read_tables: Vec<(String, u64)>,
+    private_table: bool,
+    heap_rows: Option<u64>,
+}
+
+impl SeedFacts {
+    fn of(spec: &WorkloadSpec, seed_scale: f64) -> Self {
+        SeedFacts {
+            seed_scale,
+            update_table: spec.update_table.clone(),
+            db_update_size: spec.db_update_size,
+            read_tables: spec.read_tables.clone(),
+            private_table: spec.classes.iter().any(|c| c.private_writes > 0),
+            heap_rows: spec.heap.map(|h| h.rows),
+        }
+    }
+
+    /// Each fact on which the image (`self`) and a cell differ, named.
+    fn mismatches(&self, cell: &SeedFacts) -> Vec<String> {
+        fn differ<T: PartialEq + std::fmt::Debug>(
+            name: &str,
+            image: &T,
+            cell: &T,
+        ) -> Option<String> {
+            (image != cell).then(|| format!("{name} {image:?} (image) vs {cell:?} (cell)"))
+        }
+        [
+            differ("seed_scale", &self.seed_scale, &cell.seed_scale),
+            differ("update table", &self.update_table, &cell.update_table),
+            differ("update rows", &self.db_update_size, &cell.db_update_size),
+            differ("read tables", &self.read_tables, &cell.read_tables),
+            differ("private table", &self.private_table, &cell.private_table),
+            differ("heap rows", &self.heap_rows, &cell.heap_rows),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+}
+
+impl Seeded {
+    /// Installs `spec` into a fresh database at `seed_scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload does not install (two of its tables share
+    /// a name — a workload-spec bug).
+    pub fn install(spec: &WorkloadSpec, seed_scale: f64) -> Seeded {
+        let mut db = Database::new();
+        spec.install(&mut db, seed_scale)
+            .expect("workload installs on a fresh database");
+        Seeded {
+            db,
+            facts: SeedFacts::of(spec, seed_scale),
+        }
+    }
+
+    /// The cell's own plan (its clients, think time and mix) against the
+    /// image's tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming each mismatch, if `spec` at `seed_scale` would seed
+    /// another image.
+    fn plan(&self, spec: &WorkloadSpec, seed_scale: f64) -> CompiledWorkload {
+        let mismatches = self.facts.mismatches(&SeedFacts::of(spec, seed_scale));
+        assert!(
+            mismatches.is_empty(),
+            "the seeded image does not fit workload `{}`: {}",
+            spec.name,
+            mismatches.join("; ")
+        );
+        spec.compile(&self.db)
+            .expect("the image holds the workload's schema")
+    }
+}
+
+/// Builds the engine for `n` nodes serving `n × clients_per_replica`
+/// clients, with every initial event scheduled. Nothing is installed
+/// here: `spec` is compiled against the `seeded` image (which must have
+/// been seeded from the same tables at `cfg.seed_scale`) and the image
+/// cloned into every node, so replicas start as identical copies (same
+/// rows, counters and next transaction id as a fresh install would give)
+/// that share every row image. Set-up is paid once per [`Seeded`], not
+/// once per cell or per replica.
 /// `policy` sees the seeded databases once, before the nodes wrap them.
 ///
 /// # Panics
 ///
-/// Panics if `n` is zero or the workload does not install.
+/// Panics if `n` is zero or `seeded` does not fit `spec` at
+/// `cfg.seed_scale`.
 pub(crate) fn build<P: Policy>(
+    seeded: &Seeded,
     spec: &WorkloadSpec,
     cfg: &SimConfig,
     n: usize,
@@ -459,11 +564,8 @@ pub(crate) fn build<P: Policy>(
 ) -> Sim<P> {
     assert!(n > 0, "need at least one node");
     let clients = n * spec.clients_per_replica;
-    let mut seeded = Database::new();
-    let plan = spec
-        .install(&mut seeded, cfg.seed_scale)
-        .expect("workload installs on a fresh database");
-    let mut dbs = vec![seeded; n];
+    let plan = seeded.plan(spec, cfg.seed_scale);
+    let mut dbs = vec![seeded.db.clone(); n];
     let policy = policy(&mut dbs);
     let log_seq = policy.log().next_seq() - 1;
     let durable = P::DURABLE_REJOIN && cfg.durability.enabled;
@@ -529,15 +631,17 @@ pub(crate) fn build<P: Policy>(
     engine
 }
 
-/// Runs warm-up plus the measurement window on `n` nodes and reports,
-/// handing back the final world (databases, policy state).
+/// Runs warm-up plus the measurement window on `n` nodes cloned from
+/// `seeded` and reports, handing back the final world (databases, policy
+/// state).
 pub(crate) fn run<P: Policy>(
+    seeded: &Seeded,
     spec: &WorkloadSpec,
     cfg: &SimConfig,
     n: usize,
     policy: impl FnOnce(&mut [Database]) -> P,
 ) -> (RunReport, World<P>) {
-    let mut engine = build(spec, cfg, n, policy);
+    let mut engine = build(seeded, spec, cfg, n, policy);
     let end = SimTime::from_secs(cfg.end_time());
     engine.run_until(end);
     let end_s = end.as_secs();
@@ -1098,7 +1202,7 @@ mod tests {
 
     use replipred_core::Schedule;
     use replipred_sidb::{RowId, Value};
-    use replipred_workload::spec::TxnClass;
+    use replipred_workload::spec::{HeapStress, TxnClass};
 
     use super::*;
     use crate::config::DurabilityConfig;
@@ -1207,7 +1311,8 @@ mod tests {
     }
 
     fn stub(spec: &WorkloadSpec, cfg: &SimConfig, always_conflict: bool) -> Sim<Stub> {
-        build(spec, cfg, 1, policy(always_conflict))
+        let seeded = Seeded::install(spec, cfg.seed_scale);
+        build(&seeded, spec, cfg, 1, policy(always_conflict))
     }
 
     /// Steps until no transaction is resident on node 0.
@@ -1221,9 +1326,15 @@ mod tests {
     fn build_clones_one_install_into_identical_replicas() {
         let spec = spec(2, 0.05, 0.3, 0.02);
         let cfg = cfg(3, Schedule::default());
+        // The independent reference: a replica that ran the install itself.
         let mut installed = Database::new();
         spec.install(&mut installed, cfg.seed_scale).unwrap();
-        let mut engine = build(&spec, &cfg, 4, policy(false));
+        // An image that has already served a whole cell of updates …
+        let seeded = Seeded::install(&spec, cfg.seed_scale);
+        let (served, _) = run(&seeded, &spec, &cfg, 2, policy(false));
+        assert!(served.update_commits > 0);
+        // … still builds replicas equal to a fresh install.
+        let mut engine = build(&seeded, &spec, &cfg, 4, policy(false));
         let next_txn = installed.begin();
         installed.abort(next_txn).unwrap();
         assert_eq!(engine.world().nodes.len(), 4);
@@ -1237,24 +1348,69 @@ mod tests {
             node.db.abort(txn).unwrap();
             assert_eq!(node.db.stats(), installed.stats());
         }
-        // … and the four of them hold one allocation of every seeded row.
+        // … and the four of them and the image hold one allocation of
+        // every seeded row.
+        let mut image = seeded.db.clone();
         let nodes = &mut engine.world_mut().nodes;
         let items = nodes[0].db.table_id("items").unwrap();
-        let images: Vec<*const Value> = nodes
+        let rows: Vec<*const Value> = nodes
             .iter_mut()
-            .map(|node| {
-                let txn = node.db.begin();
-                let image = node
-                    .db
-                    .read(txn, items, RowId(5))
-                    .unwrap()
-                    .unwrap()
-                    .as_ptr();
-                node.db.abort(txn).unwrap();
-                image
+            .map(|node| &mut node.db)
+            .chain([&mut image])
+            .map(|db| {
+                let txn = db.begin();
+                let row = db.read(txn, items, RowId(5)).unwrap().unwrap().as_ptr();
+                db.abort(txn).unwrap();
+                row
             })
             .collect();
-        assert_eq!(images, [images[0]; 4], "replicas share the seeded images");
+        assert_eq!(rows, [rows[0]; 5], "replicas share the seeded images");
+    }
+
+    #[test]
+    #[should_panic(expected = "seed_scale 0.02 (image) vs 0.01 (cell)")]
+    fn an_image_seeded_at_another_scale_is_refused() {
+        let spec = spec(2, 0.05, 0.3, 0.02);
+        let cfg = cfg(3, Schedule::default());
+        let seeded = Seeded::install(&spec, 2.0 * cfg.seed_scale);
+        build(&seeded, &spec, &cfg, 1, policy(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "update rows 64 (image) vs 32 (cell)")]
+    fn an_image_of_other_row_counts_is_refused() {
+        let cfg = cfg(3, Schedule::default());
+        let seeded = Seeded::install(&spec(2, 0.05, 0.3, 0.02), cfg.seed_scale);
+        let spec = WorkloadSpec {
+            db_update_size: 32,
+            ..spec(2, 0.05, 0.3, 0.02)
+        };
+        build(&seeded, &spec, &cfg, 1, policy(false));
+    }
+
+    #[test]
+    fn an_image_fits_every_spec_that_seeds_the_same_rows() {
+        let image = SeedFacts::of(&spec(2, 0.05, 0.3, 0.02), 0.01);
+        // Clients, think time, demands and the mix seed nothing.
+        let same_rows = SeedFacts::of(&spec(9, 3.0, 0.8, 0.5), 0.01);
+        assert_eq!(image.mismatches(&same_rows), Vec::<String>::new());
+        // Tables, row counts, the private and heap tables and the scale
+        // do, and every difference is named.
+        let mut other = spec(2, 0.05, 0.3, 0.02);
+        other.update_table = "stock".to_string();
+        other.read_tables = vec![("catalog".to_string(), 16)];
+        other.classes[1].private_writes = 1;
+        other.heap = Some(HeapStress { rows: 8, writes: 1 });
+        assert_eq!(
+            image.mismatches(&SeedFacts::of(&other, 0.5)),
+            [
+                "seed_scale 0.01 (image) vs 0.5 (cell)",
+                "update table \"items\" (image) vs \"stock\" (cell)",
+                "read tables [(\"catalog\", 64)] (image) vs [(\"catalog\", 16)] (cell)",
+                "private table false (image) vs true (cell)",
+                "heap rows None (image) vs Some(8) (cell)",
+            ]
+        );
     }
 
     #[test]
@@ -1359,7 +1515,9 @@ mod tests {
             },
             ..cfg(32, Schedule::default())
         };
-        let mut engine = build(&spec(1, 1e12, 0.0, 0.02), &cfg, 2, policy(false));
+        let spec = spec(1, 1e12, 0.0, 0.02);
+        let seeded = Seeded::install(&spec, cfg.seed_scale);
+        let mut engine = build(&seeded, &spec, &cfg, 2, policy(false));
         while !engine.world().measuring {
             assert!(engine.step());
         }
@@ -1443,7 +1601,9 @@ mod tests {
             duration: 4.0,
             ..cfg(32, schedule)
         };
-        let (report, w) = run(&spec(2, 0.5, 0.5, 0.01), &cfg, 1, policy(false));
+        let spec = spec(2, 0.5, 0.5, 0.01);
+        let seeded = Seeded::install(&spec, cfg.seed_scale);
+        let (report, w) = run(&seeded, &spec, &cfg, 1, policy(false));
         let t = report.transient.expect("schedule enables transient");
         let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
         assert_eq!(

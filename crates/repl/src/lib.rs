@@ -24,7 +24,10 @@
 //! - [`design`] — the design axis: one [`Simulator`] struct built by the
 //!   simulator side of the design registry
 //!   (`design.simulator(spec, sim_config)`) whose `run` is a `match` onto
-//!   the kernel under one of the three policies below.
+//!   the kernel under one of the three policies below. `run` seeds the
+//!   workload and runs one cell; `run_from` runs a cell on clones of a
+//!   [`Seeded`] image — a workload installed once, which a driver of
+//!   many cells of one workload makes once and shares.
 //! - [`certifier`] — the multi-master certification service: version-based
 //!   write-write conflict detection over the global writeset log.
 //! - `kernel` (private) — the replica kernel: the node (database, CPU,
@@ -85,6 +88,7 @@ pub use certifier::Certifier;
 pub use config::{DurabilityConfig, SimConfig};
 pub use design::{Simulator, SimulatorRegistry};
 pub use durable::NodeDurability;
+pub use kernel::Seeded;
 pub use metrics::RunReport;
 pub use replipred_core::{Design, Phase, Schedule, ScheduleEvent};
 pub use standalone::StandaloneSim;

@@ -44,7 +44,7 @@ use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 
 use crate::certifier::{Certification, Certifier};
 use crate::config::SimConfig;
-use crate::kernel::{self, Attempt, Ev, Policy, Sim, World};
+use crate::kernel::{self, Attempt, Ev, Policy, Seeded, Sim, World};
 use crate::metrics::RunReport;
 use crate::wslog::WsLog;
 
@@ -167,13 +167,14 @@ fn certify(engine: &mut Sim<Mm>, request: CertRequest) {
     }
 }
 
-/// Runs the multi-master cluster of `cfg.replicas` replicas.
+/// Runs the multi-master cluster of `cfg.replicas` replicas cloned from
+/// `seeded`.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.replicas` is zero.
-pub(crate) fn run(spec: &WorkloadSpec, cfg: &SimConfig) -> (RunReport, World<Mm>) {
-    kernel::run(spec, cfg, cfg.replicas, policy(cfg))
+/// Panics if `cfg.replicas` is zero or `seeded` does not fit `spec`.
+pub(crate) fn run(seeded: &Seeded, spec: &WorkloadSpec, cfg: &SimConfig) -> (RunReport, World<Mm>) {
+    kernel::run(seeded, spec, cfg, cfg.replicas, policy(cfg))
 }
 
 /// The design's initial state over the freshly seeded replicas.
@@ -206,6 +207,11 @@ mod tests {
             duration: 40.0,
             ..SimConfig::quick(n, seed)
         }
+    }
+
+    fn run_shopping(cfg: &SimConfig) -> (RunReport, World<Mm>) {
+        let spec = tpcw::mix(tpcw::Mix::Shopping);
+        run(&Seeded::install(&spec, cfg.seed_scale), &spec, cfg)
     }
 
     #[test]
@@ -262,7 +268,9 @@ mod tests {
             vacuum_interval: 0.0,
             ..quick(4, 9)
         };
-        let mut engine = kernel::build(&tpcw::mix(tpcw::Mix::Shopping), &cfg, 4, policy(&cfg));
+        let spec = tpcw::mix(tpcw::Mix::Shopping);
+        let seeded = Seeded::install(&spec, cfg.seed_scale);
+        let mut engine = kernel::build(&seeded, &spec, &cfg, 4, policy(&cfg));
         // Until all four replicas retired the first certified writeset.
         let first = engine.world().policy.certifier.version() + 1;
         while engine.world().nodes.iter().any(|n| n.apply_next <= first) {
@@ -358,7 +366,7 @@ mod tests {
         // keep the high-water mark well below the total. (`log_seq` is
         // offset by the seeded version here, so the window's own commit
         // count — a lower bound on the total — is the yardstick.)
-        let (report, world) = run(&tpcw::mix(tpcw::Mix::Shopping), &quick(3, 50));
+        let (report, world) = run_shopping(&quick(3, 50));
         let probe = world.probe();
         assert!(
             report.update_commits > 200,
@@ -384,7 +392,7 @@ mod tests {
             schedule: Schedule::new().crash(15.0, 1).join(40.0, 1).window(5.0),
             ..quick(2, 35)
         };
-        let (report, world) = run(&tpcw::mix(tpcw::Mix::Shopping), &cfg);
+        let (report, world) = run_shopping(&cfg);
         let probe = world.probe();
         assert!(
             probe.log_peak as u64 > report.update_commits / 3,

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 
 use crate::config::SimConfig;
-use crate::kernel::{self, Attempt, NodeState, Policy, Sim, Waiter, World};
+use crate::kernel::{self, Attempt, NodeState, Policy, Seeded, Sim, Waiter, World};
 use crate::metrics::RunReport;
 use crate::wslog::WsLog;
 
@@ -181,13 +181,13 @@ fn try_complete_promotion(engine: &mut Sim<Sm>) {
 }
 
 /// Runs the single-master cluster: 1 master and `cfg.replicas - 1`
-/// slaves.
+/// slaves, all cloned from `seeded`.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.replicas` is zero.
-pub(crate) fn run(spec: &WorkloadSpec, cfg: &SimConfig) -> (RunReport, World<Sm>) {
-    kernel::run(spec, cfg, cfg.replicas, |_| Sm {
+/// Panics if `cfg.replicas` is zero or `seeded` does not fit `spec`.
+pub(crate) fn run(seeded: &Seeded, spec: &WorkloadSpec, cfg: &SimConfig) -> (RunReport, World<Sm>) {
+    kernel::run(seeded, spec, cfg, cfg.replicas, |_| Sm {
         master: 0,
         promoting: None,
         ws_log: WsLog::new(),
@@ -214,6 +214,11 @@ mod tests {
             duration: 40.0,
             ..SimConfig::quick(n, seed)
         }
+    }
+
+    fn run_shopping(cfg: &SimConfig) -> (RunReport, World<Sm>) {
+        let spec = tpcw::mix(tpcw::Mix::Shopping);
+        run(&Seeded::install(&spec, cfg.seed_scale), &spec, cfg)
     }
 
     #[test]
@@ -383,7 +388,7 @@ mod tests {
         // Pre-WsLog the relay log grew linearly with committed writesets;
         // vacuum-cadence truncation must keep the high-water mark well
         // below the total.
-        let (report, world) = run(&tpcw::mix(tpcw::Mix::Shopping), &quick(3, 50));
+        let (report, world) = run_shopping(&quick(3, 50));
         let probe = world.probe();
         assert!(report.update_commits > 0);
         assert!(
@@ -409,7 +414,7 @@ mod tests {
             schedule: Schedule::new().crash(18.0, 0).join(28.0, 0).window(2.0),
             ..durable(quick(2, 42))
         };
-        let (a, wa) = run(&tpcw::mix(tpcw::Mix::Shopping), &cfg);
+        let (a, wa) = run_shopping(&cfg);
         assert_eq!(
             wa.probe().state_transfers,
             0,
@@ -446,7 +451,7 @@ mod tests {
             },
             ..SimConfig::quick(3, 2009)
         };
-        let (_, world) = run(&tpcw::mix(tpcw::Mix::Shopping), &cfg);
+        let (_, world) = run_shopping(&cfg);
         assert_eq!(world.probe().state_transfers, 0);
         // Quiescence: drain what each replica has not retired yet from
         // the relay log, then every live replica must hold the master's
@@ -486,7 +491,7 @@ mod tests {
             },
             ..quick(3, 51)
         };
-        let (report, world) = run(&tpcw::mix(tpcw::Mix::Shopping), &cfg);
+        let (report, world) = run_shopping(&cfg);
         assert!(
             world.probe().state_transfers >= 1,
             "capped log must force a state transfer"

@@ -11,6 +11,8 @@
 //! On top of that it carries what the profiler needs — a transaction
 //! filter for the replay segments, and the final database, whose
 //! activity counters are the captured log, handed back with the report.
+//! The profiler's capture and replays run on clones of one [`Seeded`]
+//! image ([`StandaloneSim::run_with_db_from`]).
 
 use std::convert::Infallible;
 
@@ -20,7 +22,7 @@ use replipred_workload::client::ClientId;
 use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 
 use crate::config::SimConfig;
-use crate::kernel::{self, Attempt, Policy, Sim, World};
+use crate::kernel::{self, Attempt, Policy, Seeded, Sim, World};
 use crate::metrics::RunReport;
 use crate::wslog::WsLog;
 
@@ -137,23 +139,39 @@ impl StandaloneSim {
         self
     }
 
-    /// Runs the simulation to completion and returns the report and the
-    /// final database state.
+    /// Seeds the workload, runs the simulation to completion and returns
+    /// the report and the final database state. Every call seeds its own
+    /// image; a caller running several simulations of one workload seeds
+    /// once and calls [`StandaloneSim::run_with_db_from`].
     ///
     /// # Panics
     ///
     /// Panics if the workload references tables it did not declare
     /// (a workload-spec bug, not a data error).
     pub fn run_with_db(self) -> StandaloneOutcome {
-        let (report, mut world) = kernel::run(&self.spec, &self.cfg, 1, |_| Solo {
+        let seeded = Seeded::install(&self.spec, self.cfg.seed_scale);
+        self.run_with_db_from(&seeded)
+    }
+
+    /// Runs the simulation on a clone of `seeded` and returns the report
+    /// and the final database state; `seeded` is left as it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seeded` was not seeded from this workload's tables at
+    /// this configuration's `seed_scale`.
+    pub fn run_with_db_from(self, seeded: &Seeded) -> StandaloneOutcome {
+        let solo = Solo {
             filter: self.filter,
             log: WsLog::new(),
-        });
+        };
+        let (report, mut world) = kernel::run(seeded, &self.spec, &self.cfg, 1, |_| solo);
         let db = world.nodes.remove(0).db;
         StandaloneOutcome { report, db }
     }
 
-    /// Runs the simulation, returning only the report.
+    /// Seeds the workload and runs the simulation, returning only the
+    /// report.
     pub fn run(self) -> RunReport {
         self.run_with_db().report
     }

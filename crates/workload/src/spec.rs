@@ -259,9 +259,10 @@ impl WorkloadSpec {
 /// A [`WorkloadSpec`] with every table reference resolved to a dense
 /// [`TableId`] — the form the simulators and client pools run.
 ///
-/// Compilation happens once per run: a replica set installs the spec
-/// into one database and clones it, so every replica runs the same plan
-/// against the same table ids.
+/// Compilation happens once per simulated cell: a run installs the spec
+/// into one database, each cell compiles its own spec (its clients,
+/// think time and mix) against that image and clones it, so every
+/// replica runs the same plan against the same table ids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledWorkload {
     spec: WorkloadSpec,
@@ -401,39 +402,57 @@ impl CompiledWorkload {
             // the row (private/per-session rows are created on first use).
             // Writing into the shared image makes this transaction's copy
             // of it — the one allocation the new version ever is, here,
-            // in the writeset and on every replica.
-            let next = match db.read(txn, table, row)? {
+            // in the writeset and on every replica. `read` misses exactly
+            // when `update` would refuse with `NoSuchRow`, so a miss
+            // inserts at once.
+            match db.read(txn, table, row)? {
                 Some(current) => {
                     let mut next = current.clone();
                     if let Value::Int(c) = next[1] {
                         next[1] = Value::Int(c + 1);
                     }
-                    next
+                    db.update(txn, table, row, next)?;
                 }
-                None => payload(row.raw()),
-            };
-            match db.update(txn, table, row, next) {
-                Ok(()) => {}
-                Err(DbError::NoSuchRow { .. }) => db.insert(txn, table, row, payload(row.raw()))?,
-                Err(e) => return Err(e),
+                None => db.insert(txn, table, row, payload(row.raw()))?,
             }
         }
         Ok(())
     }
 }
 
+/// Filler of every payload text, after the row number.
+const PAYLOAD_FILL: &str = "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx";
+
 /// Standard row payload: sized so that a `U = 3` writeset is close to
-/// the paper's ~275-byte average.
+/// the paper's ~275-byte average. The text is `row-`, the row number
+/// zero-padded to at least 8 digits, `-` and 48 `x` (61 bytes below row
+/// 10⁸), written into one allocation of exactly that size.
 fn payload(row: u64) -> Row {
-    Row::from([
-        Value::Text(format!("row-{row:08}-{}", "x".repeat(48))),
-        Value::Int(0),
-        Value::Int(row as i64),
-    ])
+    // u64::MAX has 20 digits; the buffer starts as the zero padding.
+    let mut digits = [b'0'; 20];
+    let mut start = digits.len();
+    let mut rest = row;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let number = &digits[start.min(digits.len() - 8)..];
+    let mut text = String::with_capacity("row-".len() + number.len() + 1 + PAYLOAD_FILL.len());
+    text.push_str("row-");
+    text.extend(number.iter().map(|&d| char::from(d)));
+    text.push('-');
+    text.push_str(PAYLOAD_FILL);
+    Row::from([Value::Text(text), Value::Int(0), Value::Int(row as i64)])
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::tpcw;
 
@@ -584,6 +603,41 @@ mod tests {
         let (_, a) = installed();
         let (_, b) = installed();
         assert_eq!(a, b);
+    }
+
+    /// The reference text, through `format!`.
+    fn formatted(row: u64) -> String {
+        format!("row-{row:08}-{}", "x".repeat(48))
+    }
+
+    /// The payload's text, checked to fill its allocation exactly.
+    fn text_of(row: u64) -> String {
+        match &payload(row)[0] {
+            Value::Text(text) => {
+                assert_eq!(text.capacity(), text.len(), "row {row}: spare capacity");
+                text.clone()
+            }
+            other => panic!("payload text is {other:?}"),
+        }
+    }
+
+    #[test]
+    fn payload_text_is_the_formatted_text() {
+        for row in [0, 9, 10, 99_999_999, 100_000_000, (1 << 48) - 1, u64::MAX] {
+            assert_eq!(text_of(row), formatted(row), "row {row}");
+        }
+        assert_eq!(text_of(7).len(), 61);
+        let row = payload(42);
+        assert_eq!(row[1..], [Value::Int(0), Value::Int(42)]);
+    }
+
+    proptest! {
+        #[test]
+        fn payload_text_matches_format_for_any_row(row in 0..u64::MAX, shift in 0u32..64) {
+            // The shift spreads the draws over every digit count.
+            let row = row >> shift;
+            prop_assert_eq!(text_of(row), formatted(row));
+        }
     }
 
     #[test]

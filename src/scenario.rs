@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 use replipred_core::report::{Design, ScalabilityCurve};
 use replipred_core::{ModelError, SystemConfig, WorkloadProfile};
 use replipred_profiler::Profiler;
-use replipred_repl::{DurabilityConfig, RunReport, Schedule, SimConfig, SimulatorRegistry};
+use replipred_repl::{DurabilityConfig, RunReport, Schedule, Seeded, SimConfig, SimulatorRegistry};
 use replipred_sim::pool::map_parallel;
 use replipred_sim::rng::derive_stream_seed;
 use replipred_sim::stats::BatchMeans;
@@ -448,7 +448,10 @@ impl Scenario {
     /// before any simulation time is spent), then the independent
     /// simulation cells execute on up to [`Scenario::jobs`] threads;
     /// results are reassembled in grid order, so the report does not
-    /// depend on the job count.
+    /// depend on the job count. A simulating run seeds its workload once,
+    /// before the cells start, and every cell runs on clones of that one
+    /// image (a [`Scenario::from_spec`] run seeds once more, inside its
+    /// profiling pipeline).
     ///
     /// # Errors
     ///
@@ -456,6 +459,16 @@ impl Scenario {
     /// sets, [`ScenarioError::SimulationUnavailable`] when simulation is
     /// requested on a profile-only scenario, and propagates model errors.
     pub fn run(&self) -> Result<ScenarioReport, ScenarioError> {
+        self.run_seeded(None)
+    }
+
+    /// [`Scenario::run`], with the cells cloned from `seeded` when the
+    /// caller already holds an image of the scenario's workload at the
+    /// template's seed scale (the validate grid's sub-grids share one).
+    pub(crate) fn run_seeded(
+        &self,
+        seeded: Option<&Seeded>,
+    ) -> Result<ScenarioReport, ScenarioError> {
         if self.designs.is_empty() {
             return Err(ScenarioError::EmptyScenario("designs"));
         }
@@ -498,17 +511,25 @@ impl Scenario {
                 }
             }
         }
+        let template = self
+            .sim_template
+            .clone()
+            .unwrap_or_else(|| SimConfig::quick(0, 0));
+        // One image behind every cell: the workers clone it, none seeds.
+        let image = match (&spec, seeded) {
+            (Some(spec), None) if self.simulate => Some(Seeded::install(spec, template.seed_scale)),
+            _ => None,
+        };
+        let seeded = seeded.or(image.as_ref());
         let spec_ref = &spec;
         let outputs = map_parallel(self.jobs, cells, |cell| {
             let spec = spec_ref.as_ref().expect("checked above");
+            let seeded = seeded.expect("a simulating run is seeded above");
             let seed = self.replication_seed(cell.rep);
             let mut cfg = SimConfig {
                 replicas: cell.n,
                 seed,
-                ..self
-                    .sim_template
-                    .clone()
-                    .unwrap_or_else(|| SimConfig::quick(cell.n, seed))
+                ..template.clone()
             };
             if let Some(schedule) = &self.schedule {
                 cfg.schedule = schedule.clone();
@@ -516,7 +537,7 @@ impl Scenario {
             if let Some(durability) = &self.durability {
                 cfg.durability = durability.clone();
             }
-            cell.design.simulator(spec.clone(), cfg).run()
+            cell.design.simulator(spec.clone(), cfg).run_from(seeded)
         });
 
         // Reassemble in grid order (identical for every job count).

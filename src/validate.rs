@@ -43,7 +43,7 @@ use serde::{Deserialize, Serialize};
 
 use replipred_core::report::Design;
 use replipred_profiler::Profiler;
-use replipred_repl::SimConfig;
+use replipred_repl::{Seeded, SimConfig};
 use replipred_sim::pool::map_parallel;
 use replipred_workload::WorkloadSpec;
 
@@ -177,7 +177,9 @@ impl ValidationGrid {
     /// Runs the grid: each workload is profiled once (Section-4
     /// pipeline), then the replicated designs predict + simulate at every
     /// replica point and standalone at its `n = 1` anchor only; errors
-    /// fold into per-design summaries.
+    /// fold into per-design summaries. Each workload is seeded twice per
+    /// run: once by its profiling pipeline (capture and both replays share
+    /// that image) and once for all of its grid cells.
     ///
     /// # Errors
     ///
@@ -242,7 +244,8 @@ impl ValidationGrid {
 
     /// One workload of the grid: profile once (Section-4 pipeline), run
     /// the replicated sub-grid and the standalone `n = 1` anchor from the
-    /// same measurement, and fold the cells in the caller's design order.
+    /// same measurement and on clones of one seeded image, and fold the
+    /// cells in the caller's design order.
     fn run_workload(
         &self,
         spec: WorkloadSpec,
@@ -254,6 +257,8 @@ impl ValidationGrid {
             .seed(self.seed)
             .profile()
             .profile;
+        let windows = self.windows();
+        let seeded = Seeded::install(&spec, windows.seed_scale);
         let sub_grid = |designs: Vec<Design>, replicas: Vec<usize>| {
             Scenario::from_parts(profile.clone(), spec.clone())
                 .designs(designs)
@@ -262,8 +267,8 @@ impl ValidationGrid {
                 .seeds(self.seeds)
                 .jobs(jobs)
                 .simulate(true)
-                .sim_config(self.windows())
-                .run()
+                .sim_config(windows.clone())
+                .run_seeded(Some(&seeded))
         };
         let mut reports = Vec::new();
         if !replicated.is_empty() {
