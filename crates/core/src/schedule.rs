@@ -127,8 +127,7 @@ pub struct Phase {
 ///
 /// Build one fluently ([`crash`](Schedule::crash),
 /// [`join`](Schedule::join), [`flash_crowd`](Schedule::flash_crowd),
-/// [`diurnal`](Schedule::diurnal), ...) or parse the CLI string form
-/// with [`Schedule::parse`].
+/// ...) or parse the CLI string form with [`Schedule::parse`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Schedule {
     /// Events to inject, in the order they were added (applied in time
@@ -213,30 +212,6 @@ impl Schedule {
     /// and returns to the base population after `duration` seconds.
     pub fn flash_crowd(self, at: f64, factor: f64, duration: f64) -> Self {
         self.clients(at, factor).clients(at + duration, 1.0)
-    }
-
-    /// Diurnal preset: a stepped sinusoid-like day/night cycle. Starting
-    /// at `start`, each of `steps` equal segments of `period / steps`
-    /// seconds sets the population to a factor interpolating between
-    /// `trough` and `peak` (cosine-shaped, starting at the trough).
-    pub fn diurnal(
-        mut self,
-        start: f64,
-        period: f64,
-        trough: f64,
-        peak: f64,
-        steps: usize,
-    ) -> Self {
-        let steps = steps.max(2);
-        let mid = 0.5 * (peak + trough);
-        let amp = 0.5 * (peak - trough);
-        for k in 0..steps {
-            let t = start + period * k as f64 / steps as f64;
-            let angle = std::f64::consts::TAU * k as f64 / steps as f64;
-            let factor = mid - amp * angle.cos();
-            self = self.clients(t, factor);
-        }
-        self
     }
 
     /// Adds a named phase boundary at `start`.
@@ -500,23 +475,6 @@ mod tests {
         assert_eq!(sorted[0].event, ScheduleEvent::ReplicaCrash(1));
         assert_eq!(sorted[1].event, ScheduleEvent::Clients(2.0));
         assert_eq!(sorted[2].event, ScheduleEvent::ReplicaJoin(1));
-    }
-
-    #[test]
-    fn diurnal_preset_spans_trough_to_peak() {
-        let s = Schedule::new().diurnal(0.0, 86_400.0, 0.5, 2.0, 8);
-        assert_eq!(s.events.len(), 8);
-        let factors: Vec<f64> = s
-            .events
-            .iter()
-            .map(|te| match te.event {
-                ScheduleEvent::Clients(f) => f,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert!((factors[0] - 0.5).abs() < 1e-9, "starts at the trough");
-        assert!((factors[4] - 2.0).abs() < 1e-9, "peaks mid-cycle");
-        assert_eq!(s.max_clients_factor(), 2.0);
     }
 
     #[test]

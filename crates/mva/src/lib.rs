@@ -50,6 +50,3 @@ pub mod roots;
 pub use error::MvaError;
 pub use exact::{solve, MvaSolution};
 pub use network::{Center, CenterKind, ClosedNetwork, NetworkBuilder};
-
-/// Numerical tolerance used by iterative solvers in this crate.
-pub const TOLERANCE: f64 = 1e-9;

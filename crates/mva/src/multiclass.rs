@@ -35,7 +35,6 @@ pub const MAX_LATTICE: usize = 32_000_000;
 /// A closed queueing network with several client classes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MulticlassNetwork {
-    center_names: Vec<String>,
     center_kinds: Vec<CenterKind>,
     /// `demands[c][k]` — demand of class `c` at center `k`, seconds.
     demands: Vec<Vec<f64>>,
@@ -90,10 +89,8 @@ impl MulticlassNetwork {
                 return Err(MvaError::InvalidThinkTime(z));
             }
         }
-        let (center_names, center_kinds) = centers.into_iter().unzip();
         Ok(MulticlassNetwork {
-            center_names,
-            center_kinds,
+            center_kinds: centers.into_iter().map(|(_, kind)| kind).collect(),
             demands,
             think_times,
         })
@@ -106,12 +103,7 @@ impl MulticlassNetwork {
 
     /// Number of service centers.
     pub fn centers(&self) -> usize {
-        self.center_names.len()
-    }
-
-    /// Center names in solver order.
-    pub fn center_names(&self) -> &[String] {
-        &self.center_names
+        self.center_kinds.len()
     }
 
     /// Center kinds in solver order.

@@ -79,19 +79,6 @@ impl WriteSet {
         8 + self.items.iter().map(WriteItem::wire_size).sum::<usize>()
     }
 
-    /// True when `self` and `other` modify at least one common row —
-    /// the write-write conflict predicate used in certification.
-    pub fn conflicts_with(&self, other: &WriteSet) -> bool {
-        // Writesets are small (a handful of rows); a nested scan beats
-        // building hash sets in practice.
-        self.items.iter().any(|a| {
-            other
-                .items
-                .iter()
-                .any(|b| a.table == b.table && a.row == b.row)
-        })
-    }
-
     /// Keys `(table, row)` touched by this writeset.
     pub fn keys(&self) -> impl Iterator<Item = (TableId, RowId)> + '_ {
         self.items.iter().map(|i| (i.table, i.row))
@@ -113,39 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn conflict_requires_common_row() {
-        let a = WriteSet {
-            base_version: 0,
-            items: vec![item(0, 1), item(0, 2)],
-        };
-        let b = WriteSet {
-            base_version: 0,
-            items: vec![item(0, 2)],
-        };
-        let c = WriteSet {
-            base_version: 0,
-            items: vec![item(0, 3), item(1, 1)],
-        };
-        assert!(a.conflicts_with(&b));
-        assert!(b.conflicts_with(&a));
-        assert!(!a.conflicts_with(&c));
-        // Same row id in a *different table* is not a conflict.
-        assert!(!b.conflicts_with(&c));
-    }
-
-    #[test]
-    fn empty_writeset_never_conflicts() {
+    fn writeset_without_items_is_empty() {
         let empty = WriteSet {
             base_version: 0,
             items: vec![],
         };
-        let a = WriteSet {
-            base_version: 0,
-            items: vec![item(0, 1)],
-        };
         assert!(empty.is_empty());
-        assert!(!empty.conflicts_with(&a));
-        assert!(!a.conflicts_with(&empty));
     }
 
     #[test]

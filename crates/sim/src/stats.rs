@@ -3,17 +3,16 @@
 //! The paper reports *sustained averages over a 15-minute window after a
 //! 10-minute warm-up* (Section 6.1). These types support exactly that
 //! methodology: every collector has a `reset()` that discards the warm-up
-//! samples, and [`BatchMeans`] provides confidence intervals so the
-//! experiment harness can verify steady state.
+//! samples, and [`mean_ci95`] turns per-seed replications of a run into a
+//! mean ± 95% confidence interval.
 
 use serde::{Deserialize, Serialize};
 
-/// Streaming mean/variance (Welford's algorithm) with min/max tracking.
+/// Streaming mean (Welford's update) with min/max tracking.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Tally {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -24,7 +23,6 @@ impl Tally {
         Tally {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -35,7 +33,6 @@ impl Tally {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -51,15 +48,6 @@ impl Tally {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Unbiased sample variance; `0.0` with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
         }
     }
 
@@ -124,11 +112,6 @@ impl TimeWeighted {
         self.set(t, v);
     }
 
-    /// Current signal value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
     /// Time-weighted mean over `[start, t]`; `0.0` for an empty window.
     pub fn mean_at(&self, t: f64) -> f64 {
         let span = t - self.start_t;
@@ -162,88 +145,32 @@ fn t_critical_95(df: usize) -> f64 {
     }
 }
 
-/// Batch-means confidence interval estimator.
+/// Mean of `xs` and the half-width of an approximate 95% confidence
+/// interval on it, each observation an independent sample (one run per
+/// seed). The half-width uses the Student-t critical value for the
+/// sample count (essential for small counts: at k = 2 the t value is
+/// 12.71, not 1.96) and is `None` with fewer than two observations.
 ///
-/// Observations are grouped into fixed-size batches; the batch means are
-/// treated as approximately independent samples, giving a defensible CI for
-/// steady-state simulation output ([Law & Kelton]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_n: u64,
-    batches: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Creates an estimator with the given batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            current_sum: 0.0,
-            current_n: 0,
-            batches: Vec::new(),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_n += 1;
-        if self.current_n == self.batch_size {
-            self.batches.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_n = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// Grand mean of completed batches; `None` until one batch completes.
-    pub fn mean(&self) -> Option<f64> {
-        if self.batches.is_empty() {
-            return None;
-        }
-        Some(self.batches.iter().sum::<f64>() / self.batches.len() as f64)
-    }
-
-    /// Half-width of an approximate 95% confidence interval on the mean,
-    /// using the Student-t critical value for the batch count (essential
-    /// for small counts: at k = 2 the t value is 12.71, not 1.96).
-    /// Returns `None` with fewer than two batches.
-    pub fn ci95_half_width(&self) -> Option<f64> {
-        let k = self.batches.len();
-        if k < 2 {
-            return None;
-        }
-        let mean = self.mean().expect("at least one batch");
-        let var = self.batches.iter().map(|b| (b - mean).powi(2)).sum::<f64>() / (k - 1) as f64;
-        Some(t_critical_95(k - 1) * (var / k as f64).sqrt())
-    }
-
-    /// Discards everything (end-of-warm-up).
-    pub fn reset(&mut self) {
-        self.current_sum = 0.0;
-        self.current_n = 0;
-        self.batches.clear();
-    }
+/// # Panics
+///
+/// Panics if `xs` is empty.
+pub fn mean_ci95(xs: &[f64]) -> (f64, Option<f64>) {
+    assert!(!xs.is_empty(), "mean of no observations");
+    let k = xs.len();
+    let mean = xs.iter().sum::<f64>() / k as f64;
+    let half_width = (k >= 2).then(|| {
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (k - 1) as f64;
+        t_critical_95(k - 1) * (var / k as f64).sqrt()
+    });
+    (mean, half_width)
 }
 
 /// Fixed-width time-windowed event accumulator: per-window event counts
 /// and value sums for transient (time-series) reporting.
 ///
-/// Unlike [`BatchMeans`] — which batches by *sample count* for
-/// steady-state confidence intervals — `Windowed` batches by *simulation
-/// time*, so a fault injected at `t` lands in a known window and empty
-/// windows (e.g. during an outage) stay visible as zeros.
+/// Windows are spans of *simulation time*, not sample counts, so a fault
+/// injected at `t` lands in a known window and empty windows (e.g. during
+/// an outage) stay visible as zeros.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Windowed {
     start: f64,
@@ -364,8 +291,6 @@ mod tests {
         }
         assert_eq!(t.count(), 8);
         assert!((t.mean() - 5.0).abs() < 1e-12);
-        // Sample variance of this classic dataset is 32/7.
-        assert!((t.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(t.min(), Some(2.0));
         assert_eq!(t.max(), Some(9.0));
     }
@@ -374,7 +299,6 @@ mod tests {
     fn tally_empty_is_zero() {
         let t = Tally::new();
         assert_eq!(t.mean(), 0.0);
-        assert_eq!(t.variance(), 0.0);
         assert_eq!(t.min(), None);
     }
 
@@ -410,8 +334,7 @@ mod tests {
         tw.add(1.0, 1.0); // arrival
         tw.add(2.0, 1.0); // arrival
         tw.add(3.0, -1.0); // departure
-        assert_eq!(tw.current(), 1.0);
-        // Integral: 0*1 + 1*1 + 2*1 + 1*1 over [0,4] = 4/4 = 1.
+                           // Integral: 0*1 + 1*1 + 2*1 + 1*1 over [0,4] = 4/4 = 1.
         assert!((tw.mean_at(4.0) - 1.0).abs() < 1e-12);
     }
 
@@ -423,42 +346,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_means_recovers_mean() {
-        let mut bm = BatchMeans::new(100);
-        let mut x = 0.0f64;
-        for i in 0..10_000 {
-            // Deterministic oscillation around 10.
-            x = 10.0 + ((i * 37) % 100) as f64 / 100.0 - 0.5;
-            bm.record(x);
-        }
-        let _ = x;
-        assert_eq!(bm.batches(), 100);
-        let mean = bm.mean().unwrap();
-        assert!((mean - 10.0).abs() < 0.01, "mean {mean}");
-        assert!(bm.ci95_half_width().unwrap() < 0.1);
-    }
-
-    #[test]
-    fn batch_means_small_sample_uses_t_critical_value() {
-        // Two batches, df = 1: the 95% CI must use t = 12.706, not the
+    fn mean_ci95_small_sample_uses_t_critical_value() {
+        // Two observations, df = 1: the 95% CI must use t = 12.706, not the
         // normal 1.96 — the interval is ~6.5x wider.
-        let mut bm = BatchMeans::new(1);
-        bm.record(9.0);
-        bm.record(11.0);
         // sd = sqrt(2), half-width = 12.706 * sqrt(2/2) = 12.706.
-        let hw = bm.ci95_half_width().unwrap();
+        let (mean, hw) = mean_ci95(&[9.0, 11.0]);
+        assert_eq!(mean, 10.0);
+        let hw = hw.unwrap();
         assert!((hw - 12.706).abs() < 1e-9, "hw={hw}");
-    }
-
-    #[test]
-    fn batch_means_needs_two_batches_for_ci() {
-        let mut bm = BatchMeans::new(10);
-        for _ in 0..10 {
-            bm.record(1.0);
-        }
-        assert_eq!(bm.batches(), 1);
-        assert!(bm.ci95_half_width().is_none());
-        assert_eq!(bm.mean(), Some(1.0));
+        // One observation has a mean but no interval.
+        assert_eq!(mean_ci95(&[1.0]), (1.0, None));
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl SimTime {
     pub(crate) fn offset_unchecked(self, secs: f64) -> SimTime {
         SimTime(self.0 + secs)
     }
-
-    /// Elapsed seconds from `earlier` to `self`, clamped at zero.
-    pub fn since(self, earlier: SimTime) -> f64 {
-        (self.0 - earlier.0).max(0.0)
-    }
 }
 
 impl Eq for SimTime {}
@@ -112,6 +107,5 @@ mod tests {
         let t = SimTime::from_secs(1.5) + 0.5;
         assert_eq!(t.as_secs(), 2.0);
         assert_eq!(t - SimTime::from_secs(0.5), 1.5);
-        assert_eq!(t.since(SimTime::from_secs(3.0)), 0.0);
     }
 }

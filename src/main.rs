@@ -734,7 +734,22 @@ mod tests {
             "predict --workload tpcw-shopping --design mm --replicas 4 --json",
             "recover --commits 20000 --json --dir benchmark/out/cli-recover",
         ];
-        for line in smokes.into_iter().chain(harness) {
+        // The README's Examples table: one `replipred …` command a row.
+        let readme = include_str!("../README.md");
+        let (_, examples) = readme
+            .split_once("## Examples")
+            .expect("README has Examples");
+        let examples: Vec<&str> = examples
+            .lines()
+            .take_while(|l| !l.starts_with("## "))
+            .filter_map(|l| l.split_once("`replipred ").map(|(_, rest)| rest))
+            .map(|rest| rest.split_once('`').map_or(rest, |(cmd, _)| cmd))
+            .collect();
+        assert!(
+            examples.len() >= 6,
+            "README lost its examples: {examples:?}"
+        );
+        for line in smokes.into_iter().chain(harness).chain(examples) {
             parse(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
         }
     }

@@ -47,7 +47,7 @@ use replipred_profiler::Profiler;
 use replipred_repl::{DurabilityConfig, RunReport, Schedule, Seeded, SimConfig, SimulatorRegistry};
 use replipred_sim::pool::map_parallel;
 use replipred_sim::rng::derive_stream_seed;
-use replipred_sim::stats::BatchMeans;
+use replipred_sim::stats::mean_ci95;
 use replipred_workload::spec::WorkloadSpec;
 use replipred_workload::synth::{self, SynthError};
 use replipred_workload::{rubis, tpcw};
@@ -197,7 +197,6 @@ pub struct Scenario {
     jobs: usize,
     predict: bool,
     simulate: bool,
-    system: Option<SystemConfig>,
     sim_template: Option<SimConfig>,
     schedule: Option<Schedule>,
     durability: Option<DurabilityConfig>,
@@ -215,7 +214,6 @@ impl Scenario {
             jobs: 1,
             predict: true,
             simulate: false,
-            system: None,
             sim_template: None,
             schedule: None,
             durability: None,
@@ -341,13 +339,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the deployment parameters (default:
-    /// [`SystemConfig::lan_cluster`] at the workload's client count).
-    pub fn system(mut self, config: SystemConfig) -> Self {
-        self.system = Some(config);
-        self
-    }
-
     /// Template for simulation runs (windows, delays, MPL). The scenario
     /// overrides its `replicas` per point and its `seed` with
     /// [`Scenario::seed`]. Default: [`SimConfig::quick`].
@@ -392,7 +383,11 @@ impl Scenario {
     /// profile (published, given, or measured now by the Section-4
     /// pipeline at the scenario's seed), the system configuration both
     /// sides share, and the mechanistic workload timed to that
-    /// configuration (`None` for a profile-only scenario).
+    /// configuration (`None` for a profile-only scenario). The
+    /// configuration is [`SystemConfig::lan_cluster`] at the resolved
+    /// client count ([`Scenario::clients`], else the workload's own `C`)
+    /// with the workload's think time, and the mechanistic workload runs
+    /// at that same client count.
     /// [`Scenario::run`] is this plus the grid; callers that drive the
     /// model directly (the planner) use it to describe the same system.
     pub fn resolve(&self) -> (WorkloadProfile, SystemConfig, Option<WorkloadSpec>) {
@@ -418,24 +413,18 @@ impl Scenario {
             .clients
             .or_else(|| reference.as_ref().map(|s| s.clients_per_replica))
             .unwrap_or(DEFAULT_CLIENTS);
-        // Model and simulation must describe the same system: the default
+        // Model and simulation must describe the same system: the
         // configuration adopts the workload's think time (the published
         // mixes all use the paper's 1.0 s, but synthetic workloads roam),
         // and the resolved per-replica client count drives both sides.
-        let config = self.system.clone().unwrap_or_else(|| {
-            let mut c = SystemConfig::lan_cluster(clients);
-            if let Some(s) = reference.as_ref() {
-                c.think_time = s.think_time;
-            }
-            c
-        });
-        // The resolved config is authoritative for the deployment
-        // parameters the simulation shares with the model: an explicit
-        // [`Scenario::system`] override re-times the simulated clients
+        let mut config = SystemConfig::lan_cluster(clients);
+        if let Some(s) = reference.as_ref() {
+            config.think_time = s.think_time;
+        }
+        // A [`Scenario::clients`] override re-times the simulated clients
         // too, never just the predictor's closed network.
         let spec = spec.map(|mut s| {
-            s.clients_per_replica = config.clients_per_replica;
-            s.think_time = config.think_time;
+            s.clients_per_replica = clients;
             s
         });
         (profile, config, spec)
@@ -548,28 +537,31 @@ impl Scenario {
             let mut replicated = Vec::new();
             if self.simulate {
                 for &n in &self.replicas {
-                    let mut throughput = BatchMeans::new(1);
-                    let mut response = BatchMeans::new(1);
-                    let mut abort = BatchMeans::new(1);
+                    let mut throughput = Vec::with_capacity(self.seeds);
+                    let mut response = Vec::with_capacity(self.seeds);
+                    let mut abort = Vec::with_capacity(self.seeds);
                     for rep in 0..self.seeds {
                         let run = outputs.next().expect("cell order mirrors construction");
-                        throughput.record(run.throughput_tps);
-                        response.record(run.response_time);
-                        abort.record(run.abort_rate);
+                        throughput.push(run.throughput_tps);
+                        response.push(run.response_time);
+                        abort.push(run.abort_rate);
                         if rep == 0 {
                             measured.push(run);
                         }
                     }
                     if self.seeds > 1 {
+                        let (throughput_tps, throughput_ci95) = mean_ci95(&throughput);
+                        let (response_time, response_ci95) = mean_ci95(&response);
+                        let (abort_rate, abort_ci95) = mean_ci95(&abort);
                         replicated.push(ReplicationSummary {
                             replicas: n,
                             seeds: self.seeds,
-                            throughput_tps: throughput.mean().expect("at least one replication"),
-                            throughput_ci95: throughput.ci95_half_width().unwrap_or(0.0),
-                            response_time: response.mean().expect("at least one replication"),
-                            response_ci95: response.ci95_half_width().unwrap_or(0.0),
-                            abort_rate: abort.mean().expect("at least one replication"),
-                            abort_ci95: abort.ci95_half_width().unwrap_or(0.0),
+                            throughput_tps,
+                            throughput_ci95: throughput_ci95.unwrap_or(0.0),
+                            response_time,
+                            response_ci95: response_ci95.unwrap_or(0.0),
+                            abort_rate,
+                            abort_ci95: abort_ci95.unwrap_or(0.0),
                         });
                     }
                 }
@@ -594,7 +586,7 @@ impl Scenario {
 
 /// Mean ± 95% confidence interval over the seed replications of one
 /// replica point (present when [`Scenario::seeds`] ≥ 2). Half-widths come
-/// from [`replipred_sim::stats::BatchMeans`] over the per-seed runs.
+/// from [`replipred_sim::stats::mean_ci95`] over the per-seed runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplicationSummary {
     /// Replica count of this point.
@@ -740,32 +732,13 @@ mod tests {
     }
 
     #[test]
-    fn explicit_system_override_retimes_the_simulation_too() {
-        // `.system()` must describe both sides: the simulated clients
-        // adopt the override's think time, not the spec's default.
-        let base = Scenario::published("tpcw-shopping")
+    fn clients_override_retimes_the_simulated_workload_too() {
+        let (_, config, spec) = Scenario::published("tpcw-shopping")
             .unwrap()
-            .designs(vec![Design::MultiMaster])
-            .replicas([1])
-            .seed(3)
-            .simulate(true)
-            .sim_config(SimConfig {
-                warmup: 2.0,
-                duration: 8.0,
-                ..SimConfig::quick(0, 0)
-            });
-        let system = |think: f64| SystemConfig {
-            think_time: think,
-            ..SystemConfig::lan_cluster(40)
-        };
-        let short = base.clone().system(system(0.5)).run().unwrap();
-        let long = base.system(system(3.0)).run().unwrap();
-        let s = short.designs[0].measured[0].throughput_tps;
-        let l = long.designs[0].measured[0].throughput_tps;
-        assert!(
-            s > 1.5 * l,
-            "tripling think time must cut simulated throughput: {s} vs {l}"
-        );
+            .clients(7)
+            .resolve();
+        assert_eq!(config.clients_per_replica, 7);
+        assert_eq!(spec.unwrap().clients_per_replica, 7);
     }
 
     #[test]

@@ -22,22 +22,6 @@ const PINNED: [&str; 6] = [
     "ablation-mva-exact-vs-approx",
 ];
 
-/// Replaces the two wall-clock columns of the MVA ablation's timing rows
-/// (six fields, the first a population) — the one output that is not a
-/// function of the seed.
-fn mask_wall_clock(text: &str) -> String {
-    let mask = |line: &str| {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        match fields[..] {
-            [n, _, _, _, _, _] if n.parse::<usize>().is_ok() => {
-                format!("{} <wall-clock>", &line[..41])
-            }
-            _ => line.to_string(),
-        }
-    };
-    text.lines().map(|l| mask(l) + "\n").collect()
-}
-
 #[test]
 fn the_table_covers_the_papers_figures_and_tables_exactly_once() {
     let keys: Vec<&str> = ARTIFACTS.iter().map(|a| a.key).collect();
@@ -76,7 +60,7 @@ fn cheap_artifacts_match_their_text_goldens() {
     // shows the output does not depend on the job count.
     let mut session = Session::new(Options::default());
     for key in PINNED {
-        let text = mask_wall_clock(&session.render(find(key).expect("pinned key")));
+        let text = session.render(find(key).expect("pinned key"));
         common::check_golden(&format!("figures_{key}.txt"), &text);
     }
 }
