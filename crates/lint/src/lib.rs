@@ -16,7 +16,7 @@
 //! | D4 | safety-comment   | whole workspace               | every `unsafe` carries `// SAFETY:` |
 //! | D5 | float-cmp-unwrap | whole workspace               | `partial_cmp().unwrap()` → `total_cmp` |
 //! | D6 | print-discipline | libraries (not bins/tests/…)  | no `println!`/`eprintln!` in library code |
-//! | D7 | file-io          | protected crates' `src/`      | no `std::fs`/`File`/`OpenOptions` — durability is byte-buffer based; real I/O is the CLI's job |
+//! | D7 | file-io          | protected crates' `src/`      | no `std::fs`/`File`/`OpenOptions` — durability is in memory (typed redo log, WAL and checkpoint byte buffers); real I/O is the CLI's job |
 //!
 //! Protected crates: `core`, `sim`, `repl`, `sidb`, `workload`
 //! ([`policy::PROTECTED_CRATES`]).

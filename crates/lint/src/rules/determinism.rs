@@ -178,10 +178,12 @@ impl Rule for RngDiscipline {
 }
 
 /// D7: no real file I/O. Durable state inside the simulators is modeled
-/// as in-memory bytes (`WalWriter` frames, `Checkpoint` images) so runs
-/// stay hermetic and byte-identical; anything that actually touches the
-/// filesystem couples a run to host state and belongs in the CLI layer
-/// (`src/main.rs`), which is outside the protected set.
+/// in memory (a replica's redo log of typed records sharing each
+/// commit's writeset; `WalWriter` frames and `Checkpoint` images as
+/// byte buffers) so runs stay hermetic and byte-identical; anything
+/// that actually touches the filesystem couples a run to host state and
+/// belongs in the CLI layer (`src/main.rs`), which is outside the
+/// protected set.
 pub struct FileIo;
 
 impl Rule for FileIo {
@@ -194,7 +196,7 @@ impl Rule for FileIo {
     }
 
     fn rationale(&self) -> &'static str {
-        "No std::fs / File::open / OpenOptions in deterministic crates: durability is modeled as in-memory bytes (WalWriter, Checkpoint); real file persistence lives in the CLI layer."
+        "No std::fs / File::open / OpenOptions in deterministic crates: durability is modeled in memory (typed redo-log records, WalWriter and Checkpoint byte buffers); real file persistence lives in the CLI layer."
     }
 
     fn applies(&self, info: &FileInfo) -> bool {

@@ -3,8 +3,8 @@
 use replipred_core::Schedule;
 use serde::{Deserialize, Serialize};
 
-/// Durability knobs: the crc-framed redo log and checkpoint cadence of
-/// each replica's `sidb` engine.
+/// Durability knobs: the group-committed redo log and checkpoint cadence
+/// of each replica's `sidb` engine.
 ///
 /// Default **off** — a durability-free run is byte-identical to builds
 /// that predate the WAL. When enabled, every update commit pays an
@@ -17,8 +17,9 @@ pub struct DurabilityConfig {
     /// Master switch: log commits and recover replicas from durable state.
     #[serde(default)]
     pub enabled: bool,
-    /// Commits per WAL frame (one simulated fsync per frame). Larger
-    /// groups amortize the fsync further but lose more on a crash.
+    /// Commits per sealed redo-log group (one simulated fsync per
+    /// group). Larger groups amortize the fsync further but lose more on
+    /// a crash.
     #[serde(default = "default_group_commit")]
     pub group_commit: usize,
     /// Disk demand of one fsync, seconds. The per-commit surcharge is

@@ -1,27 +1,56 @@
 //! Per-replica durability harness: durable image + redo log + recovery.
 //!
-//! Each simulated node, when durability is enabled, mirrors every commit
-//! it applies into a [`WalWriter`] on top of a durable *image* — a
-//! [`Database`] of its own, because an image that has to eat a log is a
-//! database (and one that shares every row image with the node's live
-//! database: the image costs slot arrays, not payloads). At vacuum
-//! cadence the image replays the log ([`Database::replay`], the
-//! interpreter crash recovery uses) and collapses to one version a row, so a tick costs what changed since
-//! the last one, not the database size. A crash drops the unsealed group
-//! and freezes the rest; a rejoin *actually rebuilds* the node's database
-//! from it — a copy of the image + replay of the sealed frames — instead
-//! of trusting the in-memory state to have survived, and then replays
-//! only the writesets past the durable point from the cluster relay log.
+//! Each simulated node, when durability is enabled, logs every commit it
+//! applies on top of a durable *image* — a [`Database`] of its own,
+//! because an image that installs logged commits is a database (and one
+//! that shares every row image with the node's live database: the image
+//! costs slot arrays, not payloads). The redo log is typed: a record is
+//! the local version the commit produced and the commit's one shared
+//! [`WriteSet`] — an `Arc` count bump, never an encoding — and a record
+//! enters a database through [`Database::replay_commit`], the same
+//! checked step [`Database::replay`] runs on every commit it decodes
+//! from WAL bytes. Records seal every `group_commit` appends, where the
+//! byte log would close a crc frame (the simulated fsync).
+//!
+//! At vacuum cadence the image installs the whole log and collapses to
+//! one version a row, so a tick costs what changed since the last one,
+//! not the database size. A crash drops the unsealed group and freezes
+//! the rest; a rejoin *actually rebuilds* the node's database from it —
+//! a copy of the image plus the sealed records — instead of trusting
+//! the in-memory state to have survived, and then replays only the
+//! writesets past the durable point from the cluster relay log.
 //! Catch-up lag thereby becomes replay cost.
 //!
-//! Two sequence spaces meet here: WAL records carry the node's *local*
-//! database version (what [`Database::replay`] orders by), while the
-//! cluster addresses writesets by *relay* sequence. The node logs every
-//! relay sequence exactly once, in order, so the relay position of the
-//! log is the image's plus a record count the [`WalWriter`] already
-//! keeps.
+//! Two sequence spaces meet here: a record carries the node's *local*
+//! database version (what [`Database::replay_commit`] orders by), while
+//! the cluster addresses writesets by *relay* sequence. The node logs
+//! every relay sequence exactly once, in order, so the relay position
+//! of the log is the image's plus a record count.
 
-use replipred_sidb::{Database, WalWriter, WriteSet};
+use std::sync::Arc;
+
+use replipred_sidb::{Database, WriteSet};
+
+/// What one node's redo log has done. Every record logged leaves the
+/// log one way — `folded` into the image at a tick, `dropped` by a
+/// crash (the unsealed group), `superseded` when a state transfer
+/// replaces the image — or is still in it. Plain counts: nothing
+/// reports them, so keeping them moves no output.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DurabilityCounts {
+    /// Records appended by [`NodeDurability::log_shared`].
+    pub logged: u64,
+    /// Records installed into the image by [`NodeDurability::checkpoint`].
+    pub folded: u64,
+    /// Unsealed records lost by [`NodeDurability::crash`].
+    pub dropped: u64,
+    /// Records discarded by [`NodeDurability::rebase`] with the image
+    /// they described.
+    pub superseded: u64,
+    /// Records installed by [`NodeDurability::recover`], summed over
+    /// every recovery.
+    pub replayed: u64,
+}
 
 /// Durable state of one node: the base image plus the redo log of
 /// commits applied since.
@@ -29,61 +58,82 @@ use replipred_sidb::{Database, WalWriter, WriteSet};
 pub struct NodeDurability {
     /// The database as of the last tick: no sessions, one version a row.
     image: Database,
-    wal: WalWriter,
+    /// Commits applied since the image, in order: the local version each
+    /// produced and its writeset, shared with the cluster.
+    log: Vec<(u64, Arc<WriteSet>)>,
+    /// How many records of `log` are sealed (durable): whole groups.
+    sealed: usize,
     group: usize,
     /// Relay sequence the image reflects.
     image_relay_seq: u64,
+    counts: DurabilityCounts,
 }
 
 impl NodeDurability {
     /// Images the node's current state. `relay_seq` is the cluster
     /// writeset sequence that state reflects (0 for a freshly seeded
     /// node).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group_commit` is zero.
     pub fn new(db: &Database, relay_seq: u64, group_commit: usize) -> Self {
-        // Through a capture, not `db.clone()`: a clean copy without the
-        // node's open sessions, statistics or version history.
-        Self::at(Database::restore(&db.checkpoint()), relay_seq, group_commit)
-    }
-
-    /// An empty redo log on top of `image`, which reflects `relay_seq`.
-    fn at(image: Database, relay_seq: u64, group_commit: usize) -> Self {
+        assert!(group_commit >= 1, "group commit batch must be at least 1");
         NodeDurability {
-            image,
-            wal: WalWriter::new(group_commit),
+            // Through a capture, not `db.clone()`: a clean copy without
+            // the node's open sessions, statistics or version history.
+            image: Database::restore(&db.checkpoint()),
+            log: Vec::new(),
+            sealed: 0,
             group: group_commit,
             image_relay_seq: relay_seq,
+            counts: DurabilityCounts::default(),
         }
     }
 
     /// Logs one applied commit: `relay_seq` in cluster space,
     /// `local_version` the database version the commit produced, and the
-    /// writeset itself. Sealing a frame (every `group_commit` appends)
-    /// advances the durable horizon — the simulated fsync. Relay
+    /// writeset itself, shared. Sealing a group (every `group_commit`
+    /// appends) advances the durable horizon — the simulated fsync. Relay
     /// sequences are logged in order without gaps, each one past the
     /// last logged (after a crash: past the durable horizon).
-    pub fn log(&mut self, relay_seq: u64, local_version: u64, ws: &WriteSet) {
+    pub fn log_shared(&mut self, relay_seq: u64, local_version: u64, ws: Arc<WriteSet>) {
         debug_assert_eq!(
             relay_seq,
-            self.durable_seq() + self.wal.pending_records() as u64 + 1,
+            self.image_relay_seq + self.log.len() as u64 + 1,
             "relay sequences are logged in order, without gaps"
         );
-        self.wal.append_commit(local_version, ws);
+        self.log.push((local_version, ws));
+        if self.log.len() - self.sealed >= self.group {
+            self.sealed = self.log.len();
+        }
+        self.counts.logged += 1;
+    }
+
+    /// [`NodeDurability::log_shared`] for a caller holding a borrowed
+    /// writeset: logs a copy of it.
+    pub fn log(&mut self, relay_seq: u64, local_version: u64, ws: &WriteSet) {
+        self.log_shared(relay_seq, local_version, Arc::new(ws.clone()));
     }
 
     /// Advances the image (vacuum-cadence) and resets the log:
     /// everything applied so far is now in the image. `db` must be the
     /// database whose every commit since the previous tick went through
-    /// [`NodeDurability::log`]; the image replays the whole redo log
-    /// (sealed and pending) and drops the versions it superseded, which
-    /// debug builds check against `db`. A tick with nothing logged does
-    /// nothing.
+    /// [`NodeDurability::log_shared`]; the image installs the whole redo
+    /// log (sealed and pending) and drops the versions it superseded,
+    /// which debug builds check against `db`. A tick with nothing logged
+    /// does nothing.
     pub fn checkpoint(&mut self, db: &Database, relay_seq: u64) {
-        let wal = std::mem::replace(&mut self.wal, WalWriter::new(self.group));
-        // `into_bytes` seals the pending group, so the replay sees it too.
-        let from = self.image.version();
-        if self.image.replay(&wal.into_bytes(), from).replayed > 0 {
+        if !self.log.is_empty() {
+            self.counts.folded += self.log.len() as u64;
+            for (version, ws) in self.log.drain(..) {
+                self.image
+                    .replay_commit(version, &ws)
+                    .expect("a node logs its own commits in version order");
+            }
             self.image.vacuum();
         }
+        self.sealed = 0;
         debug_assert_eq!(
             self.image.checkpoint(),
             db.checkpoint(),
@@ -97,7 +147,11 @@ impl NodeDurability {
     /// `relay_seq`. The redo log described the replaced database and is
     /// dropped.
     pub fn rebase(&mut self, image: Database, relay_seq: u64) {
-        *self = Self::at(image, relay_seq, self.group);
+        self.counts.superseded += self.log.len() as u64;
+        self.log.clear();
+        self.sealed = 0;
+        self.image = image;
+        self.image_relay_seq = relay_seq;
     }
 
     /// A crash: the unsealed group never reached the disk and is lost,
@@ -106,7 +160,8 @@ impl NodeDurability {
     /// the stale records and a second crash would recover a log whose
     /// sequences run backwards.
     pub fn crash(&mut self) {
-        self.wal.discard_pending();
+        self.counts.dropped += (self.log.len() - self.sealed) as u64;
+        self.log.truncate(self.sealed);
     }
 
     /// The relay sequence recoverable from durable state alone: the
@@ -114,30 +169,37 @@ impl NodeDurability {
     /// sequences above this for the node to rejoin without a state
     /// transfer.
     pub fn durable_seq(&self) -> u64 {
-        self.image_relay_seq + self.wal.sealed_records() as u64
+        self.image_relay_seq + self.sealed as u64
     }
 
-    /// Rebuilds the database from the image plus the sealed log frames.
+    /// Rebuilds the database from the image plus the sealed records.
     /// Returns the database, the relay sequence it reflects, and the
-    /// number of log records replayed (the replay cost driver).
-    pub fn recover(&self) -> (Database, u64, u64) {
+    /// number of records replayed (the replay cost driver).
+    pub fn recover(&mut self) -> (Database, u64, u64) {
         let mut db = self.image.clone();
-        let replayed = db.replay(self.wal.bytes(), db.version()).replayed;
-        debug_assert_eq!(
-            replayed,
-            self.wal.sealed_records() as u64,
-            "every sealed record replays"
-        );
+        for (version, ws) in &self.log[..self.sealed] {
+            db.replay_commit(*version, ws)
+                .expect("a node logs its own commits in version order");
+        }
+        let replayed = self.sealed as u64;
+        self.counts.replayed += replayed;
         (db, self.durable_seq(), replayed)
+    }
+
+    /// What the redo log has done so far.
+    pub fn counts(&self) -> DurabilityCounts {
+        self.counts
+    }
+
+    /// Records in the log now, sealed and pending.
+    pub fn log_len(&self) -> usize {
+        self.log.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
-
     use super::*;
-    use proptest::prelude::*;
     use replipred_sidb::{RowId, Value};
 
     fn seeded() -> Database {
@@ -278,159 +340,5 @@ mod tests {
         let (recovered, relay, replayed) = d.recover();
         assert_eq!((relay, replayed), (5, 0));
         assert_eq!(recovered.durable_state(), db.durable_state());
-    }
-
-    /// One committed transaction on `db`: key `key` of `t` is upserted,
-    /// or — with `delete` and the row live — deleted.
-    fn commit_put(db: &mut Database, key: u64, v: i64, delete: bool) -> WriteSet {
-        let t = db.table_id("t").unwrap();
-        let row = RowId(key);
-        let txn = db.begin();
-        let live = db.read(txn, t, row).unwrap().is_some();
-        match (live, delete) {
-            (true, true) => db.delete(txn, t, row).unwrap(),
-            (true, false) => db.update(txn, t, row, vec![Value::Int(v)]).unwrap(),
-            (false, _) => db.insert(txn, t, row, vec![Value::Int(v)]).unwrap(),
-        }
-        db.commit(txn).unwrap().writeset
-    }
-
-    /// A slave under test beside the cluster it replicates, with what an
-    /// observer outside [`NodeDurability`] knows its durable state must be.
-    struct Rig {
-        genesis: Database,
-        /// Commits every writeset first; `history[k]` is relay `k + 1`.
-        cluster: Database,
-        history: Vec<WriteSet>,
-        node: Database,
-        down: bool,
-        d: NodeDurability,
-        group: u64,
-        /// Relay sequence of the image, and records sealed / pending
-        /// on top of it.
-        image_relay: u64,
-        sealed: u64,
-        pending: u64,
-        /// Every key the image has ever held a version of.
-        held: BTreeSet<u64>,
-    }
-
-    impl Rig {
-        fn new(group: u64) -> Self {
-            let genesis = seeded();
-            Rig {
-                cluster: genesis.clone(),
-                history: Vec::new(),
-                node: genesis.clone(),
-                down: false,
-                d: NodeDurability::new(&genesis, 0, group as usize),
-                group,
-                image_relay: 0,
-                sealed: 0,
-                pending: 0,
-                held: (0..4).collect(),
-                genesis,
-            }
-        }
-
-        /// The node applies and logs relay `seq`.
-        fn apply(&mut self, seq: u64) {
-            let ws = &self.history[seq as usize - 1];
-            let version = self.node.apply_writeset(ws).unwrap();
-            self.d.log(seq, version, ws);
-            self.pending += 1;
-            if self.pending == self.group {
-                self.sealed += self.pending;
-                self.pending = 0;
-            }
-        }
-
-        /// A new durable baseline at the node's current position.
-        fn rebased(&mut self) {
-            self.image_relay = self.history.len() as u64;
-            (self.sealed, self.pending) = (0, 0);
-        }
-
-        fn oracle(&self, relay: u64) -> Database {
-            let mut db = self.genesis.clone();
-            for ws in &self.history[..relay as usize] {
-                db.apply_writeset(ws).unwrap();
-            }
-            db
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Whatever a node lives through — commits, ticks, crashes,
-        /// recoveries, state transfers, in any order — its durable state
-        /// recovers to exactly the history prefix the sealed frames
-        /// cover, and a tick leaves the image one version a row.
-        #[test]
-        fn recovery_equals_the_history_prefix_under_any_interleaving(
-            group in 1u64..5,
-            ops in collection::vec((0u8..8, 0u64..12, -50i64..50), 1..80),
-        ) {
-            let mut rig = Rig::new(group);
-            for (op, key, v) in ops {
-                let mut ticked = false;
-                match op {
-                    // The cluster commits; a live node applies and logs.
-                    0..=3 => {
-                        let ws = commit_put(&mut rig.cluster, key, v, op == 3);
-                        rig.history.push(ws);
-                        if !rig.down {
-                            rig.apply(rig.history.len() as u64);
-                        }
-                    }
-                    // Vacuum tick of a live node.
-                    4 if !rig.down => {
-                        let logged = rig.image_relay + rig.sealed + rig.pending;
-                        for ws in &rig.history[rig.image_relay as usize..logged as usize] {
-                            rig.held.extend(ws.items.iter().map(|item| item.row.raw()));
-                        }
-                        ticked = logged > rig.image_relay;
-                        rig.d.checkpoint(&rig.node, logged);
-                        rig.rebased();
-                    }
-                    5 if !rig.down => {
-                        rig.d.crash();
-                        rig.pending = 0;
-                        rig.down = true;
-                    }
-                    // Rejoin: rebuild from durable state, then catch up
-                    // from the cluster's history, re-logging.
-                    6 if rig.down => {
-                        let (db, relay, _) = rig.d.recover();
-                        rig.node = db;
-                        rig.down = false;
-                        for seq in relay + 1..=rig.history.len() as u64 {
-                            rig.apply(seq);
-                        }
-                    }
-                    // State transfer from the cluster.
-                    7 => {
-                        let cp = rig.cluster.checkpoint();
-                        rig.held = cp.tables[0].rows.iter().map(|(key, _)| *key).collect();
-                        rig.node = Database::restore(&cp);
-                        rig.d.rebase(rig.node.clone(), rig.history.len() as u64);
-                        rig.rebased();
-                        rig.down = false;
-                    }
-                    _ => {}
-                }
-                let (recovered, relay, replayed) = rig.d.recover();
-                prop_assert_eq!((relay, replayed), (rig.image_relay + rig.sealed, rig.sealed));
-                prop_assert_eq!(rig.d.durable_seq(), relay);
-                let oracle = rig.oracle(relay);
-                prop_assert_eq!(recovered.durable_state(), oracle.durable_state());
-                prop_assert_eq!(recovered.version(), oracle.version());
-                if ticked {
-                    // Nothing sealed yet: what recovered is the image.
-                    prop_assert_eq!(recovered.version_count(), rig.held.len());
-                }
-            }
-        }
     }
 }

@@ -63,15 +63,19 @@
 //!   (and a durable node's image) hold one allocation of every seeded
 //!   row between them until one of them writes it.
 //! - **A commit's writeset is shared, not copied.** The policy wraps it
-//!   in one `Arc` at commit; the log entry, every [`WsApply`] in flight
-//!   and every apply queue hold that `Arc`, and each replica installs
-//!   the row images it carries by bumping their counts. Fan-out costs
-//!   events and map nodes per extra replica, never a row payload.
+//!   in one `Arc` at commit; the log entry, every [`WsApply`] in flight,
+//!   every apply queue and every durable node's redo log hold that `Arc`,
+//!   and each replica installs the row images it carries by bumping
+//!   their counts. Fan-out costs events and map nodes per extra replica,
+//!   never a row payload.
 //! - **A crash loses what was not fsynced.** Besides stopping the node,
 //!   `crash` drops a durable node's unsealed redo-log group
-//!   ([`NodeDurability::crash`]): the rejoin recovers to the last sealed
-//!   frame and re-logs from there, so the log's sequences never run
-//!   backwards however often a node crashes between two checkpoints.
+//!   ([`NodeDurability::crash`]). The redo log is typed records sharing
+//!   each commit's writeset, installed by the checked step the byte WAL
+//!   replay uses (`Database::replay_commit`): the rejoin recovers to the
+//!   last sealed record and re-logs from there, so the log's sequences
+//!   never run backwards however often a node crashes between two
+//!   checkpoints.
 //! - **Epoch check before every completion.** An attempt is stamped with
 //!   its node's crash epoch; `CpuDone` and `DiskDone` re-check liveness
 //!   and epoch and hand a stale attempt back to [`place`] with its
@@ -931,16 +935,17 @@ pub(crate) fn mark_ready<P: Policy>(
 
 impl<P: Policy> Node<P> {
     /// Applies the writeset at `apply_next`.
-    fn replay(&mut self, ws: &WriteSet) {
+    fn replay(&mut self, ws: &Arc<WriteSet>) {
         let version = self.db.apply_writeset(ws);
         self.advanced(version.expect("writeset references seeded tables"), ws);
     }
 
     /// The database took the writeset at `apply_next` as `version` — applied
-    /// here, or committed here by a master: log it if durable, and move on.
-    pub(crate) fn advanced(&mut self, version: u64, ws: &WriteSet) {
+    /// here, or committed here by a master: log it if durable (a count
+    /// bump of the shared writeset), and move on.
+    pub(crate) fn advanced(&mut self, version: u64, ws: &Arc<WriteSet>) {
         if let Some(d) = self.durable.as_mut() {
-            d.log(self.apply_next, version, ws);
+            d.log_shared(self.apply_next, version, Arc::clone(ws));
         }
         self.apply_next += 1;
     }
@@ -1020,7 +1025,7 @@ pub(crate) fn node_event<P: Policy>(engine: &mut Sim<P>, ev: &ScheduleEvent) -> 
 /// Kills a live node: it stops serving, queued arrivals are re-placed,
 /// pending writeset applications are dropped (recovered from the log on
 /// rejoin) and a durable node loses its unsealed redo-log group — only
-/// fsynced frames survive. In-flight attempts are intercepted as their
+/// fsynced records survive. In-flight attempts are intercepted as their
 /// events fire.
 fn crash<P: Policy>(engine: &mut Sim<P>, i: usize) -> bool {
     let Some(node) = engine.world_mut().nodes.get_mut(i) else {
@@ -1046,8 +1051,8 @@ fn crash<P: Policy>(engine: &mut Sim<P>, i: usize) -> bool {
 
 /// Starts a dead node's rejoin. A durable node *rebuilds* its database
 /// from its frozen image + redo log — the in-memory state is gone with
-/// the crash — paying the WAL replay as lag before log catch-up starts.
-/// Otherwise the in-memory state is assumed to have survived (the
+/// the crash — paying the redo-log replay as lag before log catch-up
+/// starts. Otherwise the in-memory state is assumed to have survived (the
 /// pre-durability model) and catch-up starts immediately.
 fn join<P: Policy>(engine: &mut Sim<P>, i: usize) -> bool {
     let w = engine.world_mut();
@@ -1059,7 +1064,7 @@ fn join<P: Policy>(engine: &mut Sim<P>, i: usize) -> bool {
         return false;
     }
     node.state = NodeState::CatchingUp;
-    match node.durable.as_ref().map(NodeDurability::recover) {
+    match node.durable.as_mut().map(NodeDurability::recover) {
         Some((db, log_seq, replayed)) => {
             node.db = db;
             node.apply_next = log_seq + 1;

@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn durable_crash_rejoin_recovers_from_the_redo_log() {
         // With durability on, the crashed ex-master rebuilds from its
-        // checkpoint + WAL and replays only the relay tail — never a full
+        // image + redo log and replays only the relay tail — never a full
         // state transfer while the log is unbounded.
         let cfg = SimConfig {
             schedule: Schedule::new().crash(18.0, 0).join(28.0, 0).window(2.0),
@@ -476,6 +476,47 @@ mod tests {
                 "replica {i} diverged from the master"
             );
         }
+    }
+
+    #[test]
+    fn every_logged_record_is_folded_dropped_or_still_in_the_log() {
+        // The master crashes and rejoins, then a slave does twice
+        // between two ticks (at 30 and 40 s), with no state transfer:
+        // records leave a node's redo log at ticks, crashes and nowhere
+        // else.
+        let cfg = SimConfig {
+            warmup: 20.0,
+            duration: 25.0,
+            schedule: Schedule::new()
+                .crash(22.0, 0)
+                .join(26.0, 0)
+                .crash(31.0, 1)
+                .join(33.0, 1)
+                .crash(36.0, 1)
+                .join(38.0, 1)
+                .window(5.0),
+            ..durable(SimConfig::quick(3, 2009))
+        };
+        let (_, world) = run_shopping(&cfg);
+        assert_eq!(world.probe().state_transfers, 0);
+        let mut counts = Vec::new();
+        for (i, node) in world.nodes.iter().enumerate() {
+            let d = node.durable.as_ref().expect("durability is on");
+            let c = d.counts();
+            assert!(c.folded > 0, "replica {i} ticked: {c:?}");
+            assert_eq!(c.superseded, 0, "replica {i}: {c:?}");
+            assert_eq!(
+                c.logged,
+                c.folded + c.dropped + d.log_len() as u64,
+                "replica {i}: {c:?}"
+            );
+            counts.push(c);
+        }
+        // Both crashed nodes recovered from sealed records, and the
+        // slave lost an unsealed group; the bystander did neither.
+        assert!(counts[0].replayed > 0 && counts[1].replayed > 0);
+        assert!(counts[1].dropped > 0);
+        assert_eq!((counts[2].dropped, counts[2].replayed), (0, 0));
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! update commit from `n = 2` to `n = 8`: 13.1 and 12.9 per extra replica.
 //! They read 32.0 → 33.2 and 32.0 → 32.1 now: 0.20 and 0.02.
 //!
+//! A durable single-master cell holds the same budget: every node logs
+//! each commit it applies into its redo log, which keeps the commit's
+//! shared writeset as a typed record — a count bump, and a vector slot
+//! reused from tick to tick: 0.16 allocations per update commit per
+//! extra replica. Encoding each commit into crc-framed WAL bytes read
+//! 10.2; a typed log that copied each writeset into an `Arc` of its own
+//! reads 2.2.
+//!
 //! The counter is the global allocator of this test binary alone. One
 //! `#[test]` function, so one thread allocates while it counts.
 
@@ -26,7 +34,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use replipred_repl::{Design, SimConfig, SimulatorRegistry};
+use replipred_repl::{Design, DurabilityConfig, SimConfig, SimulatorRegistry};
 use replipred_workload::tpcw;
 
 /// Forwards to the system allocator, counting calls that hand out memory.
@@ -64,10 +72,14 @@ static COUNTING: Counting = Counting;
 
 /// Allocations of one whole cell (set-up included) measuring for
 /// `duration` virtual seconds, and the updates it committed in them.
-fn cell(design: Design, n: usize, duration: f64) -> (u64, u64) {
+fn cell(design: Design, durable: bool, n: usize, duration: f64) -> (u64, u64) {
     let cfg = SimConfig {
         warmup: 5.0,
         duration,
+        durability: DurabilityConfig {
+            enabled: durable,
+            ..DurabilityConfig::default()
+        },
         ..SimConfig::quick(n, 2009)
     };
     let simulator = design.simulator(tpcw::mix(tpcw::Mix::Ordering), cfg);
@@ -81,22 +93,23 @@ fn cell(design: Design, n: usize, duration: f64) -> (u64, u64) {
 /// 30 more seconds of the same run (same seed, so the same first 15)
 /// allocate, over the updates they commit. Set-up — the install, which
 /// does not depend on `n`, and the clients, which do — cancels out.
-fn per_update_commit(design: Design, n: usize) -> f64 {
-    let (short_allocs, short_commits) = cell(design, n, 10.0);
-    let (long_allocs, long_commits) = cell(design, n, 40.0);
+fn per_update_commit(design: Design, durable: bool, n: usize) -> f64 {
+    let (short_allocs, short_commits) = cell(design, durable, n, 10.0);
+    let (long_allocs, long_commits) = cell(design, durable, n, 40.0);
     assert_eq!(
-        cell(design, n, 10.0),
+        cell(design, durable, n, 10.0),
         (short_allocs, short_commits),
-        "{design:?} n = {n}: the count does not repeat, so it cannot be a budget"
+        "{design:?} (durable: {durable}) n = {n}: the count does not repeat, so it cannot be a budget"
     );
     let commits = long_commits - short_commits;
     assert!(
         commits > 500,
-        "{design:?} n = {n}: {commits} commits is too short"
+        "{design:?} (durable: {durable}) n = {n}: {commits} commits is too short"
     );
     let per_commit = (long_allocs - short_allocs) as f64 / commits as f64;
     println!(
-        "{design:?} n = {n}: {} allocations over {commits} update commits = {per_commit:.2}",
+        "{design:?} (durable: {durable}) n = {n}: {} allocations over {commits} update commits \
+         = {per_commit:.2}",
         long_allocs - short_allocs
     );
     per_commit
@@ -104,21 +117,31 @@ fn per_update_commit(design: Design, n: usize) -> f64 {
 
 /// Allocations per committed update an extra replica may add. What is
 /// left is bookkeeping that grows in steps — event queue, apply queue,
-/// version arena (measured: 0.20 and 0.02); one copy of a shared-row
-/// writeset's `items` vector per apply would alone be 1, a deep copy of
-/// its three rows 7.
+/// version arena (measured: 0.19, 0.02 and, durable, 0.16); one copy of
+/// a shared-row writeset's `items` vector per apply would alone be 1, a
+/// deep copy of its three rows 7.
 const PER_EXTRA_REPLICA: f64 = 1.0;
 
 #[test]
 fn an_extra_replica_costs_bookkeeping_not_row_copies() {
-    for design in [Design::MultiMaster, Design::SingleMaster] {
-        let (at_2, at_8) = (per_update_commit(design, 2), per_update_commit(design, 8));
+    let cases = [
+        (Design::MultiMaster, false),
+        (Design::SingleMaster, false),
+        (Design::SingleMaster, true),
+    ];
+    for (design, durable) in cases {
+        let at_2 = per_update_commit(design, durable, 2);
+        let at_8 = per_update_commit(design, durable, 8);
         let per_extra_replica = (at_8 - at_2) / 6.0;
-        println!("{design:?}: {per_extra_replica:.2} per update commit per extra replica");
+        println!(
+            "{design:?} (durable: {durable}): {per_extra_replica:.2} per update commit per extra \
+             replica"
+        );
         assert!(
             per_extra_replica < PER_EXTRA_REPLICA,
-            "{design:?}: {per_extra_replica:.2} allocations per update commit per extra replica \
-             (n = 2: {at_2:.2}, n = 8: {at_8:.2}) — is a writeset or a row being copied?"
+            "{design:?} (durable: {durable}): {per_extra_replica:.2} allocations per update commit \
+             per extra replica (n = 2: {at_2:.2}, n = 8: {at_8:.2}) — is a writeset or a row being \
+             copied?"
         );
     }
 }

@@ -471,9 +471,7 @@ impl Database {
     /// Returns [`DbError::InvalidTable`] when the writeset references a
     /// table id outside this schema.
     pub fn apply_writeset(&mut self, ws: &WriteSet) -> Result<u64, DbError> {
-        self.check_tables(ws)?;
-        let writes = ws.items.iter().map(|w| (w.table, w.row, w.data.clone()));
-        self.install_writeset_at(self.commit_seq + 1, writes);
+        self.replay_commit(self.commit_seq + 1, ws)?;
         Ok(self.commit_seq)
     }
 
@@ -583,13 +581,14 @@ impl Database {
     }
 
     /// Replays the valid prefix of a redo log on top of this database —
-    /// the one way logged bytes become committed state, under
-    /// [`Database::recover`] and under any durable image that advances by
-    /// eating its own log.
+    /// the byte front end of [`Database::replay_commit`], under
+    /// [`Database::recover`]. A replica's durable image keeps its redo
+    /// log as typed records sharing each commit's writeset and installs
+    /// them through that same step, without bytes.
     ///
     /// The log is walked a frame (one group commit) at a time: a group's
-    /// records are decoded into one reused buffer, their row images moved
-    /// into the tables, and the next frame read — the log is never
+    /// records are decoded into one reused buffer, their row images
+    /// installed, and the next frame read — the log is never
     /// materialized as typed records, so replay memory is one group's,
     /// whatever the log's length. The byte layer stops at the first torn
     /// or corrupt frame, as [`wal::scan`] does, and the report's
@@ -599,10 +598,11 @@ impl Database {
     /// extends the schema in the original creation (= id) order. Commits
     /// at or below `from_seq` are already in the database and are
     /// skipped. Replayed commits must be strictly increasing across the
-    /// whole log — the replay stops at the first non-increasing sequence
-    /// or unknown table, keeping what preceded it and distrusting every
-    /// record after (in that frame and in all later ones), the same
-    /// "truncate at first bad frame" posture the byte layer takes.
+    /// whole log and above the database's version — the replay stops at
+    /// the first non-increasing sequence or unknown table, keeping what
+    /// preceded it and distrusting every record after (in that frame and
+    /// in all later ones), the same "truncate at first bad frame" posture
+    /// the byte layer takes.
     ///
     /// The report counts the commits replayed and names the last one
     /// (`from_seq` when none replayed).
@@ -653,11 +653,9 @@ impl Database {
                     }
                     // Out of order, or a table the log never created:
                     // distrust the rest.
-                    if seq <= report.last_seq || self.check_tables(&writeset).is_err() {
+                    if self.replay_commit(seq, &writeset).is_err() {
                         return false;
                     }
-                    let writes = writeset.items.into_iter().map(|w| (w.table, w.row, w.data));
-                    self.install_writeset_at(seq, writes);
                     report.last_seq = seq;
                     report.replayed += 1;
                 }
@@ -666,20 +664,32 @@ impl Database {
         true
     }
 
-    /// Installs a certified writeset's rows, its tables checked, as the
-    /// commit at `seq`: the next version for [`Database::apply_writeset`]
-    /// (which shares the images it borrows), the logged one for
-    /// [`Database::replay`] (which owns them; a log may skip sequences).
-    fn install_writeset_at(
-        &mut self,
-        seq: u64,
-        writes: impl Iterator<Item = (TableId, RowId, Option<Row>)>,
-    ) {
+    /// Installs one logged commit as version `seq`: the one checked step
+    /// by which a certified writeset becomes committed state, whether
+    /// [`Database::replay`] decoded it from WAL bytes, a durable image
+    /// kept it typed, or [`Database::apply_writeset`] received it as the
+    /// next version. The row images are shared with `ws`, not copied. A
+    /// log may skip sequences, but never repeat or go back.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::StaleCommit`] when `seq` does not advance the database
+    /// version, [`DbError::InvalidTable`] on a table outside this schema;
+    /// either way nothing of `ws` is installed.
+    pub fn replay_commit(&mut self, seq: u64, ws: &WriteSet) -> Result<(), DbError> {
+        if seq <= self.commit_seq {
+            return Err(DbError::StaleCommit {
+                seq,
+                version: self.commit_seq,
+            });
+        }
+        self.check_tables(ws)?;
         self.commit_seq = seq;
-        for (table, row, data) in writes {
-            self.install_row(seq, table, row.0, data);
+        for w in &ws.items {
+            self.install_row(seq, w.table, w.row.0, w.data.clone());
         }
         self.stats.writesets_applied += 1;
+        Ok(())
     }
 
     /// Fails, before anything of `ws` is installed, on a table outside
@@ -1191,6 +1201,55 @@ mod tests {
             assert_eq!(copy.version(), origin.version());
             assert_eq!(copy.version_count(), origin.version_count());
         }
+    }
+
+    /// The typed front end refuses what the byte replay distrusts, and
+    /// installs nothing of a refused commit.
+    #[test]
+    fn replay_commit_refuses_a_stale_sequence_or_an_unknown_table_whole() {
+        let (mut db, items) = seeded();
+        let version = db.version();
+        let ws = |table| WriteSet {
+            base_version: version,
+            items: vec![
+                WriteItem {
+                    table: items,
+                    row: RowId(0),
+                    op: WriteOp::Delete,
+                    data: None,
+                },
+                WriteItem {
+                    table,
+                    row: RowId(500),
+                    op: WriteOp::Insert,
+                    data: Some([Value::text("new"), Value::Int(1)].into()),
+                },
+            ],
+        };
+        let before = db.durable_state();
+        assert_eq!(
+            db.replay_commit(version, &ws(items)),
+            Err(DbError::StaleCommit {
+                seq: version,
+                version
+            })
+        );
+        assert_eq!(
+            db.replay_commit(version + 2, &ws(TableId(9))),
+            Err(DbError::InvalidTable(TableId(9)))
+        );
+        assert_eq!(db.durable_state(), before);
+        // A log may skip sequences; the images are the writeset's own.
+        let shared = ws(items);
+        assert_eq!(db.replay_commit(version + 2, &shared), Ok(()));
+        assert_eq!(db.version(), version + 2);
+        let t = db.begin();
+        let row = db.read(t, items, RowId(500)).unwrap().unwrap();
+        assert!(std::ptr::eq(
+            row.as_ptr(),
+            shared.items[1].data.as_ref().unwrap().as_ptr()
+        ));
+        assert_eq!(db.read(t, items, RowId(0)).unwrap(), None);
     }
 
     #[test]

@@ -51,6 +51,15 @@ pub enum DbError {
         /// Column count of the table.
         expected: usize,
     },
+    /// A logged commit's sequence does not advance the database: it is
+    /// at or below the version already installed (a log running
+    /// backwards, or a record replayed twice).
+    StaleCommit {
+        /// Sequence of the refused commit.
+        seq: u64,
+        /// The database version it failed to advance.
+        version: u64,
+    },
 }
 
 impl fmt::Display for DbError {
@@ -78,6 +87,9 @@ impl fmt::Display for DbError {
                 f,
                 "arity mismatch on {table}: got {got} cells, expected {expected}"
             ),
+            DbError::StaleCommit { seq, version } => {
+                write!(f, "commit {seq} does not advance version {version}")
+            }
         }
     }
 }

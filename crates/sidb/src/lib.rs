@@ -62,9 +62,11 @@
 //!   ([`Database::recover`]) loads a checkpoint and replays the log's
 //!   valid prefix a frame at a time ([`Database::replay`]: one group's
 //!   records in memory, whatever the log's length), truncating at the
-//!   first torn or corrupt frame; the
-//!   result is byte-identical (per [`Database::durable_state`]) to a
-//!   reference engine replayed to the last whole group commit. Both
+//!   first torn or corrupt frame. Each decoded commit goes through
+//!   [`Database::replay_commit`], the checked step a typed log and a
+//!   remote apply use too. The result is byte-identical (per
+//!   [`Database::durable_state`]) to a reference engine replayed to the
+//!   last whole group commit. Both
 //!   byte formats are pure functions of the logged history, keeping the
 //!   workspace determinism contract intact for durable state.
 //!
