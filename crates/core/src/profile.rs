@@ -79,20 +79,6 @@ pub struct WorkloadProfile {
     /// probability. Only needed for the *analytic* `A1` (Section 3.3.1);
     /// the measured `a1` takes precedence in predictions.
     pub db_update_size: f64,
-    /// Amortized redo-log disk demand per update commit, seconds
-    /// (`fsync_disk / group_commit` of the profiled system's durability
-    /// setting; 0 when the profiled system runs without a WAL). A disk
-    /// term beyond the paper's CPU/disk split: the paper's prototypes
-    /// profile with durability baked into `wc`/`ws`, ours surfaces it
-    /// explicitly. Omitted from serialized profiles when zero so
-    /// durability-free profiles stay byte-identical to pre-WAL builds.
-    #[serde(default, skip_serializing_if = "log_disk_is_zero")]
-    pub log_disk: f64,
-}
-
-/// Serde skip predicate for [`WorkloadProfile::log_disk`].
-fn log_disk_is_zero(v: &f64) -> bool {
-    *v == 0.0
 }
 
 impl WorkloadProfile {
@@ -133,12 +119,6 @@ impl WorkloadProfile {
             return Err(ModelError::InvalidProfile(format!(
                 "DbUpdateSize ({}) must be at least 1",
                 self.db_update_size
-            )));
-        }
-        if !self.log_disk.is_finite() || self.log_disk < 0.0 {
-            return Err(ModelError::InvalidProfile(format!(
-                "log disk demand ({}) must be finite and non-negative",
-                self.log_disk
             )));
         }
         Ok(())
@@ -201,7 +181,6 @@ impl WorkloadProfile {
             l1: (cpu.write + disk.write).max(1e-6),
             update_ops,
             db_update_size: 10_000.0,
-            log_disk: 0.0,
         };
         if p.pw > 0.0 {
             p.estimate_l1(clients, 1.0)

@@ -2,7 +2,7 @@
 //! [`WorkloadProfile`].
 
 use replipred_core::{ResourceDemands, WorkloadProfile};
-use replipred_repl::standalone::{StandaloneSim, TxnFilter};
+use replipred_repl::standalone::{self, TxnFilter};
 use replipred_repl::{RunReport, Seeded, SimConfig};
 use replipred_workload::spec::WorkloadSpec;
 use serde::{Deserialize, Serialize};
@@ -57,9 +57,10 @@ impl Profiler {
     }
 
     /// Profiles with redo-log durability enabled on the standalone
-    /// system. The measured demands then include the group-commit disk
-    /// share inside `wc`, and the assembled profile reports the amortized
-    /// per-commit term explicitly as [`WorkloadProfile::log_disk`].
+    /// system. Each update commit then pays the amortized group-commit
+    /// disk share (`fsync_disk / group_commit`), so the measured `wc`
+    /// includes it, as the paper's prototypes' demands include their
+    /// log writes.
     pub fn durability(mut self, durability: replipred_repl::DurabilityConfig) -> Self {
         self.cfg.durability = durability;
         self
@@ -91,10 +92,8 @@ impl Profiler {
         };
 
         // Step 1: capture.
-        let outcome =
-            StandaloneSim::new(self.spec.clone(), self.cfg.clone()).run_with_db_from(&seeded);
-        let capture_run = outcome.report;
-        let log_summary = summarize(&outcome.db.stats());
+        let (capture_run, db) = standalone::run(&seeded, &self.spec, &self.cfg, TxnFilter::All);
+        let log_summary = summarize(&db.stats());
 
         // Step 2-3: replay the segments the capture saw. A segment with
         // no transactions to replay costs nothing and measures nothing.
@@ -145,7 +144,6 @@ impl Profiler {
             l1: l1.max(1e-6),
             update_ops: log_summary.mean_update_ops,
             db_update_size: self.spec.db_update_size as f64,
-            log_disk: self.cfg.durability.log_disk_demand(),
         };
         // Normalize tiny counting noise so Pr + Pw == 1 exactly.
         let mut profile = profile;
@@ -245,11 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn durable_profiling_surfaces_the_log_disk_term() {
+    fn durable_profiling_puts_the_log_disk_term_in_wc() {
         use replipred_repl::DurabilityConfig;
         let spec = tpcw::mix(tpcw::Mix::Shopping);
         let plain = Profiler::new(spec.clone()).seed(4).profile();
-        assert_eq!(plain.profile.log_disk, 0.0);
         let durability = DurabilityConfig {
             enabled: true,
             group_commit: 4,
@@ -257,10 +254,8 @@ mod tests {
             log_retention: 0,
         };
         let durable = Profiler::new(spec).seed(4).durability(durability).profile();
-        // fsync_disk / group_commit, reported verbatim.
-        assert!((durable.profile.log_disk - 0.001).abs() < 1e-12);
-        // The surcharge also lands in the measured update disk demand:
-        // group commit is real work, not an annotation.
+        // The fsync_disk / group_commit = 1 ms surcharge lands in the
+        // measured update disk demand: group commit is real work.
         assert!(
             durable.profile.disk.write > plain.profile.disk.write + 0.0005,
             "durable wc_disk {} vs plain {}",

@@ -7,7 +7,7 @@
 //! a separate run."
 
 use replipred_mva::ops::demand_from_utilization;
-use replipred_repl::standalone::{StandaloneSim, TxnFilter};
+use replipred_repl::standalone::{self, TxnFilter};
 use replipred_repl::{Seeded, SimConfig};
 use replipred_sim::engine::{Engine, Event};
 use replipred_sim::resource::{Fcfs, Ps, ServiceToken};
@@ -48,10 +48,7 @@ pub(crate) fn measure_transaction_demands_from(
     cfg: &SimConfig,
     filter: TxnFilter,
 ) -> MeasuredDemands {
-    let report = StandaloneSim::new(spec.clone(), cfg.clone())
-        .with_filter(filter)
-        .run_with_db_from(seeded)
-        .report;
+    let (report, _) = standalone::run(seeded, spec, cfg, filter);
     MeasuredDemands {
         cpu: demand_from_utilization(report.mean_cpu_utilization, report.throughput_tps),
         disk: demand_from_utilization(report.mean_disk_utilization, report.throughput_tps),

@@ -11,7 +11,7 @@
 //! simulation models the replicated certifier's latency (leader + two
 //! backups, batched disk writes) as the configured 12 ms delay, which the
 //! paper justifies in Section 6.3.2 and which our
-//! `sens_certifier` experiment revisits.
+//! `figures sens-certifier` experiment revisits.
 
 use std::borrow::Borrow;
 use std::sync::Arc;

@@ -54,9 +54,9 @@ impl Default for DurabilityConfig {
 
 impl DurabilityConfig {
     /// The amortized per-update-commit disk demand of the redo log:
-    /// `fsync_disk / group_commit` when enabled, zero otherwise. This is
-    /// the fsync-style disk term the profiler surfaces beyond the
-    /// paper's CPU/disk split.
+    /// `fsync_disk / group_commit` when enabled, zero otherwise. The
+    /// kernel adds it to every update commit's and writeset apply's disk
+    /// demand, so a durable profile measures it inside `wc`.
     pub fn log_disk_demand(&self) -> f64 {
         if self.enabled {
             self.fsync_disk / self.group_commit.max(1) as f64

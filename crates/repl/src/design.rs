@@ -25,7 +25,7 @@ use replipred_workload::spec::WorkloadSpec;
 use crate::config::SimConfig;
 use crate::kernel::Seeded;
 use crate::metrics::RunReport;
-use crate::standalone::StandaloneSim;
+use crate::standalone::{self, TxnFilter};
 use crate::{mm, sm};
 
 /// A mechanistic cluster simulation of one replication design running
@@ -80,8 +80,7 @@ impl Simulator {
             Design::Standalone => {
                 let n = self.cfg.replicas.max(1);
                 self.spec.clients_per_replica *= n;
-                let sim = StandaloneSim::new(self.spec, self.cfg);
-                let mut report = sim.run_with_db_from(seeded).report;
+                let mut report = standalone::run(seeded, &self.spec, &self.cfg, TxnFilter::All).0;
                 report.replicas = n;
                 report
             }

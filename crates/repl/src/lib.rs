@@ -40,8 +40,9 @@
 //!   are the guide to adding a design.
 //! - [`standalone`], `mm`, `sm` — the three policies: one node
 //!   committing locally (the profiling target and the `N = 1` anchor of
-//!   every measured curve — [`StandaloneSim`] is the profiler's handle
-//!   on it, with a transaction filter and the final database's stats);
+//!   every measured curve — [`standalone::run`], which the design
+//!   registry and the profiler both call, takes a transaction filter
+//!   and hands back the final database with the report);
 //!   any-replica routing with a certifier round trip;
 //!   master-for-updates routing with a relay log, election and
 //!   promotion.
@@ -91,6 +92,5 @@ pub use durable::NodeDurability;
 pub use kernel::Seeded;
 pub use metrics::RunReport;
 pub use replipred_core::{Design, Phase, Schedule, ScheduleEvent};
-pub use standalone::StandaloneSim;
 pub use transient::{TransientCollector, TransientReport};
 pub use wslog::WsLog;

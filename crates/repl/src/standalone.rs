@@ -8,11 +8,11 @@
 //! It is the replica kernel's one-node policy: no load-balancer hop, no
 //! propagation, updates commit under the node's own snapshot isolation,
 //! and cluster events in a shared schedule are acknowledged as ignored.
-//! On top of that it carries what the profiler needs — a transaction
-//! filter for the replay segments, and the final database, whose
-//! activity counters are the captured log, handed back with the report.
-//! The profiler's capture and replays run on clones of one [`Seeded`]
-//! image ([`StandaloneSim::run_with_db_from`]).
+//! [`run`] is the one way to run it, for the design registry
+//! ([`TxnFilter::All`]) and the profiler alike: it takes a transaction
+//! filter for the replay segments and hands back the final database,
+//! whose activity counters are the captured log, next to the report. The
+//! profiler's capture and replays run on clones of one [`Seeded`] image.
 
 use std::convert::Infallible;
 
@@ -26,15 +26,6 @@ use crate::kernel::{self, Attempt, Policy, Seeded, Sim, World};
 use crate::metrics::RunReport;
 use crate::wslog::WsLog;
 
-/// One-node closed-loop simulation: what the design registry runs for
-/// [`replipred_core::Design::Standalone`], plus the profiler's controls.
-pub struct StandaloneSim {
-    spec: WorkloadSpec,
-    cfg: SimConfig,
-    /// Restrict sampling to a transaction subset (profiler replay mode).
-    filter: TxnFilter,
-}
-
 /// Which transactions the clients submit (profiler log-replay segments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnFilter {
@@ -46,14 +37,15 @@ pub enum TxnFilter {
     UpdatesOnly,
 }
 
-/// Result of a standalone run: the report plus the final database (whose
-/// measurement-window stats the profiler consumes).
-pub struct StandaloneOutcome {
-    /// Measured performance.
-    pub report: RunReport,
-    /// The database after the run, its stats covering the measurement
-    /// window.
-    pub db: Database,
+impl TxnFilter {
+    /// Whether a transaction of this kind is submitted.
+    fn admits(self, is_update: bool) -> bool {
+        match self {
+            TxnFilter::All => true,
+            TxnFilter::ReadsOnly => !is_update,
+            TxnFilter::UpdatesOnly => is_update,
+        }
+    }
 }
 
 /// The one-node design: everything runs on node 0 and commits locally.
@@ -75,21 +67,14 @@ impl Policy for Solo {
         "db".to_string()
     }
 
-    /// Rejection-samples the mix to honor the profiler's replay filter.
+    /// Rejection-samples the mix to honor the profiler's replay filter;
+    /// [`run`] checks that some class can pass it.
     fn sample(w: &mut World<Self>, client: ClientId) -> TxnTemplate {
-        let mut t = w.pool.next_transaction(client);
-        let mut guard = 0;
         loop {
-            let ok = match w.policy.filter {
-                TxnFilter::All => true,
-                TxnFilter::ReadsOnly => !t.is_update,
-                TxnFilter::UpdatesOnly => t.is_update,
-            };
-            if ok || guard > 10_000 {
+            let t = w.pool.next_transaction(client);
+            if w.policy.filter.admits(t.is_update) {
                 return t;
             }
-            t = w.pool.next_transaction(client);
-            guard += 1;
         }
     }
 
@@ -123,64 +108,40 @@ impl Policy for Solo {
     }
 }
 
-impl StandaloneSim {
-    /// Creates a simulation of the full mix.
-    pub fn new(spec: WorkloadSpec, cfg: SimConfig) -> Self {
-        StandaloneSim {
-            spec,
-            cfg,
-            filter: TxnFilter::All,
-        }
-    }
-
-    /// Restricts the submitted transactions (profiler replay segments).
-    pub fn with_filter(mut self, filter: TxnFilter) -> Self {
-        self.filter = filter;
-        self
-    }
-
-    /// Seeds the workload, runs the simulation to completion and returns
-    /// the report and the final database state. Every call seeds its own
-    /// image; a caller running several simulations of one workload seeds
-    /// once and calls [`StandaloneSim::run_with_db_from`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload references tables it did not declare
-    /// (a workload-spec bug, not a data error).
-    pub fn run_with_db(self) -> StandaloneOutcome {
-        let seeded = Seeded::install(&self.spec, self.cfg.seed_scale);
-        self.run_with_db_from(&seeded)
-    }
-
-    /// Runs the simulation on a clone of `seeded` and returns the report
-    /// and the final database state; `seeded` is left as it was.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeded` was not seeded from this workload's tables at
-    /// this configuration's `seed_scale`.
-    pub fn run_with_db_from(self, seeded: &Seeded) -> StandaloneOutcome {
-        let solo = Solo {
-            filter: self.filter,
-            log: WsLog::new(),
-        };
-        let (report, mut world) = kernel::run(seeded, &self.spec, &self.cfg, 1, |_| solo);
-        let db = world.nodes.remove(0).db;
-        StandaloneOutcome { report, db }
-    }
-
-    /// Seeds the workload and runs the simulation, returning only the
-    /// report.
-    pub fn run(self) -> RunReport {
-        self.run_with_db().report
-    }
+/// Runs the one-node simulation on a clone of `seeded`, its clients
+/// submitting only what `filter` admits, and returns the report and the
+/// final database, its stats covering the measurement window. `seeded`
+/// is left as it was.
+///
+/// # Panics
+///
+/// Panics if no class of positive weight passes `filter`, or if `seeded`
+/// was not seeded from this workload's tables at `cfg.seed_scale`.
+pub fn run(
+    seeded: &Seeded,
+    spec: &WorkloadSpec,
+    cfg: &SimConfig,
+    filter: TxnFilter,
+) -> (RunReport, Database) {
+    assert!(
+        spec.classes
+            .iter()
+            .any(|c| c.weight > 0.0 && filter.admits(c.is_update)),
+        "workload {}: no transaction class passes {filter:?}",
+        spec.name
+    );
+    let solo = Solo {
+        filter,
+        log: WsLog::new(),
+    };
+    let (report, mut world) = kernel::run(seeded, spec, cfg, 1, |_| solo);
+    (report, world.nodes.remove(0).db)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use replipred_workload::{rubis, tpcw};
+    use replipred_workload::{rubis, synth, tpcw};
 
     fn quick_cfg(seed: u64) -> SimConfig {
         SimConfig {
@@ -188,6 +149,12 @@ mod tests {
             duration: 40.0,
             ..SimConfig::quick(1, seed)
         }
+    }
+
+    /// Seeds `spec` and runs it through `filter`.
+    fn simulate(spec: WorkloadSpec, cfg: SimConfig, filter: TxnFilter) -> RunReport {
+        let seeded = Seeded::install(&spec, cfg.seed_scale);
+        run(&seeded, &spec, &cfg, filter).0
     }
 
     #[test]
@@ -205,7 +172,7 @@ mod tests {
             .build()
             .unwrap();
         let mva = replipred_mva::exact::solve(&network, 40).unwrap();
-        let report = StandaloneSim::new(spec, quick_cfg(1)).run();
+        let report = simulate(spec, quick_cfg(1), TxnFilter::All);
         let rel = (report.throughput_tps - mva.throughput).abs() / mva.throughput;
         assert!(
             rel < 0.10,
@@ -218,7 +185,11 @@ mod tests {
 
     #[test]
     fn read_only_mix_has_no_aborts() {
-        let report = StandaloneSim::new(rubis::mix(rubis::Mix::Browsing), quick_cfg(2)).run();
+        let report = simulate(
+            rubis::mix(rubis::Mix::Browsing),
+            quick_cfg(2),
+            TxnFilter::All,
+        );
         assert_eq!(report.conflict_aborts, 0);
         assert_eq!(report.update_commits, 0);
         assert!(report.throughput_tps > 0.0);
@@ -230,7 +201,7 @@ mod tests {
         // operational law within noise.
         let spec = tpcw::mix(tpcw::Mix::Shopping);
         let d_cpu = 0.8 * spec.mean_read_cpu() + 0.2 * spec.mean_write_cpu();
-        let report = StandaloneSim::new(spec, quick_cfg(3)).run();
+        let report = simulate(spec, quick_cfg(3), TxnFilter::All);
         let expect = report.throughput_tps * d_cpu;
         assert!(
             (report.mean_cpu_utilization - expect).abs() < 0.05,
@@ -242,36 +213,68 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = StandaloneSim::new(tpcw::mix(tpcw::Mix::Shopping), quick_cfg(11)).run();
-        let b = StandaloneSim::new(tpcw::mix(tpcw::Mix::Shopping), quick_cfg(12)).run();
+        let a = simulate(
+            tpcw::mix(tpcw::Mix::Shopping),
+            quick_cfg(11),
+            TxnFilter::All,
+        );
+        let b = simulate(
+            tpcw::mix(tpcw::Mix::Shopping),
+            quick_cfg(12),
+            TxnFilter::All,
+        );
         assert_ne!(a.throughput_tps, b.throughput_tps);
     }
 
     #[test]
     fn filters_restrict_the_mix() {
-        let reads = StandaloneSim::new(tpcw::mix(tpcw::Mix::Shopping), quick_cfg(5))
-            .with_filter(TxnFilter::ReadsOnly)
-            .run();
-        assert_eq!(reads.update_commits, 0);
-        assert!(reads.read_commits > 0);
-        let updates = StandaloneSim::new(tpcw::mix(tpcw::Mix::Shopping), quick_cfg(5))
-            .with_filter(TxnFilter::UpdatesOnly)
-            .run();
-        assert_eq!(updates.read_commits, 0);
-        assert!(updates.update_commits > 0);
+        // Shopping, and a mix whose reads are 0.02 %: a replay draws
+        // until the filter admits, however rare the admitted class.
+        let rare_reads = SimConfig {
+            warmup: 1.0,
+            duration: 10.0,
+            ..SimConfig::quick(1, 2)
+        };
+        let mixes = [
+            (tpcw::mix(tpcw::Mix::Shopping), quick_cfg(5)),
+            (synth::parse("pw=0.9998").unwrap(), rare_reads),
+        ];
+        for (spec, cfg) in mixes {
+            let reads = simulate(spec.clone(), cfg.clone(), TxnFilter::ReadsOnly);
+            assert_eq!(reads.update_commits, 0, "{}", spec.name);
+            assert!(reads.read_commits > 0, "{}", spec.name);
+            let updates = simulate(spec.clone(), cfg, TxnFilter::UpdatesOnly);
+            assert_eq!(updates.read_commits, 0, "{}", spec.name);
+            assert!(updates.update_commits > 0, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no transaction class passes ReadsOnly")]
+    fn a_filter_no_class_passes_is_refused() {
+        let spec = synth::parse("pw=1").unwrap();
+        simulate(spec, quick_cfg(6), TxnFilter::ReadsOnly);
     }
 
     #[test]
     fn abort_rate_is_small_for_standard_tpcw() {
         // Paper: A1 < 0.023% for all TPC-W mixes. Our mechanistic A1 must
         // also be tiny (same DbUpdateSize, similar rates).
-        let report = StandaloneSim::new(tpcw::mix(tpcw::Mix::Ordering), quick_cfg(13)).run();
+        let report = simulate(
+            tpcw::mix(tpcw::Mix::Ordering),
+            quick_cfg(13),
+            TxnFilter::All,
+        );
         assert!(report.abort_rate < 0.01, "A1 = {}", report.abort_rate);
     }
 
     #[test]
     fn ramps_apply_and_cluster_events_are_ignored() {
-        let base = StandaloneSim::new(tpcw::mix(tpcw::Mix::Shopping), quick_cfg(31)).run();
+        let base = simulate(
+            tpcw::mix(tpcw::Mix::Shopping),
+            quick_cfg(31),
+            TxnFilter::All,
+        );
         let cfg = SimConfig {
             schedule: replipred_core::Schedule::new()
                 .crash(15.0, 0)
@@ -279,7 +282,7 @@ mod tests {
                 .window(5.0),
             ..quick_cfg(31)
         };
-        let surged = StandaloneSim::new(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
+        let surged = simulate(tpcw::mix(tpcw::Mix::Shopping), cfg, TxnFilter::All);
         let t = surged.transient.as_ref().expect("transient present");
         let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
         assert_eq!(

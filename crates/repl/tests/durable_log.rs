@@ -88,7 +88,10 @@ impl Rig {
         let ws = &self.history[seq as usize - 1];
         let version = self.node.apply_writeset(ws).unwrap();
         self.d.log(seq, version, ws);
-        self.wal.append_commit(version, ws);
+        self.wal.append(&WalRecord::Commit {
+            seq: version,
+            writeset: ws.clone(),
+        });
         self.pending += 1;
         if self.pending == self.group {
             self.sealed += self.pending;

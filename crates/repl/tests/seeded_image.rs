@@ -10,9 +10,9 @@
 //! crashes and recovers from its image, cells of other client counts and
 //! seeds, in forward and in reverse order from one image.
 
+use replipred_repl::standalone::{self, TxnFilter};
 use replipred_repl::{
     Design, DurabilityConfig, RunReport, Schedule, Seeded, SimConfig, SimulatorRegistry,
-    StandaloneSim,
 };
 use replipred_workload::spec::WorkloadSpec;
 use replipred_workload::{heap, tpcw};
@@ -87,12 +87,16 @@ fn cells_from_one_shared_image_report_what_fresh_cells_report() {
 #[test]
 fn a_standalone_capture_from_a_shared_image_counts_what_a_fresh_one_counts() {
     let cfg = windows(1, 7);
-    let fresh = StandaloneSim::new(workload(), cfg.clone()).run_with_db();
+    let fresh_image = Seeded::install(&workload(), cfg.seed_scale);
+    let (report, db) = standalone::run(&fresh_image, &workload(), &cfg, TxnFilter::All);
+    // The profiler's capture is the design registry's `n = 1` cell.
+    let cell = Design::Standalone.simulator(workload(), cfg.clone()).run();
+    assert_eq!(cell, report);
     let seeded = Seeded::install(&workload(), cfg.seed_scale);
     for _ in 0..2 {
-        let shared = StandaloneSim::new(workload(), cfg.clone()).run_with_db_from(&seeded);
-        assert_eq!(shared.report, fresh.report);
-        assert_eq!(shared.db.stats(), fresh.db.stats());
-        assert_eq!(shared.db.durable_state(), fresh.db.durable_state());
+        let (shared, shared_db) = standalone::run(&seeded, &workload(), &cfg, TxnFilter::All);
+        assert_eq!(shared, report);
+        assert_eq!(shared_db.stats(), db.stats());
+        assert_eq!(shared_db.durable_state(), db.durable_state());
     }
 }

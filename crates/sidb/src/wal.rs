@@ -172,16 +172,12 @@ pub(crate) fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
                 put_str(out, c);
             }
         }
-        WalRecord::Commit { seq, writeset } => encode_commit(out, *seq, writeset),
+        WalRecord::Commit { seq, writeset } => {
+            out.push(TAG_COMMIT);
+            put_u64(out, *seq);
+            put_writeset(out, writeset);
+        }
     }
-}
-
-/// The encoding of `WalRecord::Commit { seq, writeset }`, from borrowed
-/// parts.
-fn encode_commit(out: &mut Vec<u8>, seq: u64, writeset: &WriteSet) {
-    out.push(TAG_COMMIT);
-    put_u64(out, seq);
-    put_writeset(out, writeset);
 }
 
 /// Bounded-checked byte reader; every accessor returns `None` past the
@@ -347,18 +343,6 @@ impl WalWriter {
     /// Appends one record, sealing the group's frame when full.
     pub fn append(&mut self, rec: &WalRecord) {
         encode_record(&mut self.pending, rec);
-        self.appended();
-    }
-
-    /// Appends `WalRecord::Commit { seq, writeset }` without owning the
-    /// writeset: same bytes as [`WalWriter::append`], for callers that
-    /// log a writeset they only borrow.
-    pub fn append_commit(&mut self, seq: u64, writeset: &WriteSet) {
-        encode_commit(&mut self.pending, seq, writeset);
-        self.appended();
-    }
-
-    fn appended(&mut self) {
         self.pending_records += 1;
         if self.pending_records >= self.group {
             self.seal();
@@ -525,22 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn borrowing_append_writes_the_same_bytes() {
-        let (owned, _) = sample_log(7, 3);
-        let mut borrowed = WalWriter::new(3);
-        borrowed.append(&WalRecord::CreateTable {
-            name: "items".into(),
-            columns: vec!["a".into(), "b".into()],
-        });
-        for seq in 1..=7 {
-            borrowed.append_commit(seq, &sample_ws(seq));
-        }
-        assert_eq!(borrowed.bytes(), owned.bytes());
-        assert_eq!(borrowed.pending_records(), owned.pending_records());
-        assert_eq!(borrowed.into_bytes(), owned.into_bytes());
-    }
-
-    #[test]
     fn discard_pending_drops_only_the_unsealed_group() {
         // 1 create + 7 commits, group 3: two frames sealed, two pending.
         let (mut w, recs) = sample_log(7, 3);
@@ -550,7 +518,10 @@ mod tests {
         assert_eq!(w.pending_records(), 0);
         assert_eq!(w.bytes(), &sealed[..]);
         // The next group starts clean: the lost records never reappear.
-        w.append_commit(6, &sample_ws(6));
+        w.append(&WalRecord::Commit {
+            seq: 6,
+            writeset: sample_ws(6),
+        });
         w.flush();
         let got = scan(w.bytes()).records;
         assert_eq!(got[..6], recs[..6]);

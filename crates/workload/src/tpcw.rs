@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn update_ops_mean_is_u() {
         // Equal weights over {2, 4} writes -> U = 3, the calibration choice
-        // documented in DESIGN.md.
+        // documented on `UPDATE_SHAPE`.
         let s = mix(Mix::Shopping);
         assert!((s.mean_update_ops() - 3.0).abs() < 1e-12);
     }

@@ -435,7 +435,7 @@ fn abort_scaling(s: &mut Session, out: &mut String) -> fmt::Result {
     Ok(())
 }
 
-/// Ablation (DESIGN.md §5.2): certifier as a delay center vs the
+/// Ablation: certifier as a delay center vs the
 /// mechanistic certifier. The model treats certification as a fixed
 /// 12 ms delay; the simulation has a real certifier with version-based
 /// conflict detection. Comparing MM predictions against simulation across
@@ -460,7 +460,7 @@ fn certifier_model(s: &mut Session, out: &mut String) -> fmt::Result {
     Ok(())
 }
 
-/// Ablation (DESIGN.md §5.3): the conflict-window fixed point.
+/// Ablation: the conflict-window fixed point.
 ///
 /// The paper interleaves the CW(N)/A_N update with MVA's client
 /// iteration, which "slightly underestimates the abort probability".
@@ -494,7 +494,7 @@ fn cw_fixed_point(_: &mut Session, out: &mut String) -> fmt::Result {
     Ok(())
 }
 
-/// Ablation (DESIGN.md §5.4): exact vs Schweitzer-approximate MVA.
+/// Ablation: exact vs Schweitzer-approximate MVA.
 /// Quantifies the approximation error across population sizes.
 // Solver cost on this network is measured by the benchmark's model layer
 // (`mva.exact_us_n640`, `mva.schweitzer_us_n640`), not here.
@@ -551,7 +551,7 @@ fn mva_exact_vs_approx(_: &mut Session, out: &mut String) -> fmt::Result {
     Ok(())
 }
 
-/// Ablation (DESIGN.md §5.1): model driven by *profiled* parameters vs
+/// Ablation: model driven by *profiled* parameters vs
 /// the workload's ground-truth means. Quantifies how much prediction
 /// error the measurement pipeline itself introduces.
 fn profiled_vs_truth(s: &mut Session, out: &mut String) -> fmt::Result {
@@ -568,7 +568,6 @@ fn profiled_vs_truth(s: &mut Session, out: &mut String) -> fmt::Result {
         l1: profiled.l1,
         update_ops: spec.mean_update_ops(),
         db_update_size: spec.db_update_size as f64,
-        log_disk: 0.0,
     };
     truth
         .estimate_l1(spec.clients_per_replica, 1.0)

@@ -18,9 +18,9 @@
 mod common;
 
 use replipred::model::Design;
-use replipred::repl::standalone::TxnFilter;
+use replipred::repl::standalone::{self, TxnFilter};
 use replipred::repl::{
-    DurabilityConfig, RunReport, Schedule, SimConfig, SimulatorRegistry, StandaloneSim,
+    DurabilityConfig, RunReport, Schedule, Seeded, SimConfig, SimulatorRegistry,
 };
 use replipred::sidb::DbStats;
 use replipred::workload::spec::WorkloadSpec;
@@ -172,12 +172,12 @@ fn cases() -> Vec<(&'static str, String)> {
             ),
         ),
         ("standalone_updates_only_statement_log", {
-            let outcome = StandaloneSim::new(ordering(), cfg(1, Schedule::default(), off()))
-                .with_filter(TxnFilter::UpdatesOnly)
-                .run_with_db();
+            let (spec, cfg) = (ordering(), cfg(1, Schedule::default(), off()));
+            let seeded = Seeded::install(&spec, cfg.seed_scale);
+            let (report, db) = standalone::run(&seeded, &spec, &cfg, TxnFilter::UpdatesOnly);
             pretty(&ReplayOutcome {
-                report: outcome.report,
-                db_stats: outcome.db.stats(),
+                report,
+                db_stats: db.stats(),
             })
         }),
     ]

@@ -31,11 +31,16 @@ fn published_profiles_construct_and_validate() {
 #[test]
 fn profile_json_roundtrips_through_pretty_form() {
     // The CLI writes pretty JSON (`profile --json`); the `@path` reader
-    // must accept it unchanged.
+    // must accept it unchanged, and a profile saved by a durable profiler
+    // of older builds, with its trailing `log_disk` term, still loads.
     for p in published() {
         let json = serde_json::to_string_pretty(&p).unwrap();
-        let back: WorkloadProfile = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back, "pretty JSON round-trip changed {}", p.name);
+        let (body, end) = json.rsplit_once('}').unwrap();
+        let saved = format!("{},\n  \"log_disk\": 0.001\n}}{end}", body.trim_end());
+        for json in [json.as_str(), saved.as_str()] {
+            let back: WorkloadProfile = serde_json::from_str(json).unwrap();
+            assert_eq!(p, back, "pretty JSON round-trip changed {}", p.name);
+        }
     }
 }
 

@@ -73,7 +73,6 @@ fn model_profile(
         l1: cpu[1] + disk[1],
         update_ops: 3.0,
         db_update_size: 10_000.0,
-        log_disk: 0.0,
     };
     profile.estimate_l1(clients, 1.0).unwrap();
     profile
