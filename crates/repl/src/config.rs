@@ -26,7 +26,8 @@ pub struct DurabilityConfig {
     /// `fsync_disk / group_commit`.
     #[serde(default = "default_fsync_disk")]
     pub fsync_disk: f64,
-    /// Writesets retained in the in-memory relay log past the slowest
+    /// Writesets retained in the run's writeset log — the single-master
+    /// relay log or the multi-master certifier log — past the slowest
     /// replica (0 = unbounded). Rejoiners whose applied index predates
     /// the truncation point fall back to a checkpoint state transfer.
     #[serde(default)]

@@ -112,6 +112,9 @@ impl SimulatorRegistry for Design {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DurabilityConfig;
+    use crate::durable::DurabilityCounts;
+    use crate::kernel::{Policy, World};
     use replipred_core::Schedule;
     use replipred_workload::tpcw;
 
@@ -223,5 +226,189 @@ mod tests {
         // `clients` shows the whole load landed on the one machine.
         assert_eq!(report.replicas, 3);
         assert_eq!(report.clients, 120);
+    }
+
+    /// The designs that crash, rejoin and propagate.
+    const CLUSTERS: [Design; 2] = [Design::MultiMaster, Design::SingleMaster];
+
+    /// What the crash-and-rejoin tests read off a finished cluster run.
+    struct Rejoined {
+        report: RunReport,
+        state_transfers: u64,
+        /// Per node: its redo log's counts and length, when durable.
+        durable: Vec<Option<(DurabilityCounts, usize)>>,
+        /// Per node: its state once it retired the log's tail (`None`
+        /// unless it ended Up).
+        drained: Vec<Option<String>>,
+    }
+
+    impl Rejoined {
+        fn of<P: Policy>((report, world): (RunReport, World<P>)) -> Self {
+            Rejoined {
+                report,
+                state_transfers: world.probe().state_transfers,
+                durable: world
+                    .nodes
+                    .iter()
+                    .map(|n| n.durable.as_ref().map(|d| (d.counts(), d.log_len())))
+                    .collect(),
+                drained: world.drained(),
+            }
+        }
+
+        /// Whether every node ended Up and in the same state.
+        fn converged(&self) -> bool {
+            self.drained[0].is_some() && self.drained.iter().all(|s| *s == self.drained[0])
+        }
+    }
+
+    /// Runs tpcw-shopping on `design`'s cluster.
+    fn cluster(design: Design, cfg: &SimConfig) -> Rejoined {
+        let spec = tpcw::mix(tpcw::Mix::Shopping);
+        let seeded = Seeded::install(&spec, cfg.seed_scale);
+        match design {
+            Design::MultiMaster => Rejoined::of(mm::run(&seeded, &spec, cfg)),
+            Design::SingleMaster => Rejoined::of(sm::run(&seeded, &spec, cfg)),
+            Design::Standalone => unreachable!("the standalone node never crashes"),
+        }
+    }
+
+    fn durable(mut cfg: SimConfig) -> SimConfig {
+        cfg.durability = DurabilityConfig {
+            enabled: true,
+            ..DurabilityConfig::default()
+        };
+        cfg
+    }
+
+    #[test]
+    fn durable_crash_rejoin_recovers_from_the_redo_log() {
+        // With durability on, crashed replica 0 (the master, under
+        // single-master) rebuilds from its image + redo log and replays
+        // only the log's tail — never a full state transfer while the
+        // log is unbounded.
+        let cfg = SimConfig {
+            schedule: Schedule::new().crash(18.0, 0).join(28.0, 0).window(2.0),
+            ..durable(quick(42))
+        };
+        for design in CLUSTERS {
+            let a = cluster(design, &cfg);
+            assert_eq!(
+                a.state_transfers, 0,
+                "{design}: unbounded log: rejoin must replay, not transfer"
+            );
+            let (counts, _) = a.durable[0].expect("durability is on");
+            assert!(counts.replayed > 0, "{design}: {counts:?}");
+            let t = a.report.transient.as_ref().expect("transient present");
+            let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
+            assert_eq!(echoed, ["crash replica 0", "rejoin replica 0"], "{design}");
+            assert!(a.report.update_commits > 0, "{design}");
+            assert!(a.converged(), "{design}: replicas diverged");
+            let b = simulate(design, cfg.clone());
+            assert_eq!(
+                a.report, b,
+                "{design}: durable recovery must stay deterministic"
+            );
+        }
+    }
+
+    #[test]
+    fn two_crashes_in_one_vacuum_interval_lose_no_writeset() {
+        // Vacuum (and with it the checkpoint) ticks every 10 s, so both
+        // crashes of replica 1 fall between the ticks at 30 and 40: the
+        // second recovery replays what the first rejoin re-logged. A
+        // stale unsealed group left in the log by the first crash made
+        // that replay stop short and the node skip writesets for good.
+        let cfg = SimConfig {
+            warmup: 20.0,
+            duration: 25.0,
+            schedule: Schedule::new()
+                .crash(31.0, 1)
+                .join(33.0, 1)
+                .crash(36.0, 1)
+                .join(38.0, 1)
+                .window(5.0),
+            durability: DurabilityConfig {
+                enabled: true,
+                group_commit: 8,
+                ..DurabilityConfig::default()
+            },
+            ..SimConfig::quick(3, 2009)
+        };
+        for design in CLUSTERS {
+            let r = cluster(design, &cfg);
+            assert_eq!(r.state_transfers, 0, "{design}");
+            // Replica 1 rejoined, and once every replica retired the
+            // log's tail, all of them — the single-master master
+            // included — hold the same state.
+            assert!(r.converged(), "{design}: replicas diverged");
+        }
+    }
+
+    #[test]
+    fn every_logged_record_is_folded_dropped_or_still_in_the_log() {
+        // Replica 0 crashes and rejoins, then replica 1 does twice
+        // between two ticks (at 30 and 40 s), with no state transfer:
+        // records leave a node's redo log at ticks, crashes and nowhere
+        // else.
+        let cfg = SimConfig {
+            warmup: 20.0,
+            duration: 25.0,
+            schedule: Schedule::new()
+                .crash(22.0, 0)
+                .join(26.0, 0)
+                .crash(31.0, 1)
+                .join(33.0, 1)
+                .crash(36.0, 1)
+                .join(38.0, 1)
+                .window(5.0),
+            ..durable(SimConfig::quick(3, 2009))
+        };
+        for design in CLUSTERS {
+            let r = cluster(design, &cfg);
+            assert_eq!(r.state_transfers, 0, "{design}");
+            let mut counts = Vec::new();
+            for (i, durable) in r.durable.iter().enumerate() {
+                let (c, log_len) = durable.expect("durability is on");
+                assert!(c.folded > 0, "{design} replica {i} ticked: {c:?}");
+                assert_eq!(c.superseded, 0, "{design} replica {i}: {c:?}");
+                assert_eq!(
+                    c.logged,
+                    c.folded + c.dropped + log_len as u64,
+                    "{design} replica {i}: {c:?}"
+                );
+                counts.push(c);
+            }
+            // Both crashed nodes recovered from sealed records, and
+            // replica 1 lost an unsealed group; the bystander did neither.
+            assert!(counts[0].replayed > 0 && counts[1].replayed > 0, "{design}");
+            assert!(counts[1].dropped > 0, "{design}");
+            assert_eq!((counts[2].dropped, counts[2].replayed), (0, 0), "{design}");
+        }
+    }
+
+    #[test]
+    fn tiny_retention_forces_a_checkpoint_state_transfer() {
+        // A 4-entry retention cap guarantees the log outruns a
+        // 20-second-down replica, exercising the fallback path.
+        let cfg = SimConfig {
+            replicas: 3,
+            schedule: Schedule::new().crash(15.0, 1).join(35.0, 1).window(2.0),
+            durability: DurabilityConfig {
+                enabled: true,
+                log_retention: 4,
+                ..DurabilityConfig::default()
+            },
+            ..quick(51)
+        };
+        for design in CLUSTERS {
+            let r = cluster(design, &cfg);
+            assert!(
+                r.state_transfers >= 1,
+                "{design}: capped log must force a state transfer"
+            );
+            assert!(r.report.update_commits > 0, "{design}");
+            assert!(r.report.throughput_tps > 0.0, "{design}");
+        }
     }
 }

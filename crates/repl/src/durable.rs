@@ -18,7 +18,7 @@
 //! the rest; a rejoin *actually rebuilds* the node's database from it —
 //! a copy of the image plus the sealed records — instead of trusting
 //! the in-memory state to have survived, and then replays only the
-//! writesets past the durable point from the cluster relay log.
+//! writesets past the durable point from the cluster's writeset log.
 //! Catch-up lag thereby becomes replay cost.
 //!
 //! Two sequence spaces meet here: a record carries the node's *local*
@@ -165,7 +165,7 @@ impl NodeDurability {
     }
 
     /// The relay sequence recoverable from durable state alone: the
-    /// image's plus one per sealed record. The relay log must retain
+    /// image's plus one per sealed record. The cluster's log must retain
     /// sequences above this for the node to rejoin without a state
     /// transfer.
     pub fn durable_seq(&self) -> u64 {

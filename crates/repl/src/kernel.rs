@@ -35,7 +35,6 @@
 //! |---|---|
 //! | [`Policy::LB_HOP`] | whether a load-balancer hop separates `Think` from dispatch |
 //! | [`Policy::WS_SALT`] | the salt of the writeset-demand RNG stream |
-//! | [`Policy::DURABLE_REJOIN`] | whether nodes keep a durable image + redo log and rejoin by recovery, and the log honours the retention cap |
 //! | [`Policy::label`] | the node's name in the utilisation report |
 //! | [`Policy::sample`] | which transaction a client submits (default: the mix) |
 //! | [`Policy::route`], [`Policy::park`] | where a transaction runs, and where it waits when nowhere |
@@ -62,8 +61,9 @@
 //!   the slot arrays: a row image is shared, so the image, the replicas
 //!   (and a durable node's image) hold one allocation of every seeded
 //!   row between them until one of them writes it.
-//! - **A commit's writeset is shared, not copied.** The policy wraps it
-//!   in one `Arc` at commit; the log entry, every [`WsApply`] in flight,
+//! - **A commit's writeset is shared, not copied.** It is wrapped in one
+//!   `Arc` at commit — by [`commit_local`], or by a policy that certifies
+//!   it elsewhere; the log entry, every [`WsApply`] in flight,
 //!   every apply queue and every durable node's redo log hold that `Arc`,
 //!   and each replica installs the row images it carries by bumping
 //!   their counts. Fan-out costs events and map nodes per extra replica,
@@ -94,15 +94,14 @@
 //! - **Log floor.** At vacuum cadence the log is truncated below the
 //!   minimum sequence any node (Down and CatchingUp included) can still
 //!   need, so catch-up never reads a truncated entry unless the run caps
-//!   retention (`DurabilityConfig::log_retention`, honoured for
-//!   [`Policy::DURABLE_REJOIN`] designs) — which the checkpoint state
-//!   transfer covers.
+//!   retention (`DurabilityConfig::log_retention`, in every design) —
+//!   which the checkpoint state transfer covers.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use replipred_core::ScheduleEvent;
-use replipred_sidb::{CommitInfo, Database, TxnId, WriteSet};
+use replipred_sidb::{Database, TxnId, WriteSet};
 use replipred_sim::engine::{Engine, Event};
 use replipred_sim::resource::{Fcfs, Ps, ServiceToken};
 use replipred_sim::{Rng, SimTime};
@@ -144,11 +143,6 @@ pub(crate) trait Policy: Sized + 'static {
     const LB_HOP: bool;
     /// Salt of the writeset-demand RNG stream (`seed ^ WS_SALT`).
     const WS_SALT: u64;
-    /// Whether nodes mirror commits into a [`NodeDurability`] (when the
-    /// run enables durability) and rejoin by recovering from it, and
-    /// whether the log honours the run's retention cap (rejoiners that
-    /// fall behind it take a state transfer).
-    const DURABLE_REJOIN: bool;
 
     /// Node `node`'s name in the utilisation report.
     fn label(w: &World<Self>, node: usize) -> String;
@@ -262,8 +256,8 @@ pub(crate) struct World<P: Policy> {
     /// Amortized group-commit disk surcharge per logged commit
     /// (`DurabilityConfig::log_disk_demand`; 0 with durability off).
     log_disk: f64,
-    /// Hard log retention cap, entries (0 = unbounded; always 0 unless
-    /// the design is [`Policy::DURABLE_REJOIN`]).
+    /// Hard log retention cap, entries (0 = unbounded): rejoiners that
+    /// fall behind it take a checkpoint state transfer.
     log_retention: u64,
     /// Transactions with no live node to run on, drained on rejoin.
     pub(crate) stranded: VecDeque<Waiter>,
@@ -572,7 +566,7 @@ pub(crate) fn build<P: Policy>(
     let mut dbs = vec![seeded.db.clone(); n];
     let policy = policy(&mut dbs);
     let log_seq = policy.log().next_seq() - 1;
-    let durable = P::DURABLE_REJOIN && cfg.durability.enabled;
+    let durable = cfg.durability.enabled;
     let nodes = dbs
         .into_iter()
         .map(|db| Node {
@@ -613,11 +607,7 @@ pub(crate) fn build<P: Policy>(
             .enabled()
             .then(|| TransientCollector::new(schedule, cfg.warmup, cfg.end_time())),
         log_disk: cfg.durability.log_disk_demand(),
-        log_retention: if P::DURABLE_REJOIN {
-            cfg.durability.log_retention
-        } else {
-            0
-        },
+        log_retention: cfg.durability.log_retention,
         stranded: VecDeque::new(),
         state_transfers: 0,
     };
@@ -795,13 +785,21 @@ fn complete_attempt<P: Policy>(engine: &mut Sim<P>, a: Attempt) {
 }
 
 /// Commits an update under the node's own snapshot-isolation concurrency
-/// control. A write-write conflict goes to [`conflict`] and yields `None`.
+/// control and returns its writeset, wrapped in the one `Arc` every
+/// holder shares. The node advances past it as if it had applied it —
+/// logging it when durable, the one place a local commit is logged. A
+/// write-write conflict goes to [`conflict`] and yields `None`.
 pub(crate) fn commit_local<P: Policy>(
     engine: &mut Sim<P>,
     a: Attempt,
-) -> Option<(Attempt, CommitInfo)> {
-    match engine.world_mut().nodes[a.node].db.commit(a.txn) {
-        Ok(info) => Some((a, info)),
+) -> Option<(Attempt, Arc<WriteSet>)> {
+    let node = &mut engine.world_mut().nodes[a.node];
+    match node.db.commit(a.txn) {
+        Ok(info) => {
+            let writeset = Arc::new(info.writeset);
+            node.advanced(info.commit_seq, &writeset);
+            Some((a, writeset))
+        }
         Err(e) if e.is_conflict() => {
             conflict(engine, a);
             None
@@ -941,9 +939,9 @@ impl<P: Policy> Node<P> {
     }
 
     /// The database took the writeset at `apply_next` as `version` — applied
-    /// here, or committed here by a master: log it if durable (a count
-    /// bump of the shared writeset), and move on.
-    pub(crate) fn advanced(&mut self, version: u64, ws: &Arc<WriteSet>) {
+    /// here ([`Node::replay`]) or committed here ([`commit_local`]): log it
+    /// if durable (a count bump of the shared writeset), and move on.
+    fn advanced(&mut self, version: u64, ws: &Arc<WriteSet>) {
         if let Some(d) = self.durable.as_mut() {
             d.log_shared(self.apply_next, version, Arc::clone(ws));
         }
@@ -1049,11 +1047,11 @@ fn crash<P: Policy>(engine: &mut Sim<P>, i: usize) -> bool {
     true
 }
 
-/// Starts a dead node's rejoin. A durable node *rebuilds* its database
-/// from its frozen image + redo log — the in-memory state is gone with
-/// the crash — paying the redo-log replay as lag before log catch-up
-/// starts. Otherwise the in-memory state is assumed to have survived (the
-/// pre-durability model) and catch-up starts immediately.
+/// Starts a dead node's rejoin. With durability on — in every design —
+/// the node *rebuilds* its database from its frozen image + redo log (the
+/// in-memory state is gone with the crash), paying the redo-log replay as
+/// lag before log catch-up starts. A run without durability assumes the
+/// in-memory state survived, and catch-up starts immediately.
 fn join<P: Policy>(engine: &mut Sim<P>, i: usize) -> bool {
     let w = engine.world_mut();
     let per_ws = ws_demand(w);
@@ -1199,6 +1197,37 @@ impl<P: Policy> World<P> {
             state_transfers: self.state_transfers,
         }
     }
+
+    /// Every Up node's `durable_state()` once it has retired the rest of
+    /// the log: a copy of its database with the log from its `apply_next`
+    /// to the head applied. Nodes that converged read the same; a node
+    /// that is down or still catching up reads `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log no longer holds an Up node's tail.
+    pub(crate) fn drained(&self) -> Vec<Option<String>> {
+        let log = self.policy.log();
+        let head = log.next_seq() - 1;
+        self.nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                if node.state != NodeState::Up {
+                    return None;
+                }
+                let mut db = node.db.clone();
+                let missed = log
+                    .range_from(node.apply_next, head)
+                    .unwrap_or_else(|| panic!("the log lost Up node {i}'s tail"));
+                for ws in missed {
+                    db.apply_writeset(ws)
+                        .expect("writeset references seeded tables");
+                }
+                Some(db.durable_state())
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -1224,7 +1253,6 @@ mod tests {
         type Ev = Infallible;
         const LB_HOP: bool = true;
         const WS_SALT: u64 = 1;
-        const DURABLE_REJOIN: bool = false;
 
         fn label(_: &World<Self>, node: usize) -> String {
             format!("node{node}")
@@ -1527,17 +1555,31 @@ mod tests {
             assert!(engine.step());
         }
         // Node 0 commits one update; the kernel logs and propagates it.
-        let w = engine.world_mut();
-        let db = &mut w.nodes[0].db;
+        let db = &mut engine.world_mut().nodes[0].db;
         let items = db.table_id("items").unwrap();
         let txn = db.begin();
         let mut image = db.read(txn, items, RowId(3)).unwrap().unwrap().clone();
         image[1] = Value::Int(7);
         db.update(txn, items, RowId(3), image).unwrap();
-        let info = db.commit(txn).unwrap();
-        let ws = Arc::new(info.writeset);
-        let seq = w.policy.log.push(Arc::clone(&ws));
-        w.nodes[0].advanced(info.commit_seq, &ws);
+        let template = TxnTemplate {
+            class: 0,
+            is_update: true,
+            cpu_demand: 0.0,
+            disk_demand: 0.0,
+            reads: Vec::new(),
+            writes: Vec::new(),
+        };
+        let a = Attempt {
+            client: ClientId(0),
+            node: 0,
+            txn,
+            template,
+            started: 0.0,
+            attempt: 0,
+            epoch: 0,
+        };
+        let (_, ws) = commit_local(&mut engine, a).expect("no concurrent writer");
+        let seq = engine.world_mut().policy.log.push(Arc::clone(&ws));
         fan_out(&mut engine, 0, seq, &ws);
 
         // Half a second on, node 1 has the writeset on its disk …

@@ -28,12 +28,6 @@
 //! until restart; client-population ramps park or wake closed-loop
 //! clients. A disabled schedule leaves the run byte-identical to a
 //! schedule-free build.
-//!
-//! Durability here is the fsync surcharge only: a crashed replica keeps
-//! its in-memory image and replays the certifier log on rejoin. Giving
-//! it single-master's recovery-based rejoin (and the retention cap that
-//! comes with it) is flipping `DURABLE_REJOIN` — deliberately not done
-//! here because it moves every durable multi-master fault report.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -74,7 +68,6 @@ impl Policy for Mm {
     type Ev = CertRequest;
     const LB_HOP: bool = true;
     const WS_SALT: u64 = 0xD15C_0FFE;
-    const DURABLE_REJOIN: bool = false;
 
     fn label(_: &World<Self>, node: usize) -> String {
         format!("replica{node}")
@@ -295,11 +288,14 @@ mod tests {
 
     #[test]
     fn replicas_converge_after_quiescence() {
-        // Determinism + total order: all replicas apply the same writeset
-        // sequence, so their versions advance identically. (Full state
-        // equality is exercised in the integration tests.)
-        let report = sim(tpcw::mix(tpcw::Mix::Shopping), quick(2, 5)).run();
+        // Total order: every replica retires the certifier's sequence, so
+        // once each has applied the log's tail it has not retired yet,
+        // all of them hold the same state.
+        let (report, world) = run_shopping(&quick(2, 5));
         assert!(report.update_commits > 0);
+        let states = world.drained();
+        assert!(states[0].is_some(), "replica 0 is Up");
+        assert!(states.iter().all(|s| *s == states[0]), "replicas diverged");
     }
 
     #[test]

@@ -23,7 +23,6 @@
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
-use std::sync::Arc;
 
 use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 
@@ -60,7 +59,6 @@ impl Policy for Sm {
     type Ev = Infallible;
     const LB_HOP: bool = true;
     const WS_SALT: u64 = 0x5A5A_1234;
-    const DURABLE_REJOIN: bool = true;
 
     fn label(w: &World<Self>, node: usize) -> String {
         if node == w.policy.master {
@@ -91,19 +89,20 @@ impl Policy for Sm {
     /// Master-local SI certification, then relay: the writeset is logged
     /// and sent to every live slave, which retire strictly in master
     /// commit order. The master's own `apply_next` is the log head — its
-    /// database holds everything it committed — so a commit advances the
-    /// master the way an apply advances a slave ([`kernel::Node::advanced`]).
+    /// database holds everything it committed — and [`kernel::commit_local`]
+    /// has already advanced it past this commit.
     fn commit_update(engine: &mut Sim<Self>, a: Attempt) {
         debug_assert_eq!(a.node, engine.world().policy.master);
-        let Some((a, info)) = kernel::commit_local(engine, a) else {
+        let Some((a, writeset)) = kernel::commit_local(engine, a) else {
             return;
         };
         let w = engine.world_mut();
         let seq = w.policy.ws_log.next_seq();
-        let master = &mut w.nodes[a.node];
-        debug_assert_eq!(master.apply_next, seq, "a master has applied the whole log");
-        let writeset = Arc::new(info.writeset);
-        master.advanced(info.commit_seq, &writeset);
+        debug_assert_eq!(
+            w.nodes[a.node].apply_next,
+            seq + 1,
+            "a master has applied the whole log"
+        );
         kernel::fan_out(engine, a.node, seq, &writeset);
         engine.world_mut().policy.ws_log.push(writeset);
         kernel::respond(engine, &a);
@@ -375,14 +374,6 @@ mod tests {
         );
     }
 
-    fn durable(mut cfg: SimConfig) -> SimConfig {
-        cfg.durability = DurabilityConfig {
-            enabled: true,
-            ..DurabilityConfig::default()
-        };
-        cfg
-    }
-
     #[test]
     fn relay_log_stays_bounded_under_steady_load() {
         // Pre-WsLog the relay log grew linearly with committed writesets;
@@ -403,142 +394,6 @@ mod tests {
             probe.log_seq
         );
         assert!(probe.log_len <= probe.log_peak);
-    }
-
-    #[test]
-    fn durable_crash_rejoin_recovers_from_the_redo_log() {
-        // With durability on, the crashed ex-master rebuilds from its
-        // image + redo log and replays only the relay tail — never a full
-        // state transfer while the log is unbounded.
-        let cfg = SimConfig {
-            schedule: Schedule::new().crash(18.0, 0).join(28.0, 0).window(2.0),
-            ..durable(quick(2, 42))
-        };
-        let (a, wa) = run_shopping(&cfg);
-        assert_eq!(
-            wa.probe().state_transfers,
-            0,
-            "unbounded log: rejoin must replay, not transfer"
-        );
-        let t = a.transient.as_ref().expect("transient present");
-        let echoed: Vec<&str> = t.events.iter().map(|e| e.event.as_str()).collect();
-        assert_eq!(echoed, ["crash replica 0", "rejoin replica 0"]);
-        assert!(a.update_commits > 0);
-        let b = sim(tpcw::mix(tpcw::Mix::Shopping), cfg).run();
-        assert_eq!(a, b, "durable recovery must stay deterministic");
-    }
-
-    #[test]
-    fn two_crashes_in_one_vacuum_interval_lose_no_writeset() {
-        // Vacuum (and with it the checkpoint) ticks every 10 s, so both
-        // crashes of slave 1 fall between the ticks at 30 and 40: the
-        // second recovery replays what the first rejoin re-logged. A
-        // stale unsealed group left in the log by the first crash made
-        // that replay stop short and the node skip writesets for good.
-        let cfg = SimConfig {
-            warmup: 20.0,
-            duration: 25.0,
-            schedule: Schedule::new()
-                .crash(31.0, 1)
-                .join(33.0, 1)
-                .crash(36.0, 1)
-                .join(38.0, 1)
-                .window(5.0),
-            durability: DurabilityConfig {
-                enabled: true,
-                group_commit: 8,
-                ..DurabilityConfig::default()
-            },
-            ..SimConfig::quick(3, 2009)
-        };
-        let (_, world) = run_shopping(&cfg);
-        assert_eq!(world.probe().state_transfers, 0);
-        // Quiescence: drain what each replica has not retired yet from
-        // the relay log, then every live replica must hold the master's
-        // exact state.
-        let head = world.probe().log_seq;
-        let master = &world.nodes[world.policy.master];
-        assert_eq!(master.apply_next, head + 1);
-        for (i, node) in world.nodes.iter().enumerate() {
-            assert_eq!(node.state, NodeState::Up, "replica {i} rejoined");
-            let mut db = node.db.clone();
-            let missed = world
-                .policy
-                .ws_log
-                .range_from(node.apply_next, head)
-                .expect("the log keeps what a live replica still needs");
-            for ws in missed {
-                db.apply_writeset(ws).unwrap();
-            }
-            assert_eq!(
-                db.durable_state(),
-                master.db.durable_state(),
-                "replica {i} diverged from the master"
-            );
-        }
-    }
-
-    #[test]
-    fn every_logged_record_is_folded_dropped_or_still_in_the_log() {
-        // The master crashes and rejoins, then a slave does twice
-        // between two ticks (at 30 and 40 s), with no state transfer:
-        // records leave a node's redo log at ticks, crashes and nowhere
-        // else.
-        let cfg = SimConfig {
-            warmup: 20.0,
-            duration: 25.0,
-            schedule: Schedule::new()
-                .crash(22.0, 0)
-                .join(26.0, 0)
-                .crash(31.0, 1)
-                .join(33.0, 1)
-                .crash(36.0, 1)
-                .join(38.0, 1)
-                .window(5.0),
-            ..durable(SimConfig::quick(3, 2009))
-        };
-        let (_, world) = run_shopping(&cfg);
-        assert_eq!(world.probe().state_transfers, 0);
-        let mut counts = Vec::new();
-        for (i, node) in world.nodes.iter().enumerate() {
-            let d = node.durable.as_ref().expect("durability is on");
-            let c = d.counts();
-            assert!(c.folded > 0, "replica {i} ticked: {c:?}");
-            assert_eq!(c.superseded, 0, "replica {i}: {c:?}");
-            assert_eq!(
-                c.logged,
-                c.folded + c.dropped + d.log_len() as u64,
-                "replica {i}: {c:?}"
-            );
-            counts.push(c);
-        }
-        // Both crashed nodes recovered from sealed records, and the
-        // slave lost an unsealed group; the bystander did neither.
-        assert!(counts[0].replayed > 0 && counts[1].replayed > 0);
-        assert!(counts[1].dropped > 0);
-        assert_eq!((counts[2].dropped, counts[2].replayed), (0, 0));
-    }
-
-    #[test]
-    fn tiny_retention_forces_a_checkpoint_state_transfer() {
-        // A 4-entry retention cap guarantees the relay log outruns a
-        // 20-second-down slave, exercising the fallback path.
-        let cfg = SimConfig {
-            schedule: Schedule::new().crash(15.0, 1).join(35.0, 1).window(2.0),
-            durability: DurabilityConfig {
-                enabled: true,
-                log_retention: 4,
-                ..DurabilityConfig::default()
-            },
-            ..quick(3, 51)
-        };
-        let (report, world) = run_shopping(&cfg);
-        assert!(
-            world.probe().state_transfers >= 1,
-            "capped log must force a state transfer"
-        );
-        assert!(report.update_commits > 0);
-        assert!(report.throughput_tps > 0.0);
     }
 
     #[test]

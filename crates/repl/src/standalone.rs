@@ -8,6 +8,9 @@
 //! It is the replica kernel's one-node policy: no load-balancer hop, no
 //! propagation, updates commit under the node's own snapshot isolation,
 //! and cluster events in a shared schedule are acknowledged as ignored.
+//! With durability on, the node logs every commit into its redo log and
+//! checkpoints it at vacuum cadence like any replica; no crash reaches
+//! it, so it never recovers from them.
 //! [`run`] is the one way to run it, for the design registry
 //! ([`TxnFilter::All`]) and the profiler alike: it takes a transaction
 //! filter for the replay segments and hands back the final database,
@@ -60,8 +63,6 @@ impl Policy for Solo {
     const LB_HOP: bool = false;
     /// Never drawn from: a single node propagates nothing.
     const WS_SALT: u64 = 0;
-    /// Nothing to rejoin; durability is the fsync surcharge only.
-    const DURABLE_REJOIN: bool = false;
 
     fn label(_: &World<Self>, _: usize) -> String {
         "db".to_string()

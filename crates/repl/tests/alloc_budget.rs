@@ -15,15 +15,16 @@
 //! string per written row, each time. The same cells then read 62.9 →
 //! 141.2 (multi-master) and 49.9 → 127.5 (single-master) allocations per
 //! update commit from `n = 2` to `n = 8`: 13.1 and 12.9 per extra replica.
-//! They read 32.0 → 33.2 and 32.0 → 32.1 now: 0.20 and 0.02.
+//! They read 12.1 → 13.2 and 12.1 → 12.2 now: 0.19 and 0.02.
 //!
-//! A durable single-master cell holds the same budget: every node logs
-//! each commit it applies into its redo log, which keeps the commit's
-//! shared writeset as a typed record — a count bump, and a vector slot
-//! reused from tick to tick: 0.16 allocations per update commit per
-//! extra replica. Encoding each commit into crc-framed WAL bytes read
-//! 10.2; a typed log that copied each writeset into an `Arc` of its own
-//! reads 2.2.
+//! A durable cell of either design holds the same budget: every node logs
+//! each commit it applies or commits into its redo log, which keeps the
+//! commit's shared writeset as a typed record — a count bump, and a vector
+//! slot reused from tick to tick. Durable cells read 12.7 → 14.1
+//! (multi-master) and 12.7 → 13.6 (single-master): 0.24 and 0.16
+//! allocations per update commit per extra replica. Encoding each commit
+//! into crc-framed WAL bytes read 10.2 (single-master); a typed log that
+//! copied each writeset into an `Arc` of its own reads 2.2.
 //!
 //! The counter is the global allocator of this test binary alone. One
 //! `#[test]` function, so one thread allocates while it counts.
@@ -117,15 +118,16 @@ fn per_update_commit(design: Design, durable: bool, n: usize) -> f64 {
 
 /// Allocations per committed update an extra replica may add. What is
 /// left is bookkeeping that grows in steps — event queue, apply queue,
-/// version arena (measured: 0.19, 0.02 and, durable, 0.16); one copy of
-/// a shared-row writeset's `items` vector per apply would alone be 1, a
-/// deep copy of its three rows 7.
+/// version arena (measured: 0.19 and 0.02; durable, 0.24 and 0.16); one
+/// copy of a shared-row writeset's `items` vector per apply would alone
+/// be 1, a deep copy of its three rows 7.
 const PER_EXTRA_REPLICA: f64 = 1.0;
 
 #[test]
 fn an_extra_replica_costs_bookkeeping_not_row_copies() {
     let cases = [
         (Design::MultiMaster, false),
+        (Design::MultiMaster, true),
         (Design::SingleMaster, false),
         (Design::SingleMaster, true),
     ];

@@ -2,7 +2,7 @@
 //! phased goldens do not reach: single-master election and promotion,
 //! durable rejoin by recovery, the checkpoint state transfer behind a
 //! capped relay log, a multi-master crash overlapping a certifier
-//! outage with durability on, flash crowds, and the profiler's filtered
+//! outage with durable rejoin, flash crowds, and the profiler's filtered
 //! standalone replay with the database counters it reads.
 //!
 //! One table, one file per row under `tests/golden/`, each asserted
@@ -124,7 +124,9 @@ fn cases() -> Vec<(&'static str, String)> {
             ),
         ),
         // Multi-master, durability on: a replica is down across a
-        // certifier outage and rejoins after the restart.
+        // certifier outage and rejoins after the restart — by recovery
+        // from its image + redo log, then the certifier log's tail, as a
+        // single-master replica does.
         (
             "mm_crash_certifier_outage_durable",
             simulate(
