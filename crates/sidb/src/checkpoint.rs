@@ -16,11 +16,12 @@
 //! construction, which is why [`crate::Database::restore`] pins the
 //! vacuum watermark (`min_snapshot`) to it.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::frame::{self, FrameError};
 use crate::value::Row;
-use crate::wal::{put_row, put_str, Reader, FRAME_HEADER};
+use crate::wal::{put_row, put_str, Build, Reader, FRAME_HEADER};
 
 /// Magic prefix of a checkpoint image.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"SIDBCKP1";
@@ -138,26 +139,37 @@ impl Checkpoint {
     }
 }
 
+/// Decodes a crc-verified payload. Besides the grammar, an image must be
+/// one [`crate::Database::restore`] can build as it stands and
+/// [`crate::Database::checkpoint`] writes: table names unique, and each
+/// table's row keys strictly increasing.
 fn decode_payload(payload: &[u8]) -> Option<Checkpoint> {
     let mut r = Reader::new(payload);
     let seq = r.u64()?;
     let ntables = r.u32()? as usize;
     let mut tables = Vec::with_capacity(ntables.min(1024));
+    let mut names = BTreeSet::new();
     for _ in 0..ntables {
-        let name = r.str()?;
+        let name = r.utf8()?;
+        if !names.insert(name) {
+            return None;
+        }
         let ncols = r.u32()? as usize;
         let mut columns = Vec::with_capacity(ncols.min(1024));
         for _ in 0..ncols {
             columns.push(r.str()?);
         }
         let nrows = r.u32()? as usize;
-        let mut rows = Vec::with_capacity(nrows.min(65_536));
+        let mut rows: Vec<(u64, Row)> = Vec::with_capacity(nrows.min(65_536));
         for _ in 0..nrows {
             let key = r.u64()?;
-            rows.push((key, r.row()?));
+            if rows.last().is_some_and(|&(prev, _)| key <= prev) {
+                return None;
+            }
+            rows.push((key, r.row::<Build>()?));
         }
         tables.push(TableCheckpoint {
-            name,
+            name: name.to_owned(),
             columns,
             rows,
         });
@@ -205,6 +217,35 @@ mod tests {
     #[test]
     fn deterministic_bytes() {
         assert_eq!(sample().to_bytes(), sample().to_bytes());
+    }
+
+    /// A crc-valid image that repeats a table name used to load, and
+    /// `Database::restore` (so `Database::recover`) then panicked.
+    #[test]
+    fn an_image_with_a_repeated_table_name_is_malformed() {
+        let mut cp = sample();
+        cp.tables[1].name = "items".into();
+        assert_eq!(
+            Checkpoint::from_bytes(&cp.to_bytes()),
+            Err(CheckpointError::Malformed)
+        );
+    }
+
+    /// A crc-valid image that lists a row key twice used to restore two
+    /// versions at one sequence, the later silently winning.
+    #[test]
+    fn an_image_whose_row_keys_do_not_increase_is_malformed() {
+        for keys in [[5, 5], [5, 4]] {
+            let mut cp = sample();
+            for (row, key) in cp.tables[0].rows.iter_mut().zip(keys) {
+                row.0 = key;
+            }
+            assert_eq!(
+                Checkpoint::from_bytes(&cp.to_bytes()),
+                Err(CheckpointError::Malformed),
+                "keys {keys:?}"
+            );
+        }
     }
 
     #[test]

@@ -549,13 +549,18 @@ impl Database {
     /// `cp.seq`, with the vacuum watermark pinned there: history below
     /// the checkpoint was collapsed at capture time, so snapshots older
     /// than `cp.seq` are not readable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two tables of `cp` share a name, which neither
+    /// [`Database::checkpoint`] nor [`Checkpoint::from_bytes`] produces.
     pub fn restore(cp: &Checkpoint) -> Database {
         let mut db = Database::new();
         for t in &cp.tables {
             let columns: Vec<&str> = t.columns.iter().map(String::as_str).collect();
             let table = db
                 .create_table(&t.name, &columns)
-                .expect("checkpoint table names are unique by construction");
+                .expect("checkpoint table names are unique");
             for (key, row) in &t.rows {
                 db.install_row(cp.seq, table, *key, Some(row.clone()));
             }
@@ -590,19 +595,22 @@ impl Database {
     /// records are decoded into one reused buffer, their row images
     /// installed, and the next frame read — the log is never
     /// materialized as typed records, so replay memory is one group's,
-    /// whatever the log's length. The byte layer stops at the first torn
-    /// or corrupt frame, as [`wal::scan`] does, and the report's
-    /// `wal_valid_len` / `wal_truncated` describe it.
+    /// whatever the log's length. Each row image is decoded in one
+    /// allocation. The byte layer stops at the first torn or corrupt
+    /// frame, as [`wal::scan`] does, and the report's `wal_valid_len` /
+    /// `wal_truncated` describe it.
     ///
-    /// A `CreateTable` of a known name is a no-op; of a new name it
-    /// extends the schema in the original creation (= id) order. Commits
-    /// at or below `from_seq` are already in the database and are
-    /// skipped. Replayed commits must be strictly increasing across the
-    /// whole log and above the database's version — the replay stops at
-    /// the first non-increasing sequence or unknown table, keeping what
-    /// preceded it and distrusting every record after (in that frame and
-    /// in all later ones), the same "truncate at first bad frame" posture
-    /// the byte layer takes.
+    /// Commits at or below `from_seq` are already in the database: the
+    /// decoder walks them through the same record grammar, so a malformed
+    /// one still rejects its whole frame, but never builds them. A
+    /// `CreateTable` of a known name is a no-op; of a new name it
+    /// extends the schema in the original creation (= id) order.
+    /// Replayed commits must be strictly increasing across the whole log
+    /// and above the database's version — the replay stops at the first
+    /// non-increasing sequence or unknown table, keeping what preceded it
+    /// and distrusting every record after (in that frame and in all later
+    /// ones), the same "truncate at first bad frame" posture the byte
+    /// layer takes.
     ///
     /// The report counts the commits replayed and names the last one
     /// (`from_seq` when none replayed).
@@ -614,15 +622,18 @@ impl Database {
             wal_truncated: false,
         };
         let mut group = Vec::new();
+        let mut reader = wal::Reader::new(&[]);
         let mut trusted = true;
         let mut rest = wal_bytes;
         while let Ok((payload, after)) = frame::take(rest) {
-            if !wal::decode_records(payload, &mut group) {
+            // After a distrusted record only the byte layer is walked on:
+            // every commit is checked, none built.
+            let covered = if trusted { from_seq } else { u64::MAX };
+            if !reader.records(payload, Some(covered), &mut group) {
                 break;
             }
             rest = after;
-            // After a distrusted record only the byte layer is walked on.
-            trusted = trusted && self.replay_records(group.drain(..), from_seq, &mut report);
+            trusted = trusted && self.replay_records(group.drain(..), &mut report);
             group.clear();
         }
         report.wal_valid_len = wal_bytes.len() - rest.len();
@@ -630,12 +641,12 @@ impl Database {
         report
     }
 
-    /// Interprets one group's records for [`Database::replay`], counting
-    /// into `report`; `false` once a record is distrusted.
+    /// Interprets one group's records for [`Database::replay`] (covered
+    /// commits are not among them), counting into `report`; `false` once
+    /// a record is distrusted.
     fn replay_records(
         &mut self,
         records: impl Iterator<Item = WalRecord>,
-        from_seq: u64,
         report: &mut RecoveryReport,
     ) -> bool {
         for rec in records {
@@ -648,9 +659,6 @@ impl Database {
                     }
                 }
                 WalRecord::Commit { seq, writeset } => {
-                    if seq <= from_seq {
-                        continue; // already covered
-                    }
                     // Out of order, or a table the log never created:
                     // distrust the rest.
                     if self.replay_commit(seq, &writeset).is_err() {
@@ -1374,6 +1382,182 @@ mod tests {
             if outcome.0 > 0 {
                 assert_eq!(db.version(), outcome.1, "{what}");
             }
+        }
+    }
+
+    /// A splitmix64 stream: what the generated logs below are drawn from.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn cell(&mut self) -> Value {
+            // Half the cells are `Null`, a bare tag, so a mutation often
+            // meets a tag in a cell it can rewrite without moving the
+            // rest of the record.
+            match self.below(10) {
+                0 => Value::Bool(self.below(2) == 1),
+                1 => Value::Int(self.below(2_000) as i64 - 1_000),
+                2 => Value::Float(self.below(1_000) as f64 / 8.0),
+                3 => Value::text(["", "a", "né", "漢字", "ünïcödé"][self.below(5) as usize]),
+                4 => Value::Bytes((0..self.below(4)).map(|i| i as u8 ^ 0xA5).collect()),
+                _ => Value::Null,
+            }
+        }
+    }
+
+    /// A log drawn from `seed`, with one mutation, and a replay floor.
+    ///
+    /// The log holds 2 – 16 records: `CreateTable`s (some repeating a
+    /// name) and commits whose cells use every `Value` variant, deletes
+    /// carrying tombstones, and now and then a repeated sequence or a
+    /// table no record created; it is sealed a group of 1 – 8 records a
+    /// frame. The mutation cuts the log at a drawn byte, or rewrites one
+    /// byte of one frame payload — to a small value half the time, so it
+    /// lands on tags — and re-seals that frame under a fresh crc, so the
+    /// record grammar, not the crc, is what meets it.
+    fn mutated_log(seed: u64) -> (Vec<u8>, u64) {
+        let mut draw = Draw(seed);
+        let mut records = Vec::new();
+        let mut names = std::collections::BTreeSet::new();
+        let mut seq = 0;
+        for _ in 0..2 + draw.below(15) {
+            if names.is_empty() || draw.below(5) == 0 {
+                let name = format!("t{}", draw.below(4));
+                names.insert(name.clone());
+                records.push(WalRecord::CreateTable {
+                    name,
+                    columns: vec!["c".into()],
+                });
+                continue;
+            }
+            if draw.below(16) != 0 {
+                seq += 1 + draw.below(3);
+            }
+            let tables = names.len() as u64;
+            let items = (0..1 + draw.below(3))
+                .map(|_| {
+                    let op =
+                        [WriteOp::Insert, WriteOp::Update, WriteOp::Delete][draw.below(3) as usize];
+                    // One table in sixteen is one no record created.
+                    let unknown = u64::from(draw.below(16) == 0);
+                    WriteItem {
+                        table: TableId(draw.below(tables + unknown) as u32),
+                        row: RowId(draw.below(6)),
+                        op,
+                        data: (op != WriteOp::Delete)
+                            .then(|| (0..1 + draw.below(8)).map(|_| draw.cell()).collect()),
+                    }
+                })
+                .collect();
+            records.push(WalRecord::Commit {
+                seq,
+                writeset: WriteSet {
+                    base_version: seq.saturating_sub(1),
+                    items,
+                },
+            });
+        }
+        // The floor leans high, so most cases cover most commits.
+        let from_seq = draw.below(seq + 2).max(draw.below(seq + 2));
+        let frames: Vec<&[WalRecord]> = records.chunks(1 + draw.below(8) as usize).collect();
+        let mut payloads: Vec<Vec<u8>> = frames
+            .iter()
+            .map(|recs| {
+                let mut payload = Vec::new();
+                recs.iter()
+                    .for_each(|rec| wal::encode_record(&mut payload, rec));
+                payload
+            })
+            .collect();
+        let truncate = draw.below(4) == 0;
+        if !truncate {
+            // Half the rewrites land in a frame that holds a covered
+            // commit, which only the checking walk reads.
+            let covering: Vec<usize> = (0..frames.len())
+                .filter(|&f| {
+                    frames[f]
+                        .iter()
+                        .any(|rec| matches!(rec, WalRecord::Commit { seq, .. } if *seq <= from_seq))
+                })
+                .collect();
+            let frame = if !covering.is_empty() && draw.below(2) == 0 {
+                covering[draw.below(covering.len() as u64) as usize]
+            } else {
+                draw.below(frames.len() as u64) as usize
+            };
+            let payload = &mut payloads[frame];
+            let at = draw.below(payload.len() as u64) as usize;
+            payload[at] = if draw.below(2) == 0 {
+                draw.below(8) as u8
+            } else {
+                payload[at] ^ (1 + draw.below(255)) as u8
+            };
+        }
+        let mut log = Vec::new();
+        payloads
+            .iter()
+            .for_each(|payload| frame::put(&mut log, payload));
+        if truncate {
+            log.truncate(draw.below(log.len() as u64 + 1) as usize);
+        }
+        (log, from_seq)
+    }
+
+    /// The replay covered commits were once built for: every frame
+    /// decoded whole, then the commits at or below `from_seq` dropped.
+    fn replay_building_every_commit(
+        db: &mut Database,
+        wal_bytes: &[u8],
+        from_seq: u64,
+    ) -> RecoveryReport {
+        let mut report = RecoveryReport {
+            replayed: 0,
+            last_seq: from_seq,
+            wal_valid_len: 0,
+            wal_truncated: false,
+        };
+        let mut reader = wal::Reader::new(&[]);
+        let mut group = Vec::new();
+        let mut trusted = true;
+        let mut rest = wal_bytes;
+        while let Ok((payload, after)) = frame::take(rest) {
+            if !reader.records(payload, None, &mut group) {
+                break;
+            }
+            rest = after;
+            group.retain(|rec| !matches!(rec, WalRecord::Commit { seq, .. } if *seq <= from_seq));
+            trusted = trusted && db.replay_records(group.drain(..), &mut report);
+            group.clear();
+        }
+        report.wal_valid_len = wal_bytes.len() - rest.len();
+        report.wal_truncated = !rest.is_empty();
+        report
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8_192))]
+
+        /// Checking a covered commit accepts exactly the bytes building
+        /// it does: a malformed covered record rejects its frame either
+        /// way, and what is replayed past the floor is the same.
+        #[test]
+        fn covered_commits_are_checked_as_strictly_as_they_are_built(
+            seed in 0u64..u64::MAX,
+        ) {
+            let (log, from_seq) = mutated_log(seed);
+            let (mut walked, mut built) = (Database::new(), Database::new());
+            proptest::prop_assert_eq!(
+                walked.replay(&log, from_seq),
+                replay_building_every_commit(&mut built, &log, from_seq)
+            );
+            proptest::prop_assert_eq!(walked.durable_state(), built.durable_state());
         }
     }
 

@@ -97,6 +97,15 @@ impl<const N: usize> From<[Value; N]> for Row {
     }
 }
 
+/// Collects cells into one allocation when the iterator knows its
+/// length (a `Vec`'s `drain(..)` does), as the log and checkpoint
+/// decoders' scratch row does.
+impl FromIterator<Value> for Row {
+    fn from_iter<I: IntoIterator<Item = Value>>(cells: I) -> Self {
+        Row(cells.into_iter().collect())
+    }
+}
+
 /// Prints the cells as a slice, so [`crate::Database::durable_state`]
 /// reads the same whoever shares the row.
 impl fmt::Debug for Row {

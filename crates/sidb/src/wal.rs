@@ -17,6 +17,15 @@
 //! frame is trusted (crc-verified); everything from it on is discarded,
 //! exactly the "truncate at first bad frame" recovery rule.
 //!
+//! The read path runs at memory speed. [`crc32`] is slicing-by-8
+//! (Kounavis & Berry, ISCC 2005) over an 8 KB table built at compile
+//! time: eight independent lookups per eight bytes, bit-identical to the
+//! bytewise method. The record grammar is written once and walked two
+//! ways: building the typed records, or only checking the bytes, which
+//! is how recovery passes over the commits a checkpoint already covers
+//! — same tags, lengths and UTF-8 checked, nothing allocated. A decoded
+//! row image is one allocation, collected from the reader's scratch row.
+//!
 //! All encoding is hand-rolled little-endian with length prefixes, so
 //! the byte stream is a pure function of the logged records: equal
 //! histories produce equal logs on every host, keeping the workspace's
@@ -31,11 +40,15 @@ use crate::writeset::{WriteItem, WriteOp, WriteSet};
 pub const FRAME_HEADER: usize = 8;
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven.
+// CRC-32 (IEEE 802.3, reflected), slicing-by-8.
 // ---------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the bytewise table: the crc of one byte `i`.
+/// `CRC_TABLES[k][i]` is the crc of byte `i` followed by `k` zero bytes,
+/// so the eight lookups of one 8-byte step each carry one byte of it
+/// the rest of the way. 8 KB, built at compile time.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -48,19 +61,48 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
-}
-
-const CRC_TABLE: [u32; 256] = crc_table();
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
 
 /// IEEE CRC-32 of `bytes` (the polynomial zlib, PNG, and ethernet use).
+///
+/// Slicing-by-8 (Kounavis & Berry, "A systematic approach to building
+/// high performance software-based CRC generators", ISCC 2005): eight
+/// independent lookups in an 8 KB compile-time table fold eight bytes a
+/// step, where the bytewise method chains one dependent lookup per byte;
+/// the tail shorter than eight bytes goes bytewise. Bit-identical to the
+/// bytewise method on every input.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ u64::from(c);
+        let b = w.to_le_bytes();
+        c = t[7][b[0] as usize]
+            ^ t[6][b[1] as usize]
+            ^ t[5][b[2] as usize]
+            ^ t[4][b[3] as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -180,16 +222,90 @@ pub(crate) fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
     }
 }
 
+/// How a walk of the record grammar treats what the grammar accepts:
+/// [`Build`] makes the typed writeset, [`Check`] makes nothing.
+///
+/// The grammar — [`Reader::writeset`] and the row and cell rules under
+/// it — is written once, generic over the walk, so both walks accept and
+/// reject exactly the same bytes: every tag, every length and the UTF-8
+/// of every `Text` cell is the grammar's to check, and a walk only
+/// decides what to keep of it.
+pub(crate) trait Walk {
+    /// A row image, as this walk makes it.
+    type Row;
+    /// A writeset item, as this walk makes it.
+    type Item;
+    /// Keeps a cell the grammar accepted in the reader's scratch row.
+    fn cell(cells: &mut Vec<Value>, cell: impl FnOnce() -> Value);
+    /// Makes the row the scratch holds.
+    fn row(cells: &mut Vec<Value>) -> Self::Row;
+    /// Makes an item the grammar accepted.
+    fn item(table: TableId, row: RowId, op: WriteOp, data: Option<Self::Row>) -> Self::Item;
+}
+
+/// Builds the typed writeset; each row image is one allocation.
+pub(crate) enum Build {}
+
+impl Walk for Build {
+    type Row = Row;
+    type Item = WriteItem;
+
+    #[inline]
+    fn cell(cells: &mut Vec<Value>, cell: impl FnOnce() -> Value) {
+        cells.push(cell());
+    }
+
+    #[inline]
+    fn row(cells: &mut Vec<Value>) -> Row {
+        cells.drain(..).collect()
+    }
+
+    #[inline]
+    fn item(table: TableId, row: RowId, op: WriteOp, data: Option<Row>) -> WriteItem {
+        WriteItem {
+            table,
+            row,
+            op,
+            data,
+        }
+    }
+}
+
+/// Only checks the bytes: accepts what [`Build`] accepts, and allocates
+/// nothing.
+pub(crate) enum Check {}
+
+impl Walk for Check {
+    type Row = ();
+    type Item = ();
+
+    #[inline]
+    fn cell(_: &mut Vec<Value>, _: impl FnOnce() -> Value) {}
+
+    #[inline]
+    fn row(_: &mut Vec<Value>) {}
+
+    #[inline]
+    fn item(_: TableId, _: RowId, _: WriteOp, _: Option<()>) {}
+}
+
 /// Bounded-checked byte reader; every accessor returns `None` past the
 /// end instead of panicking, which is what makes [`scan`] total.
 pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The cells of the row being read. A row image is collected from it
+    /// in one allocation, and it serves every row the reader reads.
+    cells: Vec<Value>,
 }
 
 impl<'a> Reader<'a> {
     pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
+        Reader {
+            bytes,
+            pos: 0,
+            cells: Vec::new(),
+        }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -220,39 +336,64 @@ impl<'a> Reader<'a> {
         Some(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
     }
 
-    pub(crate) fn str(&mut self) -> Option<String> {
+    /// A length-prefixed byte string.
+    fn bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
+        self.take(len)
     }
 
-    fn value(&mut self) -> Option<Value> {
-        Some(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(i64::from_le_bytes(self.take(8)?.try_into().ok()?)),
-            3 => Value::Float(f64::from_bits(u64::from_le_bytes(
-                self.take(8)?.try_into().ok()?,
-            ))),
-            4 => Value::Text(self.str()?),
+    /// A length-prefixed UTF-8 string, borrowed from the input.
+    pub(crate) fn utf8(&mut self) -> Option<&'a str> {
+        std::str::from_utf8(self.bytes()?).ok()
+    }
+
+    pub(crate) fn str(&mut self) -> Option<String> {
+        self.utf8().map(str::to_owned)
+    }
+
+    /// One cell, kept as the walk `W` keeps cells.
+    fn cell<W: Walk>(&mut self) -> Option<()> {
+        match self.u8()? {
+            0 => W::cell(&mut self.cells, || Value::Null),
+            1 => {
+                let b = self.u8()? != 0;
+                W::cell(&mut self.cells, || Value::Bool(b));
+            }
+            2 => {
+                let i = self.u64()? as i64;
+                W::cell(&mut self.cells, || Value::Int(i));
+            }
+            3 => {
+                let bits = self.u64()?;
+                W::cell(&mut self.cells, || Value::Float(f64::from_bits(bits)));
+            }
+            4 => {
+                let s = self.utf8()?;
+                W::cell(&mut self.cells, || Value::Text(s.to_owned()));
+            }
             5 => {
-                let len = self.u32()? as usize;
-                Value::Bytes(self.take(len)?.to_vec())
+                let b = self.bytes()?;
+                W::cell(&mut self.cells, || Value::Bytes(b.to_vec()));
             }
             _ => return None,
-        })
-    }
-
-    pub(crate) fn row(&mut self) -> Option<Row> {
-        let n = self.u32()? as usize;
-        let mut row = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            row.push(self.value()?);
         }
-        Some(row.into())
+        Some(())
     }
 
-    fn writeset(&mut self) -> Option<WriteSet> {
+    /// One row image, made as the walk `W` makes rows.
+    pub(crate) fn row<W: Walk>(&mut self) -> Option<W::Row> {
+        // A row that failed part way leaves its cells behind.
+        self.cells.clear();
+        let n = self.u32()?;
+        for _ in 0..n {
+            self.cell::<W>()?;
+        }
+        Some(W::row(&mut self.cells))
+    }
+
+    /// One writeset, walked by `W`: its base version and its items as
+    /// `W` makes them.
+    pub(crate) fn writeset<W: Walk>(&mut self) -> Option<(u64, Vec<W::Item>)> {
         let base_version = self.u64()?;
         let n = self.u32()? as usize;
         let mut items = Vec::with_capacity(n.min(1024));
@@ -267,24 +408,18 @@ impl<'a> Reader<'a> {
             };
             let data = match self.u8()? {
                 0 => None,
-                1 => Some(self.row()?),
+                1 => Some(self.row::<W>()?),
                 _ => return None,
             };
-            items.push(WriteItem {
-                table,
-                row,
-                op,
-                data,
-            });
+            items.push(W::item(table, row, op, data));
         }
-        Some(WriteSet {
-            base_version,
-            items,
-        })
+        Some((base_version, items))
     }
 
-    pub(crate) fn record(&mut self) -> Option<WalRecord> {
-        Some(match self.u8()? {
+    /// Reads one record into `out` — except a commit at or below
+    /// `covered`, which is only checked ([`Check`]) and never built.
+    fn record(&mut self, covered: Option<u64>, out: &mut Vec<WalRecord>) -> Option<()> {
+        match self.u8()? {
             TAG_CREATE_TABLE => {
                 let name = self.str()?;
                 let n = self.u32()? as usize;
@@ -292,14 +427,48 @@ impl<'a> Reader<'a> {
                 for _ in 0..n {
                     columns.push(self.str()?);
                 }
-                WalRecord::CreateTable { name, columns }
+                out.push(WalRecord::CreateTable { name, columns });
             }
-            TAG_COMMIT => WalRecord::Commit {
-                seq: self.u64()?,
-                writeset: self.writeset()?,
-            },
+            TAG_COMMIT => {
+                let seq = self.u64()?;
+                if covered.is_some_and(|covered| seq <= covered) {
+                    self.writeset::<Check>()?;
+                } else {
+                    let (base_version, items) = self.writeset::<Build>()?;
+                    out.push(WalRecord::Commit {
+                        seq,
+                        writeset: WriteSet {
+                            base_version,
+                            items,
+                        },
+                    });
+                }
+            }
             _ => return None,
-        })
+        }
+        Some(())
+    }
+
+    /// Reads one frame payload's records into `out`: all of them, or —
+    /// when one is malformed — none, and `false`. Commits at or below
+    /// `covered` are checked like the rest but never built, so they are
+    /// not in `out` either way. The reader's scratch carries over from
+    /// the payload it read before.
+    pub(crate) fn records(
+        &mut self,
+        payload: &'a [u8],
+        covered: Option<u64>,
+        out: &mut Vec<WalRecord>,
+    ) -> bool {
+        (self.bytes, self.pos) = (payload, 0);
+        let whole_frames = out.len();
+        while !self.is_empty() {
+            if self.record(covered, out).is_none() {
+                out.truncate(whole_frames);
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -419,11 +588,12 @@ pub struct WalScan {
 /// yields an empty, fully truncated scan.
 pub fn scan(bytes: &[u8]) -> WalScan {
     let mut records = Vec::new();
+    let mut reader = Reader::new(&[]);
     let mut rest = bytes;
     // A torn tail or a crc mismatch ends the scan: distrust everything
     // from the bad frame on.
     while let Ok((payload, after)) = frame::take(rest) {
-        if !decode_records(payload, &mut records) {
+        if !reader.records(payload, None, &mut records) {
             break;
         }
         rest = after;
@@ -435,25 +605,10 @@ pub fn scan(bytes: &[u8]) -> WalScan {
     }
 }
 
-/// Appends a frame payload's records to `out`: all of them, or — when
-/// one is malformed — none, and `false`.
-pub(crate) fn decode_records(payload: &[u8], out: &mut Vec<WalRecord>) -> bool {
-    let whole_frames = out.len();
-    let mut reader = Reader::new(payload);
-    while !reader.is_empty() {
-        match reader.record() {
-            Some(rec) => out.push(rec),
-            None => {
-                out.truncate(whole_frames);
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn sample_ws(seq: u64) -> WriteSet {
@@ -501,11 +656,52 @@ mod tests {
         (w, recs)
     }
 
+    /// The bytewise method [`crc32`] replaced: one dependent table lookup
+    /// a byte. The reference the slicing-by-8 loop is held to.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_crc_at_every_length_and_alignment() {
+        // Every tail length (0 – 7 bytes past whole words), several
+        // whole words, and every start offset within a word.
+        let buf: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=72 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crc32_equals_the_bytewise_crc_on_drawn_buffers(
+            bytes in proptest::collection::vec(0u8..=255, 0..300),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 
     #[test]
