@@ -26,6 +26,26 @@ pub struct Slo {
 }
 
 impl Slo {
+    /// Checks that every bound has a meaning: a finite throughput ≥ 0, a
+    /// finite response ceiling > 0 and an abort ceiling in [0, 1]. Any
+    /// other bound (NaN, infinite, negative, above 100 % aborts) makes
+    /// every deployment miss, or meet, the SLO whatever the model says.
+    fn validate(&self) -> Result<(), ModelError> {
+        let tps = self.min_throughput_tps;
+        let response = self.max_response_time.unwrap_or(1.0);
+        let abort = self.max_abort_rate.unwrap_or(0.0);
+        let problem = if !(tps.is_finite() && tps >= 0.0) {
+            format!("throughput must be finite and >= 0 tps, got {tps}")
+        } else if !(response.is_finite() && response > 0.0) {
+            format!("response-time ceiling must be finite and > 0 s, got {response}")
+        } else if !(0.0..=1.0).contains(&abort) {
+            format!("abort-rate ceiling must be in [0, 1], got {abort}")
+        } else {
+            return Ok(());
+        };
+        Err(ModelError::InvalidConfig(format!("SLO {problem}")))
+    }
+
     /// True when `p` satisfies every requirement.
     pub fn satisfied_by(&self, p: &Prediction) -> bool {
         p.throughput_tps >= self.min_throughput_tps
@@ -61,7 +81,11 @@ pub struct Plan {
 ///
 /// # Errors
 ///
-/// Propagates profile/config validation and model evaluation errors.
+/// [`ModelError::InvalidConfig`], before anything is predicted, for an
+/// SLO bound with no meaning: a throughput that is not finite and ≥ 0, a
+/// response ceiling that is not finite and > 0, or an abort ceiling
+/// outside [0, 1]. Otherwise propagates profile/config validation and
+/// model evaluation errors.
 pub fn plan_designs(
     profile: &WorkloadProfile,
     config: &SystemConfig,
@@ -69,6 +93,7 @@ pub fn plan_designs(
     slo: &Slo,
     max_replicas: usize,
 ) -> Result<Vec<Plan>, ModelError> {
+    slo.validate()?;
     let mut plans = Vec::new();
     for &design in designs {
         let predictor = design.predictor(profile.clone(), config.clone())?;
@@ -198,6 +223,40 @@ mod tests {
         let plans = plan_designs(&profile, &config, &Design::ALL, &slo, 16).unwrap();
         assert!(!plans.is_empty());
         assert!(plans.iter().all(|p| p.design != Design::Standalone));
+    }
+
+    #[test]
+    fn an_slo_no_prediction_can_be_held_to_is_rejected() {
+        let profile = WorkloadProfile::tpcw_shopping();
+        let config = SystemConfig::lan_cluster(40);
+        let slo = |tps: f64, r: Option<f64>, a: Option<f64>| Slo {
+            min_throughput_tps: tps,
+            max_response_time: r,
+            max_abort_rate: a,
+        };
+        for bad in [
+            slo(f64::NAN, None, None),
+            slo(f64::INFINITY, None, None),
+            slo(-5.0, None, None),
+            slo(10.0, Some(-0.001), None),
+            slo(10.0, Some(0.0), None),
+            slo(10.0, Some(f64::NAN), None),
+            slo(10.0, Some(f64::INFINITY), None),
+            slo(10.0, None, Some(f64::NAN)),
+            slo(10.0, None, Some(5.0)),
+            slo(10.0, None, Some(-0.01)),
+        ] {
+            let err = plan(&profile, &config, &bad, 16).unwrap_err();
+            assert!(
+                matches!(err, ModelError::InvalidConfig(_)),
+                "{bad:?}: {err}"
+            );
+        }
+        // The edges of each range are meaningful SLOs.
+        for good in [slo(0.0, None, Some(0.0)), slo(10.0, Some(1e-9), Some(1.0))] {
+            assert!(good.validate().is_ok(), "{good:?}");
+            plan(&profile, &config, &good, 16).unwrap();
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use serde::Serialize;
 /// One finding, anchored to a file:line:col span.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Diagnostic {
-    /// Stable rule id (`D1`…`D6`, or `A0` for malformed suppressions).
+    /// Stable rule id (`D1`…`D8`, or `A0` for malformed suppressions).
     pub rule: String,
     /// Short rule name, e.g. `wall-clock`.
     pub name: String,

@@ -17,6 +17,7 @@
 //! | D5 | float-cmp-unwrap | whole workspace               | `partial_cmp().unwrap()` → `total_cmp` |
 //! | D6 | print-discipline | libraries (not bins/tests/…)  | no `println!`/`eprintln!` in library code |
 //! | D7 | file-io          | protected crates' `src/`      | no `std::fs`/`File`/`OpenOptions` — durability is in memory (typed redo log, WAL and checkpoint byte buffers); real I/O is the CLI's job |
+//! | D8 | retired          | the paths each ban names      | no name a simplicity change deleted, in code, comments or strings ([`rules::retired::RETIRED`]); a ban path matching no file is a finding |
 //!
 //! Protected crates: `core`, `sim`, `repl`, `sidb`, `workload`
 //! ([`policy::PROTECTED_CRATES`]).
@@ -42,10 +43,10 @@
 //! Architecture: a hand-rolled [`lexer`] (no parser dependencies — the
 //! build environment is offline) feeds a [`cfgscan`] pass that maps
 //! `#[cfg(test)]` regions, a [`rules`] registry that pattern-matches
-//! token sequences, and an [`allow`] resolver that applies suppression
-//! comments; [`walk`] supplies files in sorted order so the report is
-//! byte-deterministic — the analyzer holds itself to the contract it
-//! checks.
+//! token sequences (D8 matches raw text), and an [`allow`] resolver
+//! that applies suppression comments; [`walk`] supplies files in sorted
+//! order so the report is byte-deterministic — the analyzer holds
+//! itself to the contract it checks.
 
 pub mod allow;
 pub mod cfgscan;
@@ -79,6 +80,7 @@ fn analyze_with(rel_path: &str, source: &str, rules: &[Box<dyn Rule>]) -> Vec<Di
         tokens: &lexed.tokens,
         comments: &lexed.comments,
         test_ranges: &test_ranges,
+        source,
     };
     let mut diags = Vec::new();
     for rule in rules {
@@ -104,7 +106,9 @@ fn analyze_with(rel_path: &str, source: &str, rules: &[Box<dyn Rule>]) -> Vec<Di
 }
 
 /// Checks every `.rs` file under `root` (see [`walk::collect_rs_files`]
-/// for the skip list) and returns the aggregate report.
+/// for the skip list) and returns the aggregate report. A D8 ban path
+/// that matches none of those files is reported too
+/// ([`rules::retired::unmatched_scopes`]).
 ///
 /// # Errors
 ///
@@ -117,6 +121,8 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
         let source = fs::read_to_string(abs)?;
         diagnostics.extend(analyze_with(rel, &source, &rules));
     }
+    let scanned: Vec<&str> = files.iter().map(|(_, rel)| rel.as_str()).collect();
+    diagnostics.extend(rules::retired::unmatched_scopes(&scanned));
     diag::sort(&mut diagnostics);
     Ok(Report {
         clean: diagnostics.is_empty(),
@@ -133,7 +139,7 @@ mod tests {
     fn rule_ids_are_unique_and_stable() {
         let reg = registry();
         let ids: Vec<&str> = reg.iter().map(|r| r.id()).collect();
-        assert_eq!(ids, vec!["D1", "D2", "D3", "D4", "D5", "D6", "D7"]);
+        assert_eq!(ids, vec!["D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8"]);
         let names: Vec<&str> = reg.iter().map(|r| r.name()).collect();
         assert_eq!(
             names,
@@ -144,7 +150,8 @@ mod tests {
                 "safety-comment",
                 "float-cmp-unwrap",
                 "print-discipline",
-                "file-io"
+                "file-io",
+                "retired"
             ]
         );
     }

@@ -1,14 +1,15 @@
 //! The rule trait, registry, and token-matching helpers.
 //!
-//! Every rule has a stable id (`D1`…`D6`), a short name, and a
+//! Every rule has a stable id (`D1`…`D8`), a short name, and a
 //! one-paragraph rationale; `replilint rules` prints the table. A rule
 //! sees one file at a time through [`FileContext`] — code tokens,
-//! comments, and the `#[cfg(test)]` line ranges — and appends
-//! [`Diagnostic`]s. Path scoping lives in [`Rule::applies`] so a rule
-//! can skip whole files (D1–D3 only look inside the protected crates'
-//! `src/`).
+//! comments, the `#[cfg(test)]` line ranges and the raw source text —
+//! and appends [`Diagnostic`]s. Path scoping lives in [`Rule::applies`]
+//! so a rule can skip whole files (D1–D3 only look inside the protected
+//! crates' `src/`, D8 only at the paths its table bans names from).
 
 mod determinism;
+pub mod retired;
 mod style;
 
 use crate::cfgscan::{self, LineRanges};
@@ -22,6 +23,8 @@ pub struct FileContext<'a> {
     pub tokens: &'a [Token],
     pub comments: &'a [Comment],
     pub test_ranges: &'a LineRanges,
+    /// The file's text as read, for rules that match raw text (D8).
+    pub source: &'a str,
 }
 
 impl FileContext<'_> {
@@ -46,12 +49,17 @@ pub trait Rule {
 
     /// Builds a diagnostic anchored at `tok`.
     fn diag(&self, ctx: &FileContext<'_>, tok: &Token, message: String) -> Diagnostic {
+        self.diag_at(&ctx.info.rel_path, tok.line, tok.col, message)
+    }
+
+    /// Builds a diagnostic anchored at `path:line:col`.
+    fn diag_at(&self, path: &str, line: u32, col: u32, message: String) -> Diagnostic {
         Diagnostic {
             rule: self.id().to_string(),
             name: self.name().to_string(),
-            path: ctx.info.rel_path.clone(),
-            line: tok.line,
-            col: tok.col,
+            path: path.to_string(),
+            line,
+            col,
             message,
         }
     }
@@ -69,6 +77,7 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(style::FloatCmpUnwrap),
         Box::new(style::PrintDiscipline),
         Box::new(determinism::FileIo),
+        Box::new(retired::RetiredNames),
     ]
 }
 

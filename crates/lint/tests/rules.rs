@@ -9,6 +9,7 @@
 //! never sees these deliberately-violating sources.
 
 use replipred_lint::analyze_source;
+use replipred_lint::rules::retired::{Retired, RETIRED};
 
 /// A protected-crate library path: D1–D3 apply here.
 const SIM: &str = "crates/sim/src/fixture.rs";
@@ -176,6 +177,97 @@ fn d7_allow_comment_suppresses() {
 #[test]
 fn d7_does_not_apply_outside_protected_crates() {
     assert_eq!(spans(LIB, include_str!("fixtures/d7/firing.rs")), vec![]);
+}
+
+// ---- D8: retired (scoped by its own table) ----
+
+/// Inside `crates/repl/src/`, where every ban the D8 fixtures use applies.
+const REPL: &str = "crates/repl/src/fixture.rs";
+
+#[test]
+fn d8_fires_on_retired_names_in_code_and_comments() {
+    let got = spans(REPL, include_str!("fixtures/d8/firing.rs"));
+    assert_eq!(
+        got,
+        owned(&[("D8", 1, 12), ("D8", 1, 17), ("D8", 3, 22), ("D8", 5, 15)])
+    );
+}
+
+#[test]
+fn d8_near_misses_are_clean() {
+    assert_eq!(spans(REPL, include_str!("fixtures/d8/clean.rs")), vec![]);
+}
+
+#[test]
+fn d8_allow_comment_suppresses() {
+    assert_eq!(spans(REPL, include_str!("fixtures/d8/allowed.rs")), vec![]);
+}
+
+#[test]
+fn d8_scope_is_per_ban() {
+    // Outside `crates/repl/src/` the redo-log ban (line 1) no longer
+    // applies; the workspace-wide bans (lines 3 and 5) still do.
+    let got = spans(LIB, include_str!("fixtures/d8/firing.rs"));
+    assert_eq!(got, owned(&[("D8", 3, 22), ("D8", 5, 15)]));
+    let outside = "benchmark/src/fixture.rs";
+    assert_eq!(
+        spans(outside, include_str!("fixtures/d8/firing.rs")),
+        vec![]
+    );
+}
+
+/// A file inside `scope`: the file itself, or one nested in the subtree.
+fn inside(scope: &str) -> String {
+    if scope.ends_with('/') {
+        format!("{scope}nested/probe.rs")
+    } else {
+        scope.to_string()
+    }
+}
+
+/// Paths just outside `scope`: beside a file, beside a subtree (a name
+/// that shares its prefix but not its `/`), and outside every scope.
+fn beside(scope: &str) -> Vec<String> {
+    let near = match scope.strip_suffix('/') {
+        Some(dir) => format!("{dir}_beside/probe.rs"),
+        None => format!("{}/probe.rs", scope.rsplit_once('/').map_or("", |(d, _)| d)),
+    };
+    vec![near, "benchmark/src/probe.rs".to_string()]
+}
+
+#[test]
+fn d8_every_ban_fires_in_scope_and_nowhere_else() {
+    let mut probes = 0;
+    for ban in RETIRED {
+        let inside: Vec<String> = ban.scope.iter().map(|s| inside(s)).collect();
+        let outside: Vec<String> = ban.scope.iter().flat_map(|s| beside(s)).collect();
+        for pattern in ban.patterns {
+            // How many bans hold `pattern` at `path`: this one inside
+            // its scope, and no other ban repeats a pattern.
+            let bans_at = |path: &str| {
+                let holds = |r: &&Retired| r.patterns.contains(pattern) && r.covers(path);
+                RETIRED.iter().filter(holds).count()
+            };
+            for (source, col) in [
+                (format!("fn probe() {{ {pattern} }}\n"), 14),
+                (format!("// {pattern}\n"), 4),
+            ] {
+                for path in &inside {
+                    assert_eq!(bans_at(path), 1, "{pattern} at {path}");
+                    let got = spans(path, &source);
+                    assert_eq!(got, owned(&[("D8", 1, col)]), "{source:?} at {path}");
+                    probes += 1;
+                }
+                for path in &outside {
+                    assert!(!ban.covers(path), "{path} is inside {:?}", ban.scope);
+                    assert_eq!(bans_at(path), 0, "{pattern} at {path}");
+                    assert_eq!(spans(path, &source), vec![], "{source:?} at {path}");
+                    probes += 1;
+                }
+            }
+        }
+    }
+    assert!(probes > 200, "only {probes} probes: is the table empty?");
 }
 
 #[test]

@@ -650,17 +650,20 @@ fn figures_cmd(args: &Args, opts: &RunOpts) -> Output {
 mod tests {
     use super::*;
 
-    /// Parses `replipred <line>` (double-quoted spans stay whole) as far
-    /// as the typed options, running nothing.
-    fn parse(line: &str) -> Result<RunOpts, String> {
-        let argv: Vec<String> = line
-            .split('"')
+    /// Splits `replipred <line>` into arguments; double-quoted spans stay whole.
+    fn argv(line: &str) -> Vec<String> {
+        line.split('"')
             .enumerate()
             .flat_map(|(i, span)| match i % 2 {
                 0 => span.split_whitespace().map(str::to_string).collect(),
                 _ => vec![span.to_string()],
             })
-            .collect();
+            .collect()
+    }
+
+    /// Parses `replipred <line>` as far as the typed options, running nothing.
+    fn parse(line: &str) -> Result<RunOpts, String> {
+        let argv = argv(line);
         let cmd = command(&argv[0]).ok_or("unknown subcommand")?;
         RunOpts::new(cmd, &Args::parse(cmd, &argv[1..])?)
     }
@@ -678,6 +681,24 @@ mod tests {
         let opts = parse("phases --schedule crash@30=1,join@60=1,window=5 --replicas 4").unwrap();
         assert_eq!(opts.replicas, Some(4));
         assert!(opts.schedule.as_ref().is_some_and(Schedule::enabled));
+    }
+
+    #[test]
+    fn plan_rejects_an_slo_with_no_meaning() {
+        for slo in [
+            "--tps nan",
+            "--tps inf",
+            "--tps -5",
+            "--tps 100 --max-response-ms -1",
+            "--tps 100 --max-abort-pct nan",
+            "--tps 100 --max-abort-pct 500",
+        ] {
+            let err = run(&argv(&format!("plan --workload tpcw-shopping {slo}"))).unwrap_err();
+            assert!(
+                err.starts_with("invalid system configuration: SLO "),
+                "{slo}: {err}"
+            );
+        }
     }
 
     #[test]

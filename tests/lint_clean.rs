@@ -1,13 +1,15 @@
 //! The analyzer must run clean on the workspace that ships it — the
-//! same invariant CI enforces with `replilint check`. A failure here
-//! names the offending diagnostics directly in the assert message.
+//! same invariant CI enforces with `replilint check`. Living in the root
+//! package, it runs under a plain `cargo test`, so a D1–D8 finding
+//! (a retired name coming back included) fails before a push. A failure
+//! here names the offending diagnostics directly in the assert message.
 
 use std::path::Path;
 
 #[test]
 fn workspace_has_zero_diagnostics() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = replipred_lint::check_workspace(&root).expect("workspace scan");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let report = replipred_lint::check_workspace(root).expect("workspace scan");
     assert!(
         report.files_scanned > 50,
         "suspiciously few files scanned ({}); wrong root?",
